@@ -353,9 +353,9 @@ def commutator_half(w, a):
     return 0.5 * (w * a - a * w)
 
 
-def wedge_vectors(a, b):
-    """Exterior product of two grade-1 elements: (ab - ba)/2."""
-    return commutator_half(_coerce(a), b)
+def _exp_series_done(t, n: int, smax: float) -> bool:
+    """Whether the series may stop after its term t = B^n / n! at |s| <= smax."""
+    return t.norm_sup() * max(smax, 1.0) ** n < _EXP_SERIES_TOL and n >= 4
 
 
 def _exp_series(B, smax: float = 1.0):
@@ -365,7 +365,7 @@ def _exp_series(B, smax: float = 1.0):
     for n in range(1, _EXP_SERIES_MAX_TERMS + 1):
         t = t * B * (1.0 / n)
         terms.append(t)
-        if t.norm_sup() * max(smax, 1.0) ** n < _EXP_SERIES_TOL and n >= 4:
+        if _exp_series_done(t, n, smax):
             return terms
     raise SeriesNotConverged(
         f"exp series did not converge within {_EXP_SERIES_MAX_TERMS} terms"

@@ -45,8 +45,23 @@ def list_suites() -> int:
     return 0
 
 
+def _threads() -> int:
+    """Worker count from ``VERIFY_THREADS``: unset or empty means 1."""
+    raw = os.environ.get("VERIFY_THREADS", "").strip()
+    if not raw:
+        return 1
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError(f"VERIFY_THREADS must be a positive integer, got {raw!r}")
+    return n
+
+
 def run_command(args) -> int:
     try:
+        threads = _threads()
         cfg = load_config(args.config)
         if args.grid is not None:
             cfg["grid"] = args.grid
@@ -60,7 +75,6 @@ def run_command(args) -> int:
         return 2
 
     t0 = time.perf_counter()
-    threads = int(os.environ.get("VERIFY_THREADS", "1") or "1")
     try:
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -36,7 +36,7 @@ from .algebra import (
     bivector_square_class,
     gp_batch,
 )
-from .algebra import _exp_series, _T
+from .algebra import _exp_series, _exp_series_done, _T
 from .errors import KindMismatch
 
 __all__ = [
@@ -506,16 +506,29 @@ class BivectorExp(FieldExpr):
             out[:, 0] = 1.0
             out += sv[:, None] * self.B.coeffs
         else:
-            if self._series is None:
-                self._series = _exp_series(self.B, smax=float(np.max(np.abs(sv))))
             acc = np.zeros((len(xs), DIM), dtype=complex)
             p = np.ones(len(xs))
-            for n, term in enumerate(self._series):
+            for n, term in enumerate(self._series_for(float(np.max(np.abs(sv))))):
                 if n:
                     p = p * sv
                 acc += p[:, None] * term.coeffs
             out = acc if dtype is complex else np.real(acc)
         return out
+
+    def _series_for(self, smax: float) -> list:
+        """The terms ``_exp_series(B, smax)`` gives, cut from the longest built.
+
+        The cache holds (smax, terms) and grows when a larger |s| arrives; a
+        smaller one takes a prefix, so the terms used never depend on what
+        was evaluated before.
+        """
+        cached = self._series
+        if cached is None or not smax <= cached[0]:  # NaN rebuilds, and raises
+            cached = (smax, _exp_series(self.B, smax=smax))
+            self._series = cached
+        terms = cached[1]
+        n = next(n for n, t in enumerate(terms) if _exp_series_done(t, n, smax))
+        return terms[:n + 1]
 
     def _partial(self, mu):
         ds = self.s.partial(mu)

@@ -136,19 +136,20 @@ class Curve:
         x1 = np.asarray(x1, dtype=float)
         return cls(np.stack([x0, x1 - x0]))
 
-    def point(self, t: float) -> np.ndarray:
-        powers = np.array([t**k for k in range(len(self.coeffs))])
+    def point(self, t) -> np.ndarray:
+        """x(t); an array of S parameter values gives (S, 4)."""
+        t = np.asarray(t, dtype=float)
+        powers = t[..., None] ** np.arange(len(self.coeffs))
         return powers @ self.coeffs
 
-    def velocity(self, t: float) -> np.ndarray:
-        v = np.zeros(4)
-        for k in range(1, len(self.coeffs)):
-            v += k * t ** (k - 1) * self.coeffs[k]
-        return v
+    def velocity(self, t) -> np.ndarray:
+        """x'(t); an array of S parameter values gives (S, 4)."""
+        t = np.asarray(t, dtype=float)
+        k = np.arange(1, len(self.coeffs))
+        return (k * t[..., None] ** (k - 1)) @ self.coeffs[1:]
 
     def check_inside(self, chart: Chart, samples: int = 64):
-        ts = np.linspace(0.0, 1.0, samples)
-        pts = np.stack([self.point(t) for t in ts])
+        pts = self.point(np.linspace(0.0, 1.0, samples))
         if not chart.contains(pts, slack=1e-9):
             raise CurveOutOfChart("curve leaves the chart box")
 
@@ -359,22 +360,28 @@ class SpacetimeSetup:
         return acc
 
     def omega_coord_at(self, xdot: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """omega on the coordinate velocity ``xdot`` at point x (for transport)."""
-        xs = x[None, :]
-        acc = np.zeros(DIM)
-        for a in range(4):
-            if self.tetrad.is_identity:
-                va = xdot[a]
-            else:
-                va = 0.0
+        """omega on coordinate velocities ``xdot`` (S, 4) at points x (S, 4).
+
+        Each omega_a and each non-constant tetrad entry is evaluated once over
+        all S points; no memo, so no intermediate node value outlives its use.
+        """
+        xdot = np.asarray(xdot, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if self.tetrad.is_identity:
+            v = xdot
+        else:
+            v = np.zeros_like(xdot)
+            for a in range(4):
                 for mu in range(4):
                     inv = self.tetrad.inverse_entry(mu, a)
                     if isinstance(inv, (int, float)):
-                        va += xdot[mu] * inv
+                        v[:, a] += xdot[:, mu] * inv
                     else:
-                        va += xdot[mu] * evaluate(inv, xs)[0, 0]
-            if va:
-                acc = acc + va * evaluate(self.omega(a), xs)[0]
+                        v[:, a] += xdot[:, mu] * evaluate(inv, x)[:, 0]
+        acc = np.zeros((len(x), DIM))
+        for a in range(4):
+            if np.any(v[:, a]):
+                acc = acc + v[:, a, None] * evaluate(self.omega(a), x)
         return acc
 
 
@@ -501,10 +508,16 @@ def dirac_operator_left(P: Field, setup: SpacetimeSetup) -> Field:
 # Parallel transport
 # ---------------------------------------------------------------------------
 
-_TRANSPORT_RHS = {
-    Kind.CLIFFORD: lambda w, y: -0.5 * (gp_batch(w, y) - gp_batch(y, w)),
-    Kind.LEFT: lambda w, y: -0.5 * gp_batch(w, y),
-    Kind.RIGHT: lambda w, y: 0.5 * gp_batch(y, w),
+# The right-hand side of each transport law is linear in y, y' = y @ A(omega),
+# with A[j, k] = sum_i omega_i op[i, j*DIM + k] read off the Cayley tensor C
+# (e_i e_j = sum_k C[i, j, k] e_k):  omega y is C contracted on its first
+# index, y omega on its second.
+_C = STA.tables.cayley
+_CT = _C.transpose(1, 0, 2)
+_TRANSPORT_OPS = {
+    Kind.CLIFFORD: -0.5 * (_C - _CT).reshape(DIM, DIM * DIM),
+    Kind.LEFT: -0.5 * _C.reshape(DIM, DIM * DIM),
+    Kind.RIGHT: 0.5 * _CT.reshape(DIM, DIM * DIM),
 }
 
 
@@ -515,33 +528,31 @@ def parallel_transport(a0, kind: Kind, curve: Curve, setup: SpacetimeSetup,
     The transport equations in components are dA/dt = -[omega, A]/2 for
     Clifford values, dP/dt = -omega P / 2 for left and dF/dt = +F omega / 2
     for right spinor values, with omega = omega_{sigma'(t)} at sigma(t).
+
+    omega is evaluated once per curve, at the 2*steps+1 stage points
+    t_j = j h / 2; each step then applies its three 16x16 stage matrices.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if kind not in _TRANSPORT_RHS:
+    if kind not in _TRANSPORT_OPS:
         raise KindMismatch(f"no transport rule for kind {kind}")
     curve.check_inside(setup.chart)
-    rhs_of = _TRANSPORT_RHS[kind]
-    flat = setup.connection.is_zero
+    op = _TRANSPORT_OPS[kind]
 
     y = np.array(a0.coeffs, dtype=a0.coeffs.dtype)
-    if flat:
+    if setup.connection.is_zero:
         return type(a0)(y)
 
     h = 1.0 / steps
-
-    def rhs(t, y):
-        x = curve.point(t)
-        v = curve.velocity(t)
-        w = setup.omega_coord_at(v, x)
-        return rhs_of(w, y)
+    ts = np.arange(2 * steps + 1) * (0.5 * h)
+    w = setup.omega_coord_at(curve.velocity(ts), curve.point(ts))
 
     for k in range(steps):
-        t = k * h
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
+        a_start, a_mid, a_end = (w[2 * k:2 * k + 3] @ op).reshape(3, DIM, DIM)
+        k1 = y @ a_start
+        k2 = (y + 0.5 * h * k1) @ a_mid
+        k3 = (y + 0.5 * h * k2) @ a_mid
+        k4 = (y + h * k3) @ a_end
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return type(a0)(y)
 

@@ -169,10 +169,6 @@ def _unit_power(mu):
     return tuple(p)
 
 
-def _sup(expr, xs, memo) -> float:
-    return float(np.max(np.abs(evaluate(expr, xs, memo))))
-
-
 def _sup_field_diff(f1: Field, f2: Field, xs, memo) -> float:
     return float(np.max(np.abs(f1.eval(xs, memo) - f2.eval(xs, memo))))
 

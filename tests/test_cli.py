@@ -1,6 +1,7 @@
 """Scenario validation, CLI exit codes, report determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +14,10 @@ from sta.scenario import Scenario, builtin_scenario_names, load_config, parse_ex
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def run_cli(*args, cwd):
+def run_cli(*args, cwd, env=None):
     return subprocess.run(
         [sys.executable, "-m", "sta.cli", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=env,
     )
 
 
@@ -98,6 +99,17 @@ def test_exit_code_two_on_config_error(tmp_path):
     assert not list(tmp_path.glob("*.report.json"))  # no report written
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_exit_code_two_on_bad_thread_count(tmp_path, value):
+    r = run_cli("run", "minkowski-plane-wave", "--report-dir", str(tmp_path),
+                cwd=tmp_path, env=dict(os.environ, VERIFY_THREADS=value))
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == [
+        f"configuration error: VERIFY_THREADS must be a positive integer, got {value!r}"
+    ]
+    assert not list(tmp_path.glob("*.report.json"))
+
+
 def test_exit_code_two_on_unknown_suite(tmp_path):
     r = run_cli("run", "minkowski-plane-wave", "--suite", "nope",
                 "--report-dir", str(tmp_path), cwd=tmp_path)
@@ -157,8 +169,6 @@ def test_report_lists_every_check_once(tmp_path):
 
 
 def test_threaded_run_matches_serial(tmp_path):
-    import os
-
     d1, d2 = tmp_path / "serial", tmp_path / "threads"
     env = dict(os.environ)
     r = run_cli("run", "minkowski-plane-wave", "--grid", "3",

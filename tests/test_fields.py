@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sta.algebra import E, E21, Multivector
+from sta.algebra import E, E21, Multivector, exp_bivector
 from sta.errors import KindMismatch
 from sta.fields import (
     BivectorExp,
@@ -103,6 +103,23 @@ def test_bivector_exp_series_matches_matrix_route():
             term = term @ (M * s) / n
             acc = acc + term
         assert np.max(np.abs(rep.rho_batch(row[None, :])[0] - acc)) < 1e-12
+
+
+def test_bivector_exp_series_independent_of_evaluation_order():
+    B = E(1) * E(2) + 0.7 * (E(0) * E(3)) + 0.3 * (E(0) * E(1))
+    small = np.array([[0.01, 0.0, 0.0, 0.0]])
+    large = np.array([[6.0, 0.0, 0.0, 0.0]])
+
+    def fresh(xs):
+        return evaluate(BivectorExp(B, ScalarLinear([1, 0, 0, 0])), xs)
+
+    expr = BivectorExp(B, ScalarLinear([1, 0, 0, 0]))
+    evaluate(expr, small)
+    got = evaluate(expr, large)[0]
+    assert np.max(np.abs(got - exp_bivector(6.0 * B).coeffs)) < 1e-11
+    assert np.array_equal(got, fresh(large)[0])
+    # a smaller argument after a larger one uses the terms a fresh node would
+    assert np.array_equal(evaluate(expr, small), fresh(small))
 
 
 def test_evaluation_memo_consistency():

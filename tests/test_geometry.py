@@ -269,6 +269,81 @@ def test_transport_pairing_and_ideal_stability():
     assert (qt * IDEMPOTENT_E - qt).norm_sup() < 1e-10
 
 
+def rk4_reference(a0, kind, omega_at, steps):
+    """Classical RK4 with one-row omega and one-row products per stage."""
+    rhs_of = {
+        Kind.CLIFFORD: lambda w, y: -0.5 * (gp_batch(w, y) - gp_batch(y, w)),
+        Kind.LEFT: lambda w, y: -0.5 * gp_batch(w, y),
+        Kind.RIGHT: lambda w, y: 0.5 * gp_batch(y, w),
+    }[kind]
+
+    def rhs(t, y):
+        return rhs_of(omega_at(t), y)
+
+    y = np.array(a0.coeffs)
+    h = 1.0 / steps
+    for k in range(steps):
+        t = k * h
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
+
+
+@pytest.mark.parametrize("frame", ["fiducial", "rotated"])
+def test_transport_matches_per_stage_reference(frame):
+    setup = rc_setup(53, scale=0.8)
+    if frame == "rotated":
+        setup = change_spin_frame(random_rotor_expr(np.random.default_rng(54)), setup).setup
+        assert not setup.tetrad.is_identity
+    curve = Curve(np.array([[0.2, 0.3, 0.1, 0.2], [0.5, 0.2, 0.6, 0.4], [-0.2, 0.1, 0.1, 0.2]]))
+    a0 = Multivector(np.random.default_rng(55).normal(size=16))
+    omegas = {}  # one-row omega per stage time, shared by the three kinds
+
+    def omega_at(t):
+        if t not in omegas:
+            omegas[t] = setup.omega_coord_at(curve.velocity([t]), curve.point([t]))[0]
+        return omegas[t]
+
+    for kind in (Kind.CLIFFORD, Kind.LEFT, Kind.RIGHT):
+        out = parallel_transport(a0, kind, curve, setup, 8)
+        ref = rk4_reference(a0, kind, omega_at, 8)
+        assert np.max(np.abs(out.coeffs - a0.coeffs)) > 1e-3  # the connection acts
+        assert out.coeffs == pytest.approx(ref, rel=1e-12)
+
+
+def test_batched_omega_matches_row_by_row():
+    setup = change_spin_frame(random_rotor_expr(np.random.default_rng(56)), rc_setup(57)).setup
+    rng = np.random.default_rng(58)
+    xs = rng.uniform(0.1, 0.9, size=(5, 4))
+    vs = rng.normal(size=(5, 4))
+    batched = setup.omega_coord_at(vs, xs)
+    assert batched.shape == (5, 16)
+    for s in range(5):
+        row = setup.omega_coord_at(vs[s:s + 1], xs[s:s + 1])[0]
+        assert batched[s] == pytest.approx(row, rel=1e-12)
+    # independent route: frame components V, pushed to coordinates by the
+    # tetrad itself, give omega_V
+    V = rng.normal(size=4)
+    coords = np.stack([np.full(len(xs), c) if isinstance(c, float) else evaluate(c, xs)[:, 0]
+                       for c in setup.coord_components(V)], axis=1)
+    want = evaluate(setup.omega_for(V), xs)
+    assert np.max(np.abs(setup.omega_coord_at(coords, xs) - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_curve_accepts_parameter_arrays():
+    curve = Curve(np.array([[0.2, 0.3, 0.1, 0.2], [0.5, 0.2, 0.6, 0.4], [-0.2, 0.1, 0.1, 0.2]]))
+    ts = np.linspace(0.0, 1.0, 7)
+    pts, vels = curve.point(ts), curve.velocity(ts)
+    assert pts.shape == vels.shape == (7, 4)
+    c0, c1, c2 = curve.coeffs
+    for t, p, v in zip(ts, pts, vels):
+        assert p == pytest.approx(c0 + t * c1 + t * t * c2, rel=1e-14)
+        assert v == pytest.approx(c1 + 2 * t * c2, rel=1e-14)
+
+
 def test_transport_rejects_out_of_chart():
     setup = SpacetimeSetup(CHART)
     with pytest.raises(CurveOutOfChart):
