@@ -141,13 +141,19 @@ GRADES = _T.grades
 def gp_batch(a: np.ndarray, b: np.ndarray, tables: _Tables = _T) -> np.ndarray:
     """Geometric product of coefficient arrays with shape (..., dim).
 
-    One contraction through the Cayley tensor: each point's left-multiplication
-    matrix ``L[j, k] = sum_i a[i] cayley[i, j, k]`` comes from a single matrix
-    product, and ``out[k] = sum_j b[j] L[j, k]`` is a stacked vector-matrix
-    product.  Leading axes broadcast, so a single left operand builds its
-    matrix once.
+    A 1-D operand is a fixed factor: its multiplication matrix comes from the
+    Cayley tensor once, and the other operand goes through one matrix
+    product, ``b @ L`` with ``L[j, k] = sum_i a[i] cayley[i, j, k]`` or
+    ``a @ R`` with ``R[i, k] = sum_j cayley[i, j, k] b[j]``.  Otherwise each
+    point builds its own ``L`` from a single matrix product and
+    ``out[k] = sum_j b[j] L[j, k]`` is a stacked vector-matrix product, with
+    leading axes broadcast.
     """
     dim = tables.dim
+    if a.ndim == 1:
+        return b @ np.tensordot(a, tables.cayley, axes=([0], [0]))
+    if b.ndim == 1:
+        return a @ np.tensordot(tables.cayley, b, axes=([1], [0]))
     left = a @ tables.cayley.reshape(dim, dim * dim)
     left = left.reshape(a.shape[:-1] + (dim, dim))
     return np.matmul(b[..., None, :], left)[..., 0, :]

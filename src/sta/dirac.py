@@ -233,13 +233,8 @@ def residual_covariant(col: ColumnSpinorField, params: DiracParams,
         # frame-direction derivative through the tetrad
         dcol = np.zeros_like(cols)
         for mu in range(4):
-            entry = setup.tetrad.entry(a, mu)
-            if isinstance(entry, (int, float)):
-                if entry:
-                    dcol = dcol + float(entry) * dcols_coord[mu]
-            else:
-                ev = evaluate(entry, xs, memo)[:, 0]
-                dcol = dcol + ev[:, None] * dcols_coord[mu]
+            ev = evaluate(setup.tetrad.entry(a, mu), xs, memo)[:, 0]
+            dcol = dcol + ev[:, None] * dcols_coord[mu]
         w = evaluate(setup.omega(a), xs, memo)
         if np.any(w):
             wmat = rep.rho_batch(w)

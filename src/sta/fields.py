@@ -5,7 +5,16 @@ constructor carries an exact partial derivative in every coordinate
 direction, so differential identities can be checked without numerical
 differentiation (finite differences exist only as an independent
 cross-check).  Evaluation is batched: ``evaluate(expr, xs)`` takes points of
-shape (N, 4) and returns blade coefficients of shape (N, 16).
+shape (N, 4) and returns blade coefficients of shape (N, 16).  Each call
+keeps one memo, keyed by node, so a subtree referenced twice is evaluated
+once.
+
+The node set: leaves (``Constant``, ``Polynomial`` and the scalar
+``ScalarLinear``, ``ScalarSine``, ``ScalarGaussian``), one linear node
+(``Linear``: a combination of terms with constant scalar coefficients), the
+geometric ``Product``, ``Reverse``, ``GradeSelect``, ``BladeCoeff`` and
+``BivectorExp``.  Build them with the folding constructors ``f_sum``,
+``f_scale``, ``f_product`` and ``f_reverse``.
 
 Field *kinds* distinguish values that share their coefficient storage but
 transform differently under a change of spin frame.  Multiplication is only
@@ -46,8 +55,7 @@ __all__ = [
     "ScalarLinear",
     "ScalarSine",
     "ScalarGaussian",
-    "Sum",
-    "Scale",
+    "Linear",
     "Product",
     "Reverse",
     "GradeSelect",
@@ -67,14 +75,15 @@ N_COORDS = 4
 
 
 def evaluate(expr: "FieldExpr", xs: np.ndarray, memo: dict | None = None) -> np.ndarray:
-    """Evaluate ``expr`` on points ``xs`` (N, 4), memoizing shared subtrees."""
+    """Evaluate ``expr`` on points ``xs`` (N, 4), each shared subtree once.
+
+    The memo maps nodes to values; without one, a fresh memo serves this call.
+    """
     if memo is None:
-        return expr._eval(xs, None)
-    hit = memo.get(id(expr))
-    if hit is not None and hit[0] is expr:
-        return hit[1]
-    val = expr._eval(xs, memo)
-    memo[id(expr)] = (expr, val)
+        memo = {}
+    val = memo.get(expr)
+    if val is None:
+        val = memo[expr] = expr._eval(xs, memo)
     return val
 
 
@@ -124,13 +133,11 @@ _ZERO_R = None  # set after Constant is defined
 class Constant(FieldExpr):
     """Coordinate-independent value."""
 
-    __slots__ = ("value", "_lmat", "_rmat")
+    __slots__ = ("value",)
 
     def __init__(self, value):
         super().__init__()
         self.value = _coerce(value)
-        self._lmat = None
-        self._rmat = None
 
     def _eval(self, xs, memo):
         return np.broadcast_to(self.value.coeffs, (len(xs), DIM))
@@ -145,18 +152,6 @@ class Constant(FieldExpr):
     @property
     def is_scalar(self):
         return not np.any(self.value.coeffs[1:])
-
-    def left_matrix(self) -> np.ndarray:
-        """Matrix of left multiplication by the value: out = b @ L."""
-        if self._lmat is None:
-            self._lmat = np.tensordot(self.value.coeffs, _T.cayley, axes=([0], [0]))
-        return self._lmat
-
-    def right_matrix(self) -> np.ndarray:
-        """Matrix of right multiplication by the value: out = a @ R."""
-        if self._rmat is None:
-            self._rmat = np.tensordot(_T.cayley, self.value.coeffs, axes=([1], [0]))
-        return self._rmat
 
 
 def _zero() -> Constant:
@@ -304,60 +299,45 @@ class ScalarGaussian(FieldExpr):
         return True
 
 
-class Sum(FieldExpr):
-    __slots__ = ("left", "right")
+class Linear(FieldExpr):
+    """sum_i c_i e_i: expressions e_i with constant scalar coefficients c_i.
 
-    def __init__(self, left, right):
+    ``terms`` is a tuple of (coef, expr); ``f_sum`` and ``f_scale`` keep it
+    flat, so a chain of sums and scalings is one node.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
         super().__init__()
-        self.left = left
-        self.right = right
+        self.terms = tuple(terms)
 
     def _eval(self, xs, memo):
-        return evaluate(self.left, xs, memo) + evaluate(self.right, xs, memo)
+        vals = [(c, evaluate(e, xs, memo)) for c, e in self.terms]
+        cplx = any(isinstance(c, complex) or np.iscomplexobj(v) for c, v in vals)
+        out = np.zeros((len(xs), DIM), dtype=complex if cplx else float)
+        for c, v in vals:
+            out += v if c == 1 else c * v
+        return out
 
     def _partial(self, mu):
-        return f_sum(self.left.partial(mu), self.right.partial(mu))
+        return sum((f_scale(c, e.partial(mu)) for c, e in self.terms), _zero())
 
     @property
     def is_complex(self):
-        return self.left.is_complex or self.right.is_complex
+        return any(isinstance(c, complex) or e.is_complex for c, e in self.terms)
 
     @property
     def is_scalar(self):
-        return self.left.is_scalar and self.right.is_scalar
-
-
-class Scale(FieldExpr):
-    """Multiplication by a constant scalar."""
-
-    __slots__ = ("factor", "arg")
-
-    def __init__(self, factor, arg):
-        super().__init__()
-        self.factor = factor
-        self.arg = arg
-
-    def _eval(self, xs, memo):
-        return self.factor * evaluate(self.arg, xs, memo)
-
-    def _partial(self, mu):
-        return f_scale(self.factor, self.arg.partial(mu))
-
-    @property
-    def is_complex(self):
-        return isinstance(self.factor, complex) or self.arg.is_complex
-
-    @property
-    def is_scalar(self):
-        return self.arg.is_scalar
+        return all(e.is_scalar for _, e in self.terms)
 
 
 class Product(FieldExpr):
     """Pointwise geometric product (Leibniz derivative).
 
-    Evaluation picks the cheapest route: scalar factors broadcast over the
-    other side, constant factors turn into a fixed 16x16 matrix, and only
-    general x general products hit the pair kernel.
+    A scalar factor broadcasts over the other side; every other product goes
+    through ``gp_batch``.  A constant factor enters as its 16 coefficients,
+    which ``gp_batch`` applies as one fixed 16x16 matrix.
     """
 
     __slots__ = ("left", "right")
@@ -368,16 +348,12 @@ class Product(FieldExpr):
         self.right = right
 
     def _eval(self, xs, memo):
-        lv = evaluate(self.left, xs, memo)
-        rv = evaluate(self.right, xs, memo)
+        lv, rv = (e.value.coeffs if isinstance(e, Constant) else evaluate(e, xs, memo)
+                  for e in (self.left, self.right))
         if self.left.is_scalar:
-            return rv * lv[:, :1]
+            return rv * lv[..., :1]
         if self.right.is_scalar:
-            return lv * rv[:, :1]
-        if isinstance(self.left, Constant):
-            return rv @ self.left.left_matrix()
-        if isinstance(self.right, Constant):
-            return lv @ self.right.right_matrix()
+            return lv * rv[..., :1]
         return gp_batch(lv, rv)
 
     def _partial(self, mu):
@@ -548,6 +524,10 @@ def rotor_wave(front, B, wave) -> FieldExpr:
 
 # -- folding constructors ----------------------------------------------------
 
+def _terms(e: FieldExpr) -> tuple:
+    return e.terms if isinstance(e, Linear) else ((1.0, e),)
+
+
 def f_sum(a: FieldExpr, b: FieldExpr) -> FieldExpr:
     if _is_zero(a):
         return b
@@ -555,7 +535,7 @@ def f_sum(a: FieldExpr, b: FieldExpr) -> FieldExpr:
         return a
     if isinstance(a, Constant) and isinstance(b, Constant):
         return Constant(a.value + b.value)
-    return Sum(a, b)
+    return Linear(_terms(a) + _terms(b))
 
 
 def f_scale(c, a: FieldExpr) -> FieldExpr:
@@ -565,9 +545,8 @@ def f_scale(c, a: FieldExpr) -> FieldExpr:
         return a
     if isinstance(a, Constant):
         return Constant(c * a.value)
-    if isinstance(a, Scale):
-        return f_scale(c * a.factor, a.arg)
-    return Scale(c, a)
+    terms = tuple((c * k, e) for k, e in _terms(a))
+    return terms[0][1] if len(terms) == 1 and terms[0][0] == 1 else Linear(terms)
 
 
 def f_product(a: FieldExpr, b: FieldExpr) -> FieldExpr:
@@ -576,8 +555,8 @@ def f_product(a: FieldExpr, b: FieldExpr) -> FieldExpr:
     if isinstance(a, Constant) and isinstance(b, Constant):
         return Constant(a.value * b.value)
     for x, other in ((a, b), (b, a)):
-        if isinstance(x, Constant) and x.value == type(x.value).scalar(1.0):
-            return other
+        if isinstance(x, Constant) and x.is_scalar:
+            return f_scale(x.value.scalar_part.item(), other)
     return Product(a, b)
 
 
@@ -590,10 +569,8 @@ def f_reverse(a: FieldExpr) -> FieldExpr:
         return BivectorExp(-a.B, a.s)
     if isinstance(a, Product):
         return f_product(f_reverse(a.right), f_reverse(a.left))
-    if isinstance(a, Sum):
-        return f_sum(f_reverse(a.left), f_reverse(a.right))
-    if isinstance(a, Scale):
-        return f_scale(a.factor, f_reverse(a.arg))
+    if isinstance(a, Linear):
+        return sum((f_scale(c, f_reverse(e)) for c, e in a.terms), _zero())
     return Reverse(a)
 
 

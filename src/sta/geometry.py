@@ -63,7 +63,6 @@ __all__ = [
     "spin_connection",
     "unit_left",
     "unit_right",
-    "pair_fields",
     "pair_to_clifford",
     "directional_derivative",
     "cov_deriv_clifford",
@@ -154,11 +153,6 @@ class Curve:
             raise CurveOutOfChart("curve leaves the chart box")
 
 
-def _wedge_constant(b: int, c: int) -> Multivector:
-    """E^b ^ E^c for b != c (equals the blade product)."""
-    return E(b) * E(c)
-
-
 class ConnectionField:
     """Connection coefficients Gamma_abc(x) with Gamma_abc = -Gamma_acb.
 
@@ -219,7 +213,7 @@ class ConnectionField:
                             continue
                         acc = f_sum(
                             acc,
-                            f_scale(-1.0, f_product(g, Constant(_wedge_constant(b, c)))),
+                            f_scale(-1.0, f_product(g, Constant(E(b) * E(c)))),
                         )
                 self._omega.append(acc)
         return self._omega[a]
@@ -230,70 +224,35 @@ class Tetrad:
 
     ``entries[a][mu]`` gives the coordinate components of the leg e_a as a
     vector field: e_a acts on scalars as sum_mu entries[a][mu] d_mu.  Entries
-    are floats or scalar field expressions; the fiducial frame is the
-    identity.  Orthonormality of the legs against the chart metric makes the
-    matrix Lorentz pointwise, so its inverse is eta L^T eta (a sign-decorated
-    transpose, exact).
+    are scalar field expressions (constants included); the fiducial frame is
+    the identity.  Orthonormality of the legs against the chart metric makes
+    the matrix Lorentz pointwise, so its inverse is eta L^T eta (a
+    sign-decorated transpose, exact).
     """
 
     def __init__(self, entries=None):
         self.entries = entries  # None means identity
-        self._inverse = None
 
     @property
     def is_identity(self) -> bool:
         return self.entries is None
 
-    def entry(self, a: int, mu: int):
+    def entry(self, a: int, mu: int) -> FieldExpr:
         if self.entries is None:
-            return 1.0 if a == mu else 0.0
+            return Constant(1.0 if a == mu else 0.0)
         return self.entries[a][mu]
 
-    def inverse_entry(self, mu: int, a: int):
+    def inverse_entry(self, mu: int, a: int) -> FieldExpr:
         """(L^-1)_mu^a = eta_mumu eta_aa L_a^mu."""
-        e = self.entry(a, mu)
-        s = float(ETA[mu] * ETA[a])
-        if isinstance(e, (int, float)):
-            return s * e
-        return f_scale(s, e)
+        return f_scale(float(ETA[mu] * ETA[a]), self.entry(a, mu))
 
     def compose(self, lam) -> "Tetrad":
         """Tetrad of the frame e'_a = lam_a^b e_b (entries L' = lam . L)."""
-        new = [[None] * 4 for _ in range(4)]
-        for a in range(4):
-            for mu in range(4):
-                acc = None
-                for b in range(4):
-                    term = _scalar_mul(lam[a][b], self.entry(b, mu))
-                    acc = term if acc is None else _scalar_add(acc, term)
-                new[a][mu] = acc
-        return Tetrad(new)
-
-
-def _scalar_mul(x, y):
-    if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-        return float(x) * float(y)
-    if isinstance(x, (int, float)):
-        return f_scale(float(x), y)
-    if isinstance(y, (int, float)):
-        return f_scale(float(y), x)
-    return f_product(x, y)
-
-
-def _as_expr(x):
-    if isinstance(x, (int, float)):
-        return Constant(Multivector.scalar(float(x)))
-    return x
-
-
-def _scalar_add(x, y):
-    if isinstance(x, (int, float)) and isinstance(y, (int, float)):
-        return float(x) + float(y)
-    if isinstance(x, (int, float)) and x == 0.0:
-        return y
-    if isinstance(y, (int, float)) and y == 0.0:
-        return x
-    return f_sum(_as_expr(x), _as_expr(y))
+        return Tetrad([
+            [sum((f_product(lam[a][b], self.entry(b, mu)) for b in range(4)), Constant(0.0))
+             for mu in range(4)]
+            for a in range(4)
+        ])
 
 
 class SpacetimeSetup:
@@ -328,42 +287,32 @@ class SpacetimeSetup:
     def omega(self, a: int) -> FieldExpr:
         return self.connection.omega(a)
 
-    def frame_components(self, V) -> list:
+    def frame_components(self, V) -> list[FieldExpr]:
         """Components v^a with V = v^a e_a, from an array or grade-1 field."""
         if isinstance(V, Field):
             return [f_scale(float(ETA[a]), BladeCoeff(V.expr, 1 << a)) for a in range(4)]
         v = np.asarray(V, dtype=float)
-        return [float(v[a]) for a in range(4)]
+        return [Constant(float(v[a])) for a in range(4)]
 
-    def coord_components(self, V) -> list:
+    def coord_components(self, V) -> list[FieldExpr]:
         """Coordinate components c^mu = v^a L_a^mu of a direction."""
         v = self.frame_components(V)
         if self.tetrad.is_identity:
             return v
-        out = []
-        for mu in range(4):
-            acc = 0.0
-            for a in range(4):
-                acc = _scalar_add(acc, _scalar_mul(v[a], self.tetrad.entry(a, mu)))
-            out.append(acc)
-        return out
+        return [sum((f_product(v[a], self.tetrad.entry(a, mu)) for a in range(4)), Constant(0.0))
+                for mu in range(4)]
 
     def omega_for(self, V) -> FieldExpr:
         """Connection bivector omega_V = v^a omega_a on a direction V."""
-        acc: FieldExpr = Constant(Multivector.zero())
-        for a, va in enumerate(self.frame_components(V)):
-            if isinstance(va, float):
-                if va:
-                    acc = f_sum(acc, f_scale(va, self.omega(a)))
-            else:
-                acc = f_sum(acc, f_product(va, self.omega(a)))
-        return acc
+        return sum((f_product(va, self.omega(a)) for a, va in enumerate(self.frame_components(V))),
+                   Constant(0.0))
 
     def omega_coord_at(self, xdot: np.ndarray, x: np.ndarray) -> np.ndarray:
         """omega on coordinate velocities ``xdot`` (S, 4) at points x (S, 4).
 
-        Each omega_a and each non-constant tetrad entry is evaluated once over
-        all S points; no memo, so no intermediate node value outlives its use.
+        Each omega_a and each tetrad entry is evaluated once over all S
+        points, by one ``evaluate`` call each with its own memo, so node
+        values are held only until that call returns.
         """
         xdot = np.asarray(xdot, dtype=float)
         x = np.asarray(x, dtype=float)
@@ -373,11 +322,7 @@ class SpacetimeSetup:
             v = np.zeros_like(xdot)
             for a in range(4):
                 for mu in range(4):
-                    inv = self.tetrad.inverse_entry(mu, a)
-                    if isinstance(inv, (int, float)):
-                        v[:, a] += xdot[:, mu] * inv
-                    else:
-                        v[:, a] += xdot[:, mu] * evaluate(inv, x)[:, 0]
+                    v[:, a] += xdot[:, mu] * evaluate(self.tetrad.inverse_entry(mu, a), x)[:, 0]
         acc = np.zeros((len(x), DIM))
         for a in range(4):
             if np.any(v[:, a]):
@@ -411,11 +356,6 @@ def unit_right() -> Field:
     return RightSpinorField(Constant(Multivector.scalar(1.0)))
 
 
-def pair_fields(x: Field, y: Field) -> Field:
-    """Product of two fields under the kind-pairing table."""
-    return x * y
-
-
 def pair_to_clifford(psi: Field, phi: Field) -> Field:
     """Left x right pairing into the Clifford bundle."""
     if psi.kind is not Kind.LEFT or phi.kind is not Kind.RIGHT:
@@ -435,15 +375,8 @@ def directional_derivative(F: Field, V, setup: SpacetimeSetup) -> Field:
     the setup's tetrad converts it to chart coordinate directions.
     """
     comps = setup.coord_components(V)
-    acc: FieldExpr = Constant(Multivector.zero())
-    for mu, c in enumerate(comps):
-        term = F.expr.partial(mu)
-        if isinstance(c, float):
-            term = f_scale(c, term)
-        else:
-            term = f_product(c, term)
-        acc = f_sum(acc, term)
-    return Field(F.kind, acc)
+    return Field(F.kind, sum((f_product(c, F.expr.partial(mu)) for mu, c in enumerate(comps)),
+                             Constant(0.0)))
 
 
 def cov_deriv_clifford(A: Field, V, setup: SpacetimeSetup) -> Field:

@@ -2,12 +2,14 @@
 
 The structured report is canonical: fixed key order, no timing data, so a
 fixed configuration and seed produce byte-identical files.  Wall time is
-reported on the human log only.
+reported on the human log only.  Reports are strict JSON: a check whose value
+is not finite is written with ``"value": null`` and fails.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -23,12 +25,16 @@ class Check:
     passed: bool
     diagnostic: bool = False
 
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            self.passed = False
+
     def to_json(self) -> dict:
         return {
             "suite": self.suite,
             "name": self.name,
             "law": self.law,
-            "value": float(self.value),
+            "value": float(self.value) if math.isfinite(self.value) else None,
             "tol": float(self.tol),
             "passed": bool(self.passed),
             "diagnostic": bool(self.diagnostic),
@@ -73,7 +79,7 @@ class Report:
             },
             "checks": [c.to_json() for c in self.checks],
         }
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def human_text(self) -> str:
         lines = [f"scenario: {self.scenario} (seed={self.seed}, grid={self.grid})"]

@@ -18,6 +18,10 @@ brackets; see the README for the full schema):
   expected          {check-name: value} turns residual checks into
                     expected-value diagnostics [{}]
 
+Every section is an object and every number a finite JSON number (booleans
+are not numbers); grid, transport_steps, seed, polynomial powers and
+connection indices are integers.  Any violation is a ``ConfigError``.
+
 Field expressions EXPR form a closed constructor set, each with an exact
 derivative: zero, constant, polynomial (degree <= 3), rotor-wave, sum,
 product, scalar-linear, scalar-sine, scalar-gaussian, exp-bivector and
@@ -28,6 +32,7 @@ generator strings "e0" .. "e0123"; values are reals or [re, im] pairs.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -73,12 +78,36 @@ def _fail(msg: str):
     raise ConfigError(msg)
 
 
+def _number(v, where: str, integer: bool = False):
+    """A finite JSON number, or an int when ``integer``; booleans are neither."""
+    if isinstance(v, int if integer else (int, float)) and not isinstance(v, bool):
+        if integer:
+            return v
+        try:
+            x = float(v)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    _fail(f"{where} must be {'an integer' if integer else 'a finite number'}, got {v!r}")
+
+
+def _object(v, where: str) -> dict:
+    if not isinstance(v, dict):
+        _fail(f"{where} must be an object")
+    return v
+
+
+def _list(v, where: str) -> list:
+    if not isinstance(v, list):
+        _fail(f"{where} must be a list")
+    return v
+
+
 def _coef(v, where: str):
-    if isinstance(v, (int, float)):
-        return float(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
-        return complex(v[0], v[1])
-    _fail(f"{where}: coefficient must be a number or [re, im]")
+    if isinstance(v, list) and len(v) == 2:
+        return complex(_number(v[0], where), _number(v[1], where))
+    return _number(v, where)
 
 
 def parse_multivector(obj, where: str):
@@ -95,10 +124,9 @@ def parse_multivector(obj, where: str):
 
 
 def _vec4(obj, where: str) -> np.ndarray:
-    if not (isinstance(obj, list) and len(obj) == 4 and
-            all(isinstance(x, (int, float)) for x in obj)):
+    if not (isinstance(obj, list) and len(obj) == 4):
         _fail(f"{where}: expected a list of 4 numbers")
-    return np.asarray(obj, dtype=float)
+    return np.array([_number(x, where) for x in obj])
 
 
 def parse_expr(obj, where: str = "expr") -> FieldExpr:
@@ -111,7 +139,7 @@ def parse_expr(obj, where: str = "expr") -> FieldExpr:
         return Constant(parse_multivector(obj.get("blades", {}), where))
     if kind == "polynomial":
         terms = []
-        for i, t in enumerate(obj.get("terms", [])):
+        for i, t in enumerate(_list(obj.get("terms", []), f"{where}.terms")):
             wt = f"{where}.terms[{i}]"
             if not isinstance(t, dict):
                 _fail(f"{wt}: expected an object")
@@ -121,6 +149,7 @@ def parse_expr(obj, where: str = "expr") -> FieldExpr:
             powers = t.get("powers", [0, 0, 0, 0])
             if not (isinstance(powers, list) and len(powers) == 4):
                 _fail(f"{wt}: powers must be 4 integers")
+            powers = [_number(p, f"{wt}.powers", integer=True) for p in powers]
             terms.append((_BLADE_BY_NAME[blade], _coef(t.get("coef", 0.0), wt), tuple(powers)))
         try:
             return Polynomial(terms)
@@ -135,7 +164,7 @@ def parse_expr(obj, where: str = "expr") -> FieldExpr:
         except ValueError as exc:
             _fail(f"{where}: {exc}")
     if kind == "sum":
-        parts = obj.get("terms", [])
+        parts = _list(obj.get("terms", []), f"{where}.terms")
         if not parts:
             _fail(f"{where}: sum needs at least one term")
         acc = parse_expr(parts[0], f"{where}.terms[0]")
@@ -143,7 +172,7 @@ def parse_expr(obj, where: str = "expr") -> FieldExpr:
             acc = f_sum(acc, parse_expr(p, f"{where}.terms[{i}]"))
         return acc
     if kind == "product":
-        parts = obj.get("factors", [])
+        parts = _list(obj.get("factors", []), f"{where}.factors")
         if not parts:
             _fail(f"{where}: product needs at least one factor")
         acc = parse_expr(parts[0], f"{where}.factors[0]")
@@ -152,13 +181,13 @@ def parse_expr(obj, where: str = "expr") -> FieldExpr:
         return acc
     if kind == "scalar-linear":
         return ScalarLinear(_vec4(obj.get("slope"), f"{where}.slope"),
-                            float(obj.get("offset", 0.0)))
+                            _number(obj.get("offset", 0.0), f"{where}.offset"))
     if kind == "scalar-sine":
-        return ScalarSine(float(obj.get("amplitude", 1.0)),
+        return ScalarSine(_number(obj.get("amplitude", 1.0), f"{where}.amplitude"),
                           _vec4(obj.get("wave"), f"{where}.wave"),
-                          float(obj.get("phase", 0.0)))
+                          _number(obj.get("phase", 0.0), f"{where}.phase"))
     if kind == "scalar-gaussian":
-        return ScalarGaussian(float(obj.get("amplitude", 1.0)),
+        return ScalarGaussian(_number(obj.get("amplitude", 1.0), f"{where}.amplitude"),
                               _vec4(obj.get("widths"), f"{where}.widths"),
                               _vec4(obj.get("center"), f"{where}.center"))
     if kind == "exp-bivector":
@@ -170,16 +199,12 @@ def parse_expr(obj, where: str = "expr") -> FieldExpr:
             _fail(f"{where}: {exc}")
     if kind == "const-rotor":
         biv = parse_multivector(obj.get("bivector", {}), f"{where}.bivector")
-        s = float(obj.get("parameter", 1.0))
+        s = _number(obj.get("parameter", 1.0), f"{where}.parameter")
         try:
-            return Constant(exp_bivector(f_scale_mv(s, biv)))
+            return Constant(exp_bivector(s * biv))
         except ValueError as exc:
             _fail(f"{where}: {exc}")
     _fail(f"{where}: unknown expression kind {kind!r}")
-
-
-def f_scale_mv(s: float, mv):
-    return s * mv
 
 
 class Scenario:
@@ -192,35 +217,34 @@ class Scenario:
         if not isinstance(self.name, str) or not self.name:
             _fail("scenario needs a nonempty 'name'")
 
-        chart_cfg = cfg.get("chart", {"lo": [0, 0, 0, 0], "hi": [1, 1, 1, 1]})
+        chart_cfg = _object(cfg.get("chart", {"lo": [0, 0, 0, 0], "hi": [1, 1, 1, 1]}), "chart")
         lo = _vec4(chart_cfg.get("lo"), "chart.lo")
         hi = _vec4(chart_cfg.get("hi"), "chart.hi")
-        fd = float(chart_cfg.get("fd_step", 1e-3))
+        fd = _number(chart_cfg.get("fd_step", 1e-3), "chart.fd_step")
         try:
             self.chart = Chart(lo, hi, fd)
         except ValueError as exc:
             _fail(f"chart: {exc}")
 
-        self.grid = int(cfg.get("grid", 9))
+        self.grid = _number(cfg.get("grid", 9), "grid", integer=True)
         if self.grid < 2:
             _fail("grid must be at least 2")
-        self.transport_steps = int(cfg.get("transport_steps", 256))
+        self.transport_steps = _number(cfg.get("transport_steps", 256), "transport_steps",
+                                       integer=True)
         if self.transport_steps < 1:
             _fail("transport_steps must be >= 1")
-        self.seed = int(cfg.get("seed", 0))
+        self.seed = _number(cfg.get("seed", 0), "seed", integer=True)
+        if self.seed < 0:
+            _fail("seed must be nonnegative")
 
-        tol_cfg = cfg.get("tolerances", {})
-        if not isinstance(tol_cfg, dict):
-            _fail("tolerances must be an object")
-        for k, v in tol_cfg.items():
-            if not isinstance(v, (int, float)) or v <= 0:
+        tol_cfg = _object(cfg.get("tolerances", {}), "tolerances")
+        self.tolerances = {k: _number(v, f"tolerances[{k!r}]") for k, v in tol_cfg.items()}
+        for k, v in self.tolerances.items():
+            if v <= 0:
                 _fail(f"tolerances[{k!r}] must be a positive number")
-        self.tolerances = {k: float(v) for k, v in tol_cfg.items()}
 
-        expected_cfg = cfg.get("expected", {})
-        if not isinstance(expected_cfg, dict):
-            _fail("expected must be an object")
-        self.expected = {k: float(v) for k, v in expected_cfg.items()}
+        expected_cfg = _object(cfg.get("expected", {}), "expected")
+        self.expected = {k: _number(v, f"expected[{k!r}]") for k, v in expected_cfg.items()}
 
         suites = cfg.get("suites", list(SUITE_NAMES))
         if not isinstance(suites, list) or not suites:
@@ -232,36 +256,33 @@ class Scenario:
 
         self.setup, self.frame_rotor = self._build_setup(cfg)
 
-        params_cfg = cfg.get("params", {"mass": 1.0, "charge": 0.0})
-        mass = params_cfg.get("mass", 1.0)
-        charge = params_cfg.get("charge", 0.0)
-        if not isinstance(mass, (int, float)) or mass < 0:
+        params_cfg = _object(cfg.get("params", {"mass": 1.0, "charge": 0.0}), "params")
+        mass = _number(params_cfg.get("mass", 1.0), "params.mass")
+        charge = _number(params_cfg.get("charge", 0.0), "params.charge")
+        if mass < 0:
             _fail("params.mass must be a nonnegative number")
-        if not isinstance(charge, (int, float)):
-            _fail("params.charge must be a number")
         pot_cfg = params_cfg.get("potential", {"kind": "zero"})
         pot = CliffordField(parse_expr(pot_cfg, "params.potential"))
-        self.params = DiracParams(float(mass), float(charge), pot)
+        self.params = DiracParams(mass, charge, pot)
         try:
             self.params.validate_grade1(self.setup)
         except ValueError as exc:
             _fail(f"params.potential: {exc}")
 
-        self.unknown = self._build_unknown(cfg.get("unknown", {"type": "plane-wave"}))
+        self.unknown = self._build_unknown(
+            _object(cfg.get("unknown", {"type": "plane-wave"}), "unknown"))
 
     def _build_setup(self, cfg):
-        conn_cfg = cfg.get("connection", {"type": "zero"})
+        conn_cfg = _object(cfg.get("connection", {"type": "zero"}), "connection")
         ctype = conn_cfg.get("type")
         if ctype == "zero":
             conn = ConnectionField.zero()
         elif ctype == "table":
             gamma = [[[None] * 4 for _ in range(4)] for _ in range(4)]
-            for i, ent in enumerate(conn_cfg.get("entries", [])):
+            for i, ent in enumerate(_list(conn_cfg.get("entries", []), "connection.entries")):
                 we = f"connection.entries[{i}]"
-                try:
-                    a, b, c = int(ent["a"]), int(ent["b"]), int(ent["c"])
-                except (KeyError, TypeError, ValueError):
-                    _fail(f"{we}: needs integer frame indices a, b, c")
+                ent = _object(ent, we)
+                a, b, c = (_number(ent.get(k), f"{we}.{k}", integer=True) for k in "abc")
                 if not all(0 <= i_ < 4 for i_ in (a, b, c)) or b >= c:
                     _fail(f"{we}: indices must satisfy 0 <= a < 4 and b < c")
                 if gamma[a][b][c] is not None:
@@ -273,7 +294,7 @@ class Scenario:
         else:
             _fail(f"connection.type must be 'zero' or 'table', got {ctype!r}")
 
-        frame_cfg = cfg.get("frame", {"type": "fiducial"})
+        frame_cfg = _object(cfg.get("frame", {"type": "fiducial"}), "frame")
         ftype = frame_cfg.get("type")
         base = SpacetimeSetup(self.chart, conn)
         if ftype == "fiducial":

@@ -98,10 +98,10 @@ def oracle_gp_batch(a, b, metric=METRIC):
     return out
 
 
-def _random_rows(rng, n, dim, complex_):
-    rows = rng.normal(size=(n, dim))
+def _random_rows(rng, lead, dim, complex_):
+    rows = rng.normal(size=(*lead, dim))
     if complex_:
-        rows = rows + 1j * rng.normal(size=(n, dim))
+        rows = rows + 1j * rng.normal(size=(*lead, dim))
     return rows
 
 
@@ -115,12 +115,18 @@ def _random_rows(rng, n, dim, complex_):
         ((1, 16), (37, 16), False, False),   # broadcast left operand
         ((37, 16), (1, 16), True, False),    # broadcast right operand
         ((1, 16), (1, 16), False, True),     # one row
+        ((16,), (37, 16), False, False),     # fixed left factor
+        ((16,), (37, 16), True, False),
+        ((37, 16), (16,), False, False),     # fixed right factor
+        ((37, 16), (16,), False, True),
+        ((16,), (16,), False, False),        # two single multivectors
+        ((16,), (16,), True, True),
     ],
 )
 def test_gp_batch_matches_oracle(shape_a, shape_b, complex_a, complex_b):
     rng = np.random.default_rng(17)
-    a = _random_rows(rng, shape_a[0], 16, complex_a)
-    b = _random_rows(rng, shape_b[0], 16, complex_b)
+    a = _random_rows(rng, shape_a[:-1], 16, complex_a)
+    b = _random_rows(rng, shape_b[:-1], 16, complex_b)
     got = gp_batch(a, b)
     want = oracle_gp_batch(a, b)
     assert got.shape == want.shape
@@ -131,8 +137,8 @@ def test_gp_batch_matches_oracle(shape_a, shape_b, complex_a, complex_b):
 def test_gp_batch_other_signature_tables():
     sig = Signature(3, 0)
     rng = np.random.default_rng(19)
-    a = _random_rows(rng, 23, sig.dim, False)
-    b = _random_rows(rng, 23, sig.dim, True)
+    a = _random_rows(rng, (23,), sig.dim, False)
+    b = _random_rows(rng, (23,), sig.dim, True)
     got = gp_batch(a, b, tables=sig.tables)
     assert got.shape == (23, 8)
     assert got == pytest.approx(oracle_gp_batch(a, b, sig.metric), rel=1e-12, abs=1e-12)

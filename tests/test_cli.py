@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from sta.errors import ConfigError, UnknownSuite
+from sta.report import Check, Report
 from sta.scenario import Scenario, builtin_scenario_names, load_config, parse_expr
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -108,6 +109,65 @@ def test_exit_code_two_on_bad_thread_count(tmp_path, value):
         f"configuration error: VERIFY_THREADS must be a positive integer, got {value!r}"
     ]
     assert not list(tmp_path.glob("*.report.json"))
+
+
+def _set(section, **values):
+    return lambda cfg: cfg[section].update(values) if section else cfg.update(values)
+
+
+def _unknown_expr(expr):
+    return _set(None, unknown={"type": "expr", "expr": expr})
+
+
+BAD_CONFIGS = {
+    "grid-string": _set(None, grid="abc"),
+    "grid-bool": _set(None, grid=True),
+    "seed-float": _set(None, seed=1.5),
+    "fd-step-string": _set("chart", fd_step="x"),
+    "chart-bound-nan": _set("chart", lo=[float("nan"), 0, 0, 0]),
+    "expected-string": _set(None, expected={"x": "abc"}),
+    "connection-not-object": _set(None, connection="zero"),
+    "tolerance-nan": _set(None, tolerances={"associativity": float("nan")}),
+    "mass-bool": _set("params", mass=True),
+    "mass-nan": _set("params", mass=float("nan")),
+    "expr-amplitude-string": _unknown_expr(
+        {"kind": "scalar-sine", "amplitude": "x", "wave": [1, 0, 0, 0]}),
+    "expr-coef-infinite": _unknown_expr(
+        {"kind": "polynomial", "terms": [{"blade": "1", "coef": float("inf")}]}),
+    "expr-power-float": _unknown_expr(
+        {"kind": "polynomial", "terms": [{"blade": "1", "coef": 1.0, "powers": [1.5, 0, 0, 0]}]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_exit_code_two_on_malformed_numbers_and_sections(tmp_path, case):
+    cfg = load_config("minkowski-plane-wave")
+    cfg["suites"] = ["algebra"]
+    BAD_CONFIGS[case](cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    r = run_cli("run", str(path), "--report-dir", str(tmp_path), cwd=tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error: "), r.stderr
+    assert not list(tmp_path.glob("*.report.json"))
+
+
+def test_report_writes_non_finite_value_as_failing_null():
+    report = Report("non-finite", seed=0, grid=3, checks=[
+        Check("algebra", "fine", "law", 0.0, 1e-9, True),
+        Check("algebra", "broken", "law", float("nan"), 1e-9, True),
+    ])
+
+    def refuse(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    obj = json.loads(report.to_json_text(), parse_constant=refuse)
+    fine, broken = obj["checks"]
+    assert fine["value"] == 0.0 and fine["passed"] is True
+    assert broken["value"] is None and broken["passed"] is False
+    assert obj["passed"] is False
+    assert obj["summary"] == {"total": 2, "passed": 1, "failed": 1}
 
 
 def test_exit_code_two_on_unknown_suite(tmp_path):

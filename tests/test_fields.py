@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sta.algebra import E, E21, Multivector, exp_bivector
+from sta.algebra import _T, E, E21, Multivector, exp_bivector
 from sta.errors import KindMismatch
 from sta.fields import (
     BivectorExp,
@@ -14,6 +14,7 @@ from sta.fields import (
     GradeSelect,
     Kind,
     LeftSpinorField,
+    Linear,
     Polynomial,
     Reverse,
     RightSpinorField,
@@ -23,6 +24,8 @@ from sta.fields import (
     evaluate,
     f_product,
     f_reverse,
+    f_scale,
+    f_sum,
     rotor_wave,
 )
 from sta.geometry import Chart, fd_directional
@@ -131,6 +134,49 @@ def test_evaluation_memo_consistency():
     c = evaluate(expr, xs)
     assert a is b
     assert np.array_equal(a, c)
+
+
+def test_evaluate_shares_subtrees_without_memo(monkeypatch):
+    shared = ScalarSine(0.7, [1, 0, 0.5, 0], 0.1)
+    calls = []
+    sine_eval = ScalarSine._eval
+
+    def counted(self, xs, memo):
+        calls.append(self)
+        return sine_eval(self, xs, memo)
+
+    monkeypatch.setattr(ScalarSine, "_eval", counted)
+    expr = f_product(shared, f_sum(shared, Constant(E(1))))
+    xs = CHART.grid(3)
+    got = evaluate(expr, xs)  # no memo passed
+    assert calls == [shared]
+    s = sine_eval(shared, xs, None)[:, :1]
+    assert np.array_equal(got, s * (s * np.eye(16)[0] + E(1).coeffs))
+
+
+def test_sums_and_scalings_fold_into_one_linear_node():
+    ex = sample_exprs()
+    a, b, c = ex["polynomial"], ex["rotor-wave"], ex["scalar-sine"]
+    d = Constant(Multivector(np.arange(16.0)))
+    expr = f_sum(f_sum(a, b), f_scale(2, f_sum(c, d)))
+    assert isinstance(expr, Linear)
+    assert [(k, e) for k, e in expr.terms] == [(1.0, a), (1.0, b), (2.0, c), (2.0, d)]
+
+    xs = CHART.grid(3)
+    memo = {}
+    va = evaluate(a, xs, memo)
+    kept = va.copy()
+
+    def oracle(f):
+        return f(a) + f(b) + 2.0 * (f(c) + f(d))
+
+    assert evaluate(expr, xs, memo) == pytest.approx(oracle(lambda e: evaluate(e, xs)), rel=1e-14)
+    assert np.array_equal(memo[a], kept)  # children's memoised values stay untouched
+    for mu in range(4):
+        want = oracle(lambda e: evaluate(e.partial(mu), xs))
+        assert evaluate(expr.partial(mu), xs) == pytest.approx(want, rel=1e-14, abs=1e-14)
+    want = oracle(lambda e: evaluate(e, xs) * _T.reverse_signs)
+    assert evaluate(f_reverse(expr), xs) == pytest.approx(want, rel=1e-14)
 
 
 def test_scalar_flags():

@@ -327,8 +327,7 @@ def test_batched_omega_matches_row_by_row():
     # independent route: frame components V, pushed to coordinates by the
     # tetrad itself, give omega_V
     V = rng.normal(size=4)
-    coords = np.stack([np.full(len(xs), c) if isinstance(c, float) else evaluate(c, xs)[:, 0]
-                       for c in setup.coord_components(V)], axis=1)
+    coords = np.stack([evaluate(c, xs)[:, 0] for c in setup.coord_components(V)], axis=1)
     want = evaluate(setup.omega_for(V), xs)
     assert np.max(np.abs(setup.omega_coord_at(coords, xs) - want)) < 1e-12 * np.max(np.abs(want))
 
