@@ -1,7 +1,8 @@
 """Command-line front end: load a scenario, run suites, write reports.
 
 Exit status: 0 when every check passes, 1 on any check failure, 2 on a
-configuration problem (bad file, schema violation, unknown suite).
+configuration problem (bad file, schema violation, unknown suite, a report
+directory that cannot be created or a report that cannot be written).
 """
 
 from __future__ import annotations
@@ -59,6 +60,16 @@ def _threads() -> int:
     return n
 
 
+def _report_path(report_dir: str, name: str) -> Path:
+    """Create ``report_dir`` and return the report path in it, before any suite runs."""
+    out_dir = Path(report_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the report directory: {exc}") from exc
+    return out_dir / f"{name}.report.json"
+
+
 def run_command(args) -> int:
     try:
         threads = _threads()
@@ -70,6 +81,7 @@ def run_command(args) -> int:
         if args.suite:
             cfg["suites"] = args.suite
         scn = Scenario(cfg)
+        out_path = _report_path(args.report_dir, scn.name)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -92,10 +104,11 @@ def run_command(args) -> int:
         report.checks.extend(results[name])
     report.wall_time_s = time.perf_counter() - t0
 
-    out_dir = Path(args.report_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / f"{scn.name}.report.json"
-    out_path.write_text(report.to_json_text(), encoding="utf-8")
+    try:
+        out_path.write_text(report.to_json_text(), encoding="utf-8")
+    except OSError as exc:
+        print(f"configuration error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
 
     sys.stdout.write(report.human_text())
     sys.stdout.write(f"report: {out_path}\n")

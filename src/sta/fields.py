@@ -16,6 +16,20 @@ geometric ``Product``, ``Reverse``, ``GradeSelect``, ``BladeCoeff`` and
 ``BivectorExp``.  Build them with the folding constructors ``f_sum``,
 ``f_scale``, ``f_product`` and ``f_reverse``.
 
+Nodes are hash-consed: every constructor call looks its structure up in one
+process-wide table first, so two structurally equal nodes are the same
+object.  A tree rebuilt from the same parts (a covariant derivative built
+again for the next identity, say) is the tree built before, so the
+node-keyed memo and the cached partial derivatives hit across rebuilds.  A
+node's key is its class, its children (by identity) and its parameters:
+``Linear`` keys each term as (type of coefficient, coefficient, expression),
+so a float and a complex coefficient of equal value stay distinct nodes;
+``Constant`` and ``BivectorExp`` key the dtype and raw bytes of their
+coefficients.  The leaves other than ``Constant`` are not interned: they
+come from configuration or random draws and are not rebuilt.  The table
+holds its nodes for the life of the process, with their structure and
+partial-derivative links but never an evaluated value.
+
 Field *kinds* distinguish values that share their coefficient storage but
 transform differently under a change of spin frame.  Multiplication is only
 defined for kind pairs with a well-defined result:
@@ -87,10 +101,31 @@ def evaluate(expr: "FieldExpr", xs: np.ndarray, memo: dict | None = None) -> np.
     return val
 
 
-class FieldExpr:
+_NODES: dict = {}  # (class, structural key) -> the one node of that structure
+
+
+class _Interned(type):
+    """Node construction: return the node of equal structure if one exists.
+
+    A class whose ``_key`` is None (the leaves) builds a fresh node per call.
+    """
+
+    def __call__(cls, *args, **kwargs):
+        if cls._key is None:
+            return super().__call__(*args, **kwargs)
+        key = (cls, cls._key(*args, **kwargs))
+        node = _NODES.get(key)
+        if node is None:
+            # setdefault: threads that build the same node concurrently get one object
+            node = _NODES.setdefault(key, super().__call__(*args, **kwargs))
+        return node
+
+
+class FieldExpr(metaclass=_Interned):
     """Base node: an exact map from coordinates to blade coefficients."""
 
     __slots__ = ("_partials",)
+    _key = None  # staticmethod(constructor args) -> hashable structure, on interned nodes
 
     def __init__(self):
         self._partials: dict[int, FieldExpr] = {}
@@ -127,23 +162,28 @@ class FieldExpr:
         return f_scale(-1.0, self)
 
 
-_ZERO_R = None  # set after Constant is defined
-
-
 class Constant(FieldExpr):
-    """Coordinate-independent value."""
+    """Coordinate-independent value; its zero and scalar flags are fixed at construction."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_all_zero", "_scalar")
+
+    @staticmethod
+    def _key(value):
+        c = _coerce(value).coeffs
+        return c.dtype.str, c.tobytes()
 
     def __init__(self, value):
         super().__init__()
         self.value = _coerce(value)
+        c = self.value.coeffs
+        self._all_zero = not np.any(c)
+        self._scalar = not np.any(c[1:])
 
     def _eval(self, xs, memo):
         return np.broadcast_to(self.value.coeffs, (len(xs), DIM))
 
     def _partial(self, mu):
-        return _zero()
+        return _ZERO
 
     @property
     def is_complex(self):
@@ -151,18 +191,14 @@ class Constant(FieldExpr):
 
     @property
     def is_scalar(self):
-        return not np.any(self.value.coeffs[1:])
+        return self._scalar
 
 
-def _zero() -> Constant:
-    global _ZERO_R
-    if _ZERO_R is None:
-        _ZERO_R = Constant(Multivector.zero())
-    return _ZERO_R
+_ZERO = Constant(Multivector.zero())
 
 
 def _is_zero(e: FieldExpr) -> bool:
-    return isinstance(e, Constant) and e.value.norm_sup() == 0.0
+    return isinstance(e, Constant) and e._all_zero
 
 
 class Polynomial(FieldExpr):
@@ -206,7 +242,7 @@ class Polynomial(FieldExpr):
             dp = list(powers)
             dp[mu] = p - 1
             dterms.append((mask, coef * p, tuple(dp)))
-        return Polynomial(dterms) if dterms else _zero()
+        return Polynomial(dterms) if dterms else _ZERO
 
     @property
     def is_complex(self):
@@ -234,7 +270,7 @@ class ScalarLinear(FieldExpr):
 
     def _partial(self, mu):
         s = self.slope[mu]
-        return Constant(Multivector.scalar(s)) if s else _zero()
+        return Constant(Multivector.scalar(s)) if s else _ZERO
 
     @property
     def is_scalar(self):
@@ -260,7 +296,7 @@ class ScalarSine(FieldExpr):
     def _partial(self, mu):
         k = self.wave[mu]
         if k == 0:
-            return _zero()
+            return _ZERO
         return ScalarSine(self.amplitude * k, self.wave, self.phase + 0.5 * np.pi)
 
     @property
@@ -288,7 +324,7 @@ class ScalarGaussian(FieldExpr):
     def _partial(self, mu):
         w = self.widths[mu]
         if w == 0:
-            return _zero()
+            return _ZERO
         slope = np.zeros(N_COORDS)
         slope[mu] = -2.0 * w
         lin = ScalarLinear(slope, 2.0 * w * self.center[mu])
@@ -308,6 +344,10 @@ class Linear(FieldExpr):
 
     __slots__ = ("terms",)
 
+    @staticmethod
+    def _key(terms):
+        return tuple((type(c), c, e) for c, e in terms)
+
     def __init__(self, terms):
         super().__init__()
         self.terms = tuple(terms)
@@ -321,7 +361,7 @@ class Linear(FieldExpr):
         return out
 
     def _partial(self, mu):
-        return sum((f_scale(c, e.partial(mu)) for c, e in self.terms), _zero())
+        return sum((f_scale(c, e.partial(mu)) for c, e in self.terms), _ZERO)
 
     @property
     def is_complex(self):
@@ -341,6 +381,10 @@ class Product(FieldExpr):
     """
 
     __slots__ = ("left", "right")
+
+    @staticmethod
+    def _key(left, right):
+        return left, right
 
     def __init__(self, left, right):
         super().__init__()
@@ -374,6 +418,10 @@ class Product(FieldExpr):
 class Reverse(FieldExpr):
     __slots__ = ("arg",)
 
+    @staticmethod
+    def _key(arg):
+        return arg
+
     def __init__(self, arg):
         super().__init__()
         self.arg = arg
@@ -395,6 +443,10 @@ class Reverse(FieldExpr):
 
 class GradeSelect(FieldExpr):
     __slots__ = ("arg", "grades", "_mask")
+
+    @staticmethod
+    def _key(arg, grades):
+        return arg, frozenset(grades)
 
     def __init__(self, arg, grades):
         super().__init__()
@@ -421,6 +473,10 @@ class BladeCoeff(FieldExpr):
     """The coefficient of one blade, as a grade-0 field."""
 
     __slots__ = ("arg", "mask")
+
+    @staticmethod
+    def _key(arg, mask):
+        return arg, int(mask)
 
     def __init__(self, arg, mask):
         super().__init__()
@@ -454,6 +510,11 @@ class BivectorExp(FieldExpr):
     """
 
     __slots__ = ("B", "s", "_kind", "_beta", "_series")
+
+    @staticmethod
+    def _key(B, s):
+        c = _coerce(B).coeffs
+        return c.dtype.str, c.tobytes(), s
 
     def __init__(self, B, s):
         super().__init__()
@@ -509,7 +570,7 @@ class BivectorExp(FieldExpr):
     def _partial(self, mu):
         ds = self.s.partial(mu)
         if _is_zero(ds):
-            return _zero()
+            return _ZERO
         return f_product(f_product(ds, Constant(self.B)), self)
 
     @property
@@ -540,7 +601,7 @@ def f_sum(a: FieldExpr, b: FieldExpr) -> FieldExpr:
 
 def f_scale(c, a: FieldExpr) -> FieldExpr:
     if c == 0 or _is_zero(a):
-        return _zero()
+        return _ZERO
     if c == 1:
         return a
     if isinstance(a, Constant):
@@ -551,7 +612,7 @@ def f_scale(c, a: FieldExpr) -> FieldExpr:
 
 def f_product(a: FieldExpr, b: FieldExpr) -> FieldExpr:
     if _is_zero(a) or _is_zero(b):
-        return _zero()
+        return _ZERO
     if isinstance(a, Constant) and isinstance(b, Constant):
         return Constant(a.value * b.value)
     for x, other in ((a, b), (b, a)):
@@ -570,7 +631,7 @@ def f_reverse(a: FieldExpr) -> FieldExpr:
     if isinstance(a, Product):
         return f_product(f_reverse(a.right), f_reverse(a.left))
     if isinstance(a, Linear):
-        return sum((f_scale(c, f_reverse(e)) for c, e in a.terms), _zero())
+        return sum((f_scale(c, f_reverse(e)) for c, e in a.terms), _ZERO)
     return Reverse(a)
 
 

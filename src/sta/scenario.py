@@ -3,7 +3,9 @@
 A scenario is a JSON object with the following fields (defaults in
 brackets; see the README for the full schema):
 
-  name              string, used for the report file name
+  name              string, the report file name stem: one file-name
+                    component (no "/", "\\" or NUL, not "." or "..") that
+                    the file system can encode
   chart             {"lo": [4 floats], "hi": [4 floats], "fd_step": float}
   frame             {"type": "fiducial"} or {"type": "rotor", "expr": EXPR}
   connection        {"type": "zero"} or {"type": "table", "entries": [...]}
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from importlib import resources
 from pathlib import Path
 
@@ -216,6 +219,13 @@ class Scenario:
         self.name = cfg.get("name")
         if not isinstance(self.name, str) or not self.name:
             _fail("scenario needs a nonempty 'name'")
+        if self.name in (".", "..") or any(ch in self.name for ch in "/\\\0"):
+            _fail(f"name must be a single file-name component (no '/', '\\' or NUL, "
+                  f"not '.' or '..'), got {self.name!r}")
+        try:
+            os.fsencode(self.name)
+        except UnicodeEncodeError:
+            _fail(f"name must be encodable as a file name, got {self.name!r}")
 
         chart_cfg = _object(cfg.get("chart", {"lo": [0, 0, 0, 0], "hi": [1, 1, 1, 1]}), "chart")
         lo = _vec4(chart_cfg.get("lo"), "chart.lo")
@@ -330,10 +340,13 @@ class Scenario:
 
 
 def load_config(path_or_name: str) -> dict:
-    """Load a config from a path, falling back to the built-in scenarios."""
+    """Load a config from a file, falling back to the built-in scenarios."""
     p = Path(path_or_name)
-    if p.exists():
-        text = p.read_text(encoding="utf-8")
+    if p.is_file():
+        try:
+            text = p.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path_or_name!r}: {exc}") from exc
     else:
         builtin = resources.files("sta").joinpath(f"scenarios/{path_or_name}.json")
         if not builtin.is_file():

@@ -1,6 +1,8 @@
 import os
 from pathlib import Path
 
+from hypothesis import settings
+
 # CLI tests run ``python -m sta.cli`` as a child process with a temporary
 # working directory, so a relative ``PYTHONPATH=src`` no longer reaches the
 # package there.  Put the absolute source directory first; every child
@@ -9,3 +11,8 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
 )
+
+# Property tests draw the same examples on every run, and a slow example is
+# not a failure: the timing bounds live in test_acceptance.py.
+settings.register_profile("sta", derandomize=True, deadline=None)
+settings.load_profile("sta")

@@ -1,13 +1,22 @@
 """Scenario validation, CLI exit codes, report determinism."""
 
+import contextlib
+import functools
+import io
 import json
+import operator
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sta import cli
+from sta.cli import main
 from sta.errors import ConfigError, UnknownSuite
 from sta.report import Check, Report
 from sta.scenario import Scenario, builtin_scenario_names, load_config, parse_expr
@@ -41,6 +50,15 @@ def test_builtin_scenarios_exist():
 def test_unknown_scenario_name():
     with pytest.raises(ConfigError):
         load_config("no-such-scenario")
+
+
+def test_config_path_must_be_a_readable_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "minkowski-plane-wave").mkdir()  # a directory does not shadow the built-in
+    assert load_config("minkowski-plane-wave")["name"] == "minkowski-plane-wave"
+    (tmp_path / "latin1.json").write_bytes(b'{"name": "caf\xe9"}')
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config("latin1.json")
 
 
 def test_validation_errors():
@@ -153,6 +171,104 @@ def test_exit_code_two_on_malformed_numbers_and_sections(tmp_path, case):
     assert not list(tmp_path.glob("*.report.json"))
 
 
+def _main(*argv):
+    """``sta.cli.main`` in this process: (exit status, stderr lines)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("name", ["sub/x", "../x", "a\\b", "nul\0x", ".", "..", "\ud800"])
+def test_exit_code_two_on_scenario_name_that_is_not_a_file_name(tmp_path, name):
+    cfg = load_config("minkowski-plane-wave")
+    cfg["name"] = name
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code, lines = _main("run", str(path), "--suite", "algebra", "--grid", "2",
+                        "--report-dir", str(out))
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("configuration error: name must be "), lines
+    assert not list(tmp_path.rglob("*.report.json"))
+
+
+def test_exit_code_two_on_report_dir_that_cannot_be_created(tmp_path, monkeypatch):
+    (tmp_path / "afile").write_text("")
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda name, scn: ran.append(name) or [])
+    code, lines = _main("run", "minkowski-plane-wave", "--suite", "algebra",
+                        "--report-dir", str(tmp_path / "afile" / "x"))
+    assert code == 2
+    assert len(lines) == 1
+    assert lines[0].startswith("configuration error: cannot create the report directory")
+    assert ran == []  # refused before any suite ran
+
+
+def test_exit_code_two_when_the_report_cannot_be_written(tmp_path):
+    cfg = load_config("minkowski-plane-wave")
+    cfg["name"] = "n" * 300  # longer than a file name may be
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(cfg))
+    code, lines = _main("run", str(path), "--suite", "algebra", "--grid", "2",
+                        "--report-dir", str(tmp_path))
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("configuration error: cannot write the report")
+
+
+def _paths(obj, prefix=()):
+    """Every path (a tuple of keys and indices) inside a JSON value."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _paths(v, prefix + (k,))
+
+
+_BAD_VALUES = st.sampled_from([float("nan"), float("inf"), -float("inf"), True, False, "1.0"])
+_NAMES = st.sampled_from(["sub/x", "..", ".", "", "a\\b", "x\0y", "\ud800", "n" * 300]) | st.text()
+
+
+@st.composite
+def mutated_configs(draw):
+    """A built-in scenario with numbers spoiled, keys dropped or its name changed."""
+    cfg = load_config(draw(st.sampled_from(builtin_scenario_names())))
+    for _ in range(draw(st.integers(1, 4))):
+        paths = list(_paths(cfg))
+        path = draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, path[:-1], cfg)
+        value = parent[path[-1]]
+        action = draw(st.sampled_from(["bad", "negate", "drop", "rename"]))
+        if action == "rename":
+            cfg["name"] = draw(_NAMES)
+        elif action == "drop" and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif action == "negate" and isinstance(value, (int, float)) and not isinstance(value, bool):
+            parent[path[-1]] = -abs(value) - 1
+        else:
+            parent[path[-1]] = draw(_BAD_VALUES)
+    return cfg
+
+
+@given(mutated_configs())
+@settings(max_examples=100)
+def test_mutated_builtin_configs_end_in_an_exit_status(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.json"
+        path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "out"
+        code, lines = _main("run", str(path), "--suite", "algebra", "--grid", "2",
+                            "--report-dir", str(out))
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("configuration error: "), lines
+
+        def refuse(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+
+        for report in out.rglob("*.report.json"):
+            json.loads(report.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
 def test_report_writes_non_finite_value_as_failing_null():
     report = Report("non-finite", seed=0, grid=3, checks=[
         Check("algebra", "fine", "law", 0.0, 1e-9, True),
@@ -229,17 +345,15 @@ def test_report_lists_every_check_once(tmp_path):
 
 
 def test_threaded_run_matches_serial(tmp_path):
-    d1, d2 = tmp_path / "serial", tmp_path / "threads"
-    env = dict(os.environ)
-    r = run_cli("run", "minkowski-plane-wave", "--grid", "3",
-                "--report-dir", str(d1), cwd=tmp_path)
-    assert r.returncode == 0
-    env["VERIFY_THREADS"] = "3"
-    r = subprocess.run(
-        [sys.executable, "-m", "sta.cli", "run", "minkowski-plane-wave",
-         "--grid", "3", "--report-dir", str(d2)],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
-    )
-    assert r.returncode == 0
-    assert (d1 / "minkowski-plane-wave.report.json").read_bytes() == \
-        (d2 / "minkowski-plane-wave.report.json").read_bytes()
+    # suite threads share the node table, so a threaded run must build the same nodes
+    for name, grid, threads in (("minkowski-plane-wave", "3", "3"),
+                                ("torsion-toy", "2", "2"),
+                                ("lorentz-local-rotor", "2", "2")):
+        d1, d2 = tmp_path / name / "serial", tmp_path / name / "threads"
+        r = run_cli("run", name, "--grid", grid, "--report-dir", str(d1), cwd=tmp_path)
+        assert r.returncode == 0, r.stdout + r.stderr
+        r = run_cli("run", name, "--grid", grid, "--report-dir", str(d2), cwd=tmp_path,
+                    env=dict(os.environ, VERIFY_THREADS=threads))
+        assert r.returncode == 0, r.stdout + r.stderr
+        assert (d1 / f"{name}.report.json").read_bytes() == \
+            (d2 / f"{name}.report.json").read_bytes(), name

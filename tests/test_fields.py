@@ -16,6 +16,7 @@ from sta.fields import (
     LeftSpinorField,
     Linear,
     Polynomial,
+    Product,
     Reverse,
     RightSpinorField,
     ScalarGaussian,
@@ -250,3 +251,188 @@ def test_reversal_swaps_spinor_sides():
     got = evaluate(f_reverse(f_product(expr, Constant(E(2)))), x)[0]
     want = (E(2).reverse() * (E(1) * E(0)).reverse()).coeffs
     assert np.allclose(got, want)
+
+
+# -- hash-consing ----------------------------------------------------------------
+
+def test_structurally_equal_nodes_are_one_object():
+    s = ScalarSine(0.7, [1, 0, 0.5, 0], 0.1)
+    wave = sample_exprs()["rotor-wave"]
+
+    def build():
+        c = Constant(E(1) * E(2) + 0.5 * E(3))
+        lin = Linear(((1.0, s), (2.0, c)))
+        prod = Product(lin, wave)
+        return {
+            "constant": c,
+            "linear": lin,
+            "product": prod,
+            "reverse": Reverse(prod),
+            "grade-select": GradeSelect(prod, [0, 2]),
+            "blade-coeff": BladeCoeff(prod, 3),
+            "bivector-exp": BivectorExp(E(0) * E(1), s),
+            "folded": f_sum(f_product(wave, c), f_scale(-1.5, s)),
+        }
+
+    first, second = build(), build()
+    for name in first:
+        assert first[name] is second[name], name
+    assert GradeSelect(first["product"], (2, 0)) is first["grade-select"]
+    assert BladeCoeff(first["product"], np.int64(3)) is first["blade-coeff"]
+    # rebuilt nodes share their cached partial derivatives
+    assert second["product"].partial(2) is first["product"].partial(2)
+    # leaves are not interned: equal parameters give separate nodes
+    assert ScalarSine(0.7, [1, 0, 0.5, 0], 0.1) is not s
+
+
+def test_float_and_complex_values_stay_distinct_nodes():
+    from sta.algebra import CMultivector
+
+    s = ScalarSine(0.7, [1, 0, 0.5, 0], 0.1)
+    real, cplx = Constant(Multivector.scalar(2.0)), Constant(CMultivector.scalar(2.0 + 0j))
+    assert real is not cplx
+    assert not real.is_complex and cplx.is_complex
+    lr, lc = Linear(((1.0, s), (2.0, real))), Linear(((1 + 0j, s), (2.0, real)))
+    assert lr is not lc
+    assert not lr.is_complex and lc.is_complex
+    xs = CHART.grid(2)
+    assert evaluate(lr, xs).dtype == float and evaluate(lc, xs).dtype == complex
+    B = E(0) * E(1)
+    er, ec = BivectorExp(B, s), BivectorExp(CMultivector(B.coeffs.astype(complex)), s)
+    assert er is not ec
+    assert not er.is_complex and ec.is_complex
+
+
+def test_complex_zero_constant_folds():
+    from sta.algebra import CMultivector
+
+    z = Constant(CMultivector.zero())
+    x = sample_exprs()["rotor-wave"]
+    assert z.is_scalar
+    assert f_sum(z, x) is x and f_sum(x, z) is x
+    for folded in (f_product(z, x), f_product(x, z), f_scale(3.0, z), f_scale(0, x)):
+        assert isinstance(folded, Constant) and not np.any(folded.value.coeffs)
+
+
+def test_concurrent_builders_get_one_node():
+    import sys
+    import threading
+
+    workers, rounds = 8, 200
+    base = np.random.default_rng(0).normal(size=16)  # values no other test builds
+    got = [[] for _ in range(workers)]
+    errors = []
+    barrier = threading.Barrier(workers)
+
+    def build(out):
+        try:
+            barrier.wait()
+            for i in range(rounds):
+                c = Constant(Multivector(base + i))
+                out.append(Product(c, Reverse(c)))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(g,)) for g in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and all(len(g) == rounds for g in got)
+    for i in range(rounds):
+        assert all(g[i] is got[0][i] for g in got)
+
+
+def _structure_numbers():
+    """A number per node structure, assigned without the interning table.
+
+    Leaves are numbered by identity, like the table treats them.
+    """
+    by_node, by_structure = {}, {}
+
+    def number(e):
+        n = by_node.get(e)
+        if n is None:
+            if isinstance(e, Linear):
+                key = ("linear",) + tuple((type(c), c, number(t)) for c, t in e.terms)
+            elif isinstance(e, Product):
+                key = ("product", number(e.left), number(e.right))
+            elif isinstance(e, Constant):
+                key = ("constant", e.value.coeffs.dtype.str, e.value.coeffs.tobytes())
+            elif isinstance(e, Reverse):
+                key = ("reverse", number(e.arg))
+            elif isinstance(e, GradeSelect):
+                key = ("grades", number(e.arg), e.grades)
+            elif isinstance(e, BladeCoeff):
+                key = ("blade", number(e.arg), e.mask)
+            elif isinstance(e, BivectorExp):
+                key = ("exp", e.B.coeffs.dtype.str, e.B.coeffs.tobytes(), number(e.s))
+            else:
+                key = ("leaf", id(e))
+            n = by_node[e] = by_structure.setdefault(key, len(by_structure))
+        return n
+
+    return number
+
+
+def test_leibniz_iteration_multiplies_each_distinct_product_once(monkeypatch):
+    """One iteration of the derivative suite's Leibniz loop, as the suite runs it."""
+    from collections import Counter
+
+    from sta import fields
+    from sta.geometry import cov_deriv_clifford, cov_deriv_left, cov_deriv_right, effective_deriv
+    from sta.scenario import Scenario, load_config
+    from sta.suites import _rng, _sup_field_diff, random_field_expr, random_setup
+
+    scn = Scenario(dict(load_config("torsion-toy"), grid=2, suites=["derivatives"]))
+    rng = _rng(scn, "derivatives")
+    setup = random_setup(scn, rng)
+    xs = scn.chart.grid(scn.grid)
+
+    number = _structure_numbers()
+    evaluating, general = [], []
+    product_eval, kernel = Product._eval, fields.gp_batch
+
+    def observed_eval(self, xs, memo):
+        evaluating.append(self)
+        try:
+            return product_eval(self, xs, memo)
+        finally:
+            evaluating.pop()
+
+    def observed_kernel(a, b):
+        if np.ndim(a) == 2 and np.ndim(b) == 2:  # neither factor a constant
+            general.append(number(evaluating[-1]))
+        return kernel(a, b)
+
+    monkeypatch.setattr(Product, "_eval", observed_eval)
+    monkeypatch.setattr(fields, "gp_batch", observed_kernel)
+
+    memo: dict = {}
+    V = rng.normal(size=4)
+    A = CliffordField(random_field_expr(rng))
+    bexpr = random_field_expr(rng)
+    B, P, F = CliffordField(bexpr), LeftSpinorField(bexpr), RightSpinorField(bexpr)
+    psi = CliffordField(random_field_expr(rng, even=True))
+    pairs = [
+        (cov_deriv_clifford(A * B, V, setup),
+         cov_deriv_clifford(A, V, setup) * B + A * cov_deriv_clifford(B, V, setup)),
+        (cov_deriv_left(A * P, V, setup),
+         A * cov_deriv_left(P, V, setup) + cov_deriv_clifford(A, V, setup) * P),
+        (cov_deriv_right(F * A, V, setup),
+         F * cov_deriv_clifford(A, V, setup) + cov_deriv_right(F, V, setup) * A),
+        (effective_deriv(A * psi, 1, setup, check_even=False),
+         cov_deriv_clifford(A, np.eye(4)[1], setup) * psi
+         + A * effective_deriv(psi, 1, setup, check_even=False)),
+    ]
+    for lhs, rhs in pairs:
+        assert _sup_field_diff(lhs, rhs, xs, memo) < 1e-9
+    assert len(general) >= 20
+    repeated = {n: k for n, k in Counter(general).items() if k > 1}
+    assert not repeated, f"{len(repeated)} products reached the kernel more than once"
