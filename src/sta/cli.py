@@ -2,7 +2,8 @@
 
 Exit status: 0 when every check passes, 1 on any check failure, 2 on a
 configuration problem (bad file, schema violation, unknown suite, a report
-directory that cannot be created or a report that cannot be written).
+directory that cannot be created, a report file name longer than the report
+directory allows, or a report that cannot be written).
 """
 
 from __future__ import annotations
@@ -61,13 +62,27 @@ def _threads() -> int:
 
 
 def _report_path(report_dir: str, name: str) -> Path:
-    """Create ``report_dir`` and return the report path in it, before any suite runs."""
+    """Create ``report_dir`` and return the report path in it, before any suite runs.
+
+    A report file name longer than the directory's file system allows is
+    refused here too, so that no suite runs for a report that cannot be
+    written.
+    """
     out_dir = Path(report_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create the report directory: {exc}") from exc
-    return out_dir / f"{name}.report.json"
+    path = out_dir / f"{name}.report.json"
+    try:
+        limit = os.pathconf(out_dir, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):  # no pathconf, or no limit stated
+        limit = -1
+    size = len(os.fsencode(path.name))
+    if 0 < limit < size:
+        raise ConfigError(f"cannot write the report: its file name is {size} bytes, "
+                          f"longer than the {limit} the report directory allows")
+    return path
 
 
 def run_command(args) -> int:

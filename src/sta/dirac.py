@@ -25,6 +25,8 @@ the ideal/column equations orient the spin plane the opposite way.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .algebra import E, E0, E21, E_lower, Multivector, reverse
@@ -39,11 +41,14 @@ from .fields import (
     FrameScalarField,
     Kind,
     evaluate,
+    evaluate_many,
     f_product,
     f_reverse,
     f_scale,
     f_sum,
     rotor_wave,
+    sup_diffs,
+    worst_of,
 )
 from .geometry import (
     GRADES,
@@ -64,6 +69,7 @@ __all__ = [
     "residual_left_form",
     "residual_complex_ideal",
     "residual_covariant",
+    "covariant_nodes",
     "gauge_transform_left_form",
     "gauge_transform_representative",
     "gauge_rotor_expr",
@@ -98,7 +104,7 @@ class DiracParams:
         xs = setup.chart.sample(3)
         vals = self.potential.eval(xs)
         off = vals[:, GRADES != 1]
-        if off.size and float(np.max(np.abs(off))) > tol:
+        if off.size and not float(np.max(np.abs(off))) <= tol:  # a NaN fails
             raise ValueError("potential is not pointwise grade 1")
 
 
@@ -110,24 +116,33 @@ class GaugeFn:
 
 
 class Residual:
-    """Field-valued equation residual with its grid sup norm."""
+    """Field-valued equation residual on the points ``xs``.
 
-    def __init__(self, field: Field | None, values: np.ndarray, xs: np.ndarray):
+    ``values`` and the grid sup norm ``sup`` are computed on first access,
+    so a residual that is only compared (through ``sup_diffs``) is never
+    evaluated on its own.
+    """
+
+    def __init__(self, field: Field | None, xs: np.ndarray, values: np.ndarray | None = None):
         self.field = field
-        self.values = values
         self.xs = xs
-        self.sup = float(np.max(np.abs(values))) if values.size else 0.0
+        if values is not None:
+            self.values = values
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self.field.eval(self.xs)
+
+    @cached_property
+    def sup(self) -> float:
+        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
     def __repr__(self):
         return f"Residual(sup={self.sup:.3e})"
 
 
-def _as_residual(field: Field, xs: np.ndarray, memo=None) -> Residual:
-    return Residual(field, field.eval(xs, memo), xs)
-
-
 def residual_representative(psi: Field, params: DiracParams, setup: SpacetimeSetup,
-                 xs: np.ndarray | None = None, memo=None, check_even: bool = True) -> Residual:
+                 xs: np.ndarray | None = None, check_even: bool = True) -> Residual:
     """Residual of the representative-form equation for an even Clifford field."""
     if psi.kind is not Kind.CLIFFORD:
         raise KindMismatch("residual_representative expects a Clifford field")
@@ -141,13 +156,11 @@ def residual_representative(psi: Field, params: DiracParams, setup: SpacetimeSet
     expr = f_sum(expr, f_scale(-params.charge, f_product(params.potential.expr, psi.expr)))
     expr = f_sum(expr, f_scale(-params.mass, f_product(psi.expr, Constant(E0))))
     field = CliffordField(expr)
-    if xs is None:
-        xs = setup.chart.grid(5)
-    return _as_residual(field, xs, memo)
+    return Residual(field, setup.chart.grid(5) if xs is None else xs)
 
 
 def residual_left_form(Psi: Field, params: DiracParams, setup: SpacetimeSetup,
-                  xs: np.ndarray | None = None, memo=None, check_even: bool = True) -> Residual:
+                  xs: np.ndarray | None = None, check_even: bool = True) -> Residual:
     """Residual of the left spin-Clifford form for an even left spinor field."""
     if Psi.kind is not Kind.LEFT:
         raise KindMismatch("residual_left_form expects a left spinor field")
@@ -159,13 +172,11 @@ def residual_left_form(Psi: Field, params: DiracParams, setup: SpacetimeSetup,
         - params.mass * (Psi * E0)
         - params.charge * (params.potential * Psi)
     )
-    if xs is None:
-        xs = setup.chart.grid(5)
-    return _as_residual(field, xs, memo)
+    return Residual(field, setup.chart.grid(5) if xs is None else xs)
 
 
 def residual_complex_ideal(Psi_c: Field, params: DiracParams, setup: SpacetimeSetup,
-                           xs: np.ndarray | None = None, memo=None,
+                           xs: np.ndarray | None = None,
                            check_ideal: bool = True, tol: float = 1e-9) -> Residual:
     """Residual of the complex-ideal form c Ds Psi - m Psi - q A Psi.
 
@@ -178,8 +189,8 @@ def residual_complex_ideal(Psi_c: Field, params: DiracParams, setup: SpacetimeSe
         xs = setup.chart.grid(5)
     if check_ideal:
         vals = Psi_c.eval(xs)
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if ideal_membership_defect(vals) > tol * scale:
+        scale = worst_of(1.0, float(np.max(np.abs(vals))))
+        if not ideal_membership_defect(vals) <= tol * scale:  # a NaN fails
             raise NotInIdeal("field does not satisfy Psi f = Psi")
     ds = dirac_operator_left(Psi_c, setup)
     field = (
@@ -187,7 +198,7 @@ def residual_complex_ideal(Psi_c: Field, params: DiracParams, setup: SpacetimeSe
         - params.mass * Psi_c
         - params.charge * (params.potential * Psi_c)
     )
-    return _as_residual(field, xs, memo)
+    return Residual(field, xs)
 
 
 class ColumnSpinorField:
@@ -208,20 +219,32 @@ class ColumnSpinorField:
         return self.rep.rho_batch(coeffs)[:, :, self.rep.column_index]
 
 
+def covariant_nodes(col: ColumnSpinorField, params: DiracParams,
+                    setup: SpacetimeSetup) -> list[FieldExpr]:
+    """The field nodes whose values ``residual_covariant`` reads."""
+    ideal = col.ideal.expr
+    return ([ideal, *(ideal.partial(mu) for mu in range(4)), params.potential.expr]
+            + [setup.tetrad.entry(a, mu) for a in range(4) for mu in range(4)]
+            + [setup.omega(a) for a in range(4)])
+
+
 def residual_covariant(col: ColumnSpinorField, params: DiracParams,
                        setup: SpacetimeSetup, xs: np.ndarray | None = None,
-                       memo=None) -> Residual:
+                       memo: dict | None = None) -> Residual:
     """Column residual c gamma^a (Dcol_a + c q A_a) |psi> - m |psi>.
 
     Everything on this route is 4x4 matrix algebra: the spinor covariant
     derivative acts on columns as the coordinate derivative plus half the
     matrix image of the connection bivector, which is the column-side
-    conjugate of the left-spinor derivative.
+    conjugate of the left-spinor derivative.  ``memo`` holds the values of
+    ``covariant_nodes`` on ``xs`` when the caller evaluated them together
+    with other fields; without it they are evaluated here, in one plan.
     """
     if xs is None:
         xs = setup.chart.grid(5)
     if memo is None:
-        memo = {}
+        nodes = covariant_nodes(col, params, setup)
+        memo = dict(zip(nodes, evaluate_many(nodes, xs)))
     rep = col.rep
     c = IDEAL_PHASE
     cols = col.columns(xs, memo)
@@ -243,7 +266,7 @@ def residual_covariant(col: ColumnSpinorField, params: DiracParams,
         A_a = pot[:, 1 << a]
         term = dcol + (c * params.charge) * A_a[:, None] * cols
         out = out + c * np.einsum("ij,nj->ni", rep.gammas[a], term)
-    return Residual(None, out, xs)
+    return Residual(None, xs, out)
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +345,13 @@ def lorentz_covariance_check(psi: Field, params: DiracParams, setup: SpacetimeSe
     """
     if xs is None:
         xs = setup.chart.grid(5)
-    memo: dict = {}
-    r1 = residual_representative(psi, params, setup, xs, memo)
+    r1 = residual_representative(psi, params, setup, xs)
     fc = change_spin_frame(u, setup, clifford=[params.potential], representatives=[psi])
     params2 = params.with_potential(fc.clifford[0])
     psi2 = fc.representatives[0]
-    memo2: dict = {}
-    r2 = residual_representative(psi2, params2, fc.setup, xs, memo2, check_even=False)
-    expected = evaluate(f_product(f_reverse(u), r1.field.expr), xs, memo)
-    defect = float(np.max(np.abs(r2.values - expected)))
+    r2 = residual_representative(psi2, params2, fc.setup, xs, check_even=False)
+    expected = f_product(f_reverse(u), r1.field.expr)
+    (defect,) = sup_diffs([(r2.field.expr, expected)], xs)
     return LorentzReport(defect, r1, r2, fc)
 
 

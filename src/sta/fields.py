@@ -7,7 +7,11 @@ differentiation (finite differences exist only as an independent
 cross-check).  Evaluation is batched: ``evaluate(expr, xs)`` takes points of
 shape (N, 4) and returns blade coefficients of shape (N, 16).  Each call
 keeps one memo, keyed by node, so a subtree referenced twice is evaluated
-once.
+once.  ``sup_diffs(pairs, xs)`` is the residual reducer: it evaluates the
+union DAG of many (lhs, rhs) pairs in one post-order plan, through
+``evaluate``, drops every value after its last use and returns each pair's
+max|lhs - rhs|.  ``evaluate_many(roots, xs)`` runs the same plan and keeps
+the roots' values, for comparisons that are not a difference of two nodes.
 
 The node set: leaves (``Constant``, ``Polynomial`` and the scalar
 ``ScalarLinear``, ``ScalarSine``, ``ScalarGaussian``), one linear node
@@ -77,6 +81,9 @@ __all__ = [
     "BivectorExp",
     "rotor_wave",
     "evaluate",
+    "sup_diffs",
+    "evaluate_many",
+    "worst_of",
     "Kind",
     "Field",
     "CliffordField",
@@ -99,6 +106,109 @@ def evaluate(expr: "FieldExpr", xs: np.ndarray, memo: dict | None = None) -> np.
     if val is None:
         val = memo[expr] = expr._eval(xs, memo)
     return val
+
+
+class _Plan:
+    """One evaluation plan over the union DAG of ``roots``.
+
+    The plan is a post-order walk, iterative, that visits each node's
+    ``children`` in order without repeats, so the evaluation order and the
+    peak number of live values are fixed by the roots.  ``uses`` counts a
+    node's distinct parents plus its appearances as a root; ``run`` drops a
+    value from ``memo`` when its count reaches zero.
+    """
+
+    def __init__(self, roots):
+        self.kids: dict = {}  # node -> its distinct children, in order
+        self.nodes: list = []
+        stack = [(None, iter(roots))]  # the roots are the children of a node outside the plan
+        while stack:
+            node, todo = stack[-1]
+            for kid in todo:
+                if kid not in self.kids:
+                    self.kids[kid] = tuple(dict.fromkeys(kid.children))
+                    stack.append((kid, iter(self.kids[kid])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    self.nodes.append(node)
+        self.uses = dict.fromkeys(self.nodes, 0)
+        for node in self.nodes:
+            for kid in self.kids[node]:
+                self.uses[kid] += 1
+        for root in roots:
+            self.uses[root] += 1
+        self.memo: dict = {}
+
+    def run(self, xs: np.ndarray):
+        """Evaluate node by node, through ``evaluate``; yield each node once its value is in ``memo``."""
+        for node in self.nodes:
+            evaluate(node, xs, self.memo)
+            for kid in self.kids[node]:
+                self.release(kid)
+            yield node
+
+    def release(self, node) -> None:
+        """One use of ``node`` is done; its value leaves the memo after the last."""
+        self.uses[node] -= 1
+        if not self.uses[node]:
+            del self.memo[node]
+
+
+def sup_diffs(pairs, xs: np.ndarray) -> list[float]:
+    """max|lhs - rhs| over the points ``xs`` for each (lhs, rhs) pair of nodes.
+
+    A right side of None reduces the pair to max|lhs|.  All pairs share one
+    plan, so each node is evaluated once and its value is dropped after its
+    last use; a pair is reduced as soon as both sides exist, and then
+    releases them.  The sups equal those of per-pair ``evaluate`` calls with
+    one shared memo, bit for bit, and a NaN anywhere in a pair's difference
+    makes its sup NaN.
+    """
+    plan = _Plan([e for pair in pairs for e in pair if e is not None])
+    step = {node: i for i, node in enumerate(plan.nodes)}
+    due: dict = {}  # node -> the pairs whose later side it is
+    for k, (lhs, rhs) in enumerate(pairs):
+        last = lhs if rhs is None or step[lhs] > step[rhs] else rhs
+        due.setdefault(last, []).append(k)
+    sups = [0.0] * len(pairs)
+    for node in plan.run(xs):
+        for k in due.get(node, ()):
+            lhs, rhs = pairs[k]
+            diff = plan.memo[lhs] if rhs is None else plan.memo[lhs] - plan.memo[rhs]
+            sups[k] = float(np.max(np.abs(diff)))
+            plan.release(lhs)
+            if rhs is not None:
+                plan.release(rhs)
+    return sups
+
+
+def evaluate_many(roots, xs: np.ndarray) -> list[np.ndarray]:
+    """The values of ``roots`` on the points ``xs``, from one plan.
+
+    For comparisons that need values rather than a sup: shared subtrees are
+    evaluated once and every value but the roots' is dropped after its last
+    use.
+    """
+    plan = _Plan(roots)
+    for _ in plan.run(xs):
+        pass
+    return [plan.memo[root] for root in roots]
+
+
+def worst_of(*values):
+    """The largest of ``values``; NaN as soon as any of them is NaN.
+
+    The builtin ``max`` keeps its running value when a NaN arrives after it,
+    so a worst-of-many fold would hide a NaN residual.  Otherwise this is
+    ``max``: the first of equal values is kept.
+    """
+    out = values[0]
+    for v in values[1:]:
+        if v > out or v != v:
+            out = v
+    return out
 
 
 _NODES: dict = {}  # (class, structural key) -> the one node of that structure
@@ -141,6 +251,11 @@ class FieldExpr(metaclass=_Interned):
 
     def _eval(self, xs: np.ndarray, memo) -> np.ndarray:
         raise NotImplementedError
+
+    @property
+    def children(self) -> tuple:
+        """The nodes whose values ``_eval`` reads through the memo, in order."""
+        return ()
 
     @property
     def is_complex(self) -> bool:
@@ -360,6 +475,10 @@ class Linear(FieldExpr):
             out += v if c == 1 else c * v
         return out
 
+    @property
+    def children(self):
+        return tuple(e for _, e in self.terms)
+
     def _partial(self, mu):
         return sum((f_scale(c, e.partial(mu)) for c, e in self.terms), _ZERO)
 
@@ -400,6 +519,10 @@ class Product(FieldExpr):
             return lv * rv[..., :1]
         return gp_batch(lv, rv)
 
+    @property
+    def children(self):
+        return tuple(e for e in (self.left, self.right) if not isinstance(e, Constant))
+
     def _partial(self, mu):
         return f_sum(
             f_product(self.left.partial(mu), self.right),
@@ -429,6 +552,10 @@ class Reverse(FieldExpr):
     def _eval(self, xs, memo):
         return evaluate(self.arg, xs, memo) * _T.reverse_signs
 
+    @property
+    def children(self):
+        return (self.arg,)
+
     def _partial(self, mu):
         return f_reverse(self.arg.partial(mu))
 
@@ -456,6 +583,10 @@ class GradeSelect(FieldExpr):
 
     def _eval(self, xs, memo):
         return evaluate(self.arg, xs, memo) * self._mask
+
+    @property
+    def children(self):
+        return (self.arg,)
 
     def _partial(self, mu):
         return GradeSelect(self.arg.partial(mu), self.grades)
@@ -488,6 +619,10 @@ class BladeCoeff(FieldExpr):
         out = np.zeros((len(xs), DIM), dtype=v.dtype)
         out[:, 0] = v[:, self.mask]
         return out
+
+    @property
+    def children(self):
+        return (self.arg,)
 
     def _partial(self, mu):
         return BladeCoeff(self.arg.partial(mu), self.mask)
@@ -551,6 +686,10 @@ class BivectorExp(FieldExpr):
                 acc += p[:, None] * term.coeffs
             out = acc if dtype is complex else np.real(acc)
         return out
+
+    @property
+    def children(self):
+        return (self.s,)
 
     def _series_for(self, smax: float) -> list:
         """The terms ``_exp_series(B, smax)`` gives, cut from the longest built.

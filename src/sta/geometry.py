@@ -53,6 +53,7 @@ from .fields import (
     f_reverse,
     f_scale,
     f_sum,
+    worst_of,
 )
 
 __all__ = [
@@ -194,8 +195,8 @@ class ConnectionField:
                     gcb = self.gamma[a][c][b]
                     vbc = evaluate(gbc, xs, memo)[:, 0] if gbc is not None else 0.0
                     vcb = evaluate(gcb, xs, memo)[:, 0] if gcb is not None else 0.0
-                    worst = max(worst, float(np.max(np.abs(vbc + vcb))))
-        if worst > tol:
+                    worst = worst_of(worst, float(np.max(np.abs(vbc + vcb))))
+        if not worst <= tol:  # a NaN fails
             raise NotAntisymmetric(
                 f"Gamma_abc + Gamma_acb reaches {worst:.3e} on the sample grid"
             )
@@ -407,8 +408,8 @@ def require_even(F: Field, chart: Chart, tol: float = 1e-10, label: str = "field
     xs = chart.sample(3)
     vals = F.eval(xs)
     odd = vals[:, GRADES % 2 == 1]
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if odd.size and float(np.max(np.abs(odd))) > tol * scale:
+    scale = worst_of(1.0, float(np.max(np.abs(vals))))
+    if odd.size and not float(np.max(np.abs(odd))) <= tol * scale:  # a NaN fails
         raise NotEven(f"{label} has a nonzero odd part")
 
 
@@ -497,16 +498,15 @@ def parallel_transport(a0, kind: Kind, curve: Curve, setup: SpacetimeSetup,
 
 def validate_rotor(u: FieldExpr, chart: Chart, tol: float = ROTOR_TOL, n: int = 4):
     xs = chart.sample(n)
-    memo: dict = {}
-    vals = evaluate(u, xs, memo)
+    vals = evaluate(u, xs)
     odd = vals[:, GRADES % 2 == 1]
-    if float(np.max(np.abs(odd))) > tol:
+    if not float(np.max(np.abs(odd))) <= tol:  # a NaN fails
         raise NotRotor("rotor field has odd-grade components")
     uu = gp_batch(vals * STA.tables.reverse_signs, vals)
     unit = np.zeros(DIM)
     unit[0] = 1.0
     defect = float(np.max(np.abs(uu - unit)))
-    if defect > tol:
+    if not defect <= tol:
         raise NotRotor(f"reverse(u)*u deviates from 1 by {defect:.3e}")
 
 

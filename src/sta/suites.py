@@ -36,9 +36,13 @@ from .fields import (
     ScalarLinear,
     ScalarSine,
     evaluate,
+    evaluate_many,
     f_product,
     f_reverse,
     f_scale,
+    f_sum,
+    sup_diffs,
+    worst_of,
 )
 from .geometry import (
     ConnectionField,
@@ -58,6 +62,7 @@ from .dirac import (
     DiracParams,
     GaugeFn,
     bilinear_covariants,
+    covariant_nodes,
     gauge_transform_left_form,
     gauge_transform_representative,
     lorentz_covariance_check,
@@ -169,10 +174,6 @@ def _unit_power(mu):
     return tuple(p)
 
 
-def _sup_field_diff(f1: Field, f2: Field, xs, memo) -> float:
-    return float(np.max(np.abs(f1.eval(xs, memo) - f2.eval(xs, memo))))
-
-
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -187,7 +188,7 @@ def suite_algebra(scn) -> list[Check]:
         for b in range(4):
             eta = 2.0 if a == b == 0 else (-2.0 if a == b else 0.0)
             d = (gp(E(a), E(b)) + gp(E(b), E(a)) - Multivector.scalar(eta)).norm_sup()
-            worst = max(worst, d)
+            worst = worst_of(worst, d)
     checks.append(_check(scn, "algebra", "generator-relations",
                          "anticommutators of the generators equal twice the metric", worst, 1e-15))
 
@@ -219,7 +220,7 @@ def suite_algebra(scn) -> list[Check]:
             allowed = set(range(abs(gi - gj), gi + gj + 1, 2))
             prod = gp(Multivector.from_blade(i), Multivector.from_blade(j))
             leak = sum(abs(prod.coeffs[k]) for k in range(DIM) if GRADES[k] not in allowed)
-            worst = max(worst, leak)
+            worst = worst_of(worst, leak)
     checks.append(_check(scn, "algebra", "grade-bookkeeping",
                          "blade products land in grades |j-k|, |j-k|+2, ..., j+k", worst, 1e-15))
 
@@ -230,7 +231,7 @@ def suite_algebra(scn) -> list[Check]:
             x = random_multivector(rng, grade=k)
             out = commutator_half(w, x)
             leak = (out - out.grade(k)).norm_sup()
-            worst = max(worst, leak)
+            worst = worst_of(worst, leak)
     checks.append(_check(scn, "algebra", "commutator-grade-preservation",
                          "half-commutator with a bivector preserves grade", worst, 1e-12))
 
@@ -239,7 +240,7 @@ def suite_algebra(scn) -> list[Check]:
     for _ in range(20):
         B = float(rng.normal(scale=0.8)) * simple[int(rng.integers(0, 4))]
         d = (exp_bivector(B) * exp_bivector(-1.0 * B) - Multivector.scalar(1.0)).norm_sup()
-        worst = max(worst, d)
+        worst = worst_of(worst, d)
     checks.append(_check(scn, "algebra", "exp-bivector-inverse",
                          "exp(B) exp(-B) = 1 for simple bivectors", worst, 1e-12))
     return checks
@@ -254,33 +255,29 @@ def suite_derivatives(scn) -> list[Check]:
     worst = {k: 0.0 for k in ("clifford", "left", "right", "effective")}
     for i in range(pairs):
         setup = setups[i % len(setups)]
-        memo: dict = {}
         V = rng.normal(size=4)
         aexpr = random_field_expr(rng)
         bexpr = random_field_expr(rng)
 
         A, B = CliffordField(aexpr), CliffordField(bexpr)
-        lhs = cov_deriv_clifford(A * B, V, setup)
-        rhs = cov_deriv_clifford(A, V, setup) * B + A * cov_deriv_clifford(B, V, setup)
-        worst["clifford"] = max(worst["clifford"], _sup_field_diff(lhs, rhs, xs, memo))
-
         P = LeftSpinorField(bexpr)
-        lhs = cov_deriv_left(A * P, V, setup)
-        rhs = A * cov_deriv_left(P, V, setup) + cov_deriv_clifford(A, V, setup) * P
-        worst["left"] = max(worst["left"], _sup_field_diff(lhs, rhs, xs, memo))
-
         F = RightSpinorField(bexpr)
-        lhs = cov_deriv_right(F * A, V, setup)
-        rhs = F * cov_deriv_clifford(A, V, setup) + cov_deriv_right(F, V, setup) * A
-        worst["right"] = max(worst["right"], _sup_field_diff(lhs, rhs, xs, memo))
-
         psi = CliffordField(random_field_expr(rng, even=True))
         a = int(rng.integers(0, 4))
-        lhs = effective_deriv(A * psi, a, setup, check_even=False)
-        rhs = cov_deriv_clifford(A, np.eye(4)[a], setup) * psi + A * effective_deriv(
-            psi, a, setup, check_even=False
-        )
-        worst["effective"] = max(worst["effective"], _sup_field_diff(lhs, rhs, xs, memo))
+        laws = {
+            "clifford": (cov_deriv_clifford(A * B, V, setup),
+                         cov_deriv_clifford(A, V, setup) * B + A * cov_deriv_clifford(B, V, setup)),
+            "left": (cov_deriv_left(A * P, V, setup),
+                     A * cov_deriv_left(P, V, setup) + cov_deriv_clifford(A, V, setup) * P),
+            "right": (cov_deriv_right(F * A, V, setup),
+                      F * cov_deriv_clifford(A, V, setup) + cov_deriv_right(F, V, setup) * A),
+            "effective": (effective_deriv(A * psi, a, setup, check_even=False),
+                          cov_deriv_clifford(A, np.eye(4)[a], setup) * psi
+                          + A * effective_deriv(psi, a, setup, check_even=False)),
+        }
+        sups = sup_diffs([(lhs.expr, rhs.expr) for lhs, rhs in laws.values()], xs)
+        for k, d in zip(laws, sups):
+            worst[k] = worst_of(worst[k], d)
 
     checks = [
         _check(scn, "derivatives", "leibniz-clifford",
@@ -296,11 +293,10 @@ def suite_derivatives(scn) -> list[Check]:
     worst_ideal = 0.0
     for _ in range(10):
         setup = setups[int(rng.integers(0, len(setups)))]
-        memo = {}
         P = LeftSpinorField(f_product(random_field_expr(rng), Constant(IDEMPOTENT_E)))
         dP = cov_deriv_left(P, rng.normal(size=4), setup)
-        proj = Field(Kind.LEFT, f_product(dP.expr, Constant(IDEMPOTENT_E)))
-        worst_ideal = max(worst_ideal, _sup_field_diff(proj, dP, xs, memo))
+        proj = f_product(dP.expr, Constant(IDEMPOTENT_E))
+        worst_ideal = worst_of(worst_ideal, *sup_diffs([(proj, dP.expr)], xs))
     checks.append(_check(scn, "derivatives", "ideal-preservation",
                          "the spinor derivative keeps values inside the minimal left ideal",
                          worst_ideal, 1e-10))
@@ -308,23 +304,19 @@ def suite_derivatives(scn) -> list[Check]:
     rotor_setup = change_spin_frame(random_rotor_expr(rng), setups[1]).setup
     worst_eff = 0.0
     for setup in (setups[0], setups[1], rotor_setup):
-        memo = {}
         psi = CliffordField(random_field_expr(rng, even=True))
-        for a in range(4):
-            e1 = effective_deriv(psi, a, setup, check_even=False)
-            e2 = effective_deriv_via_connection(psi, a, setup)
-            worst_eff = max(worst_eff, _sup_field_diff(e1, e2, xs, memo))
+        routes = [(effective_deriv(psi, a, setup, check_even=False).expr,
+                   effective_deriv_via_connection(psi, a, setup).expr) for a in range(4)]
+        worst_eff = worst_of(worst_eff, *sup_diffs(routes, xs))
     checks.append(_check(scn, "derivatives", "effective-two-routes",
                          "the two assembly orders of the effective derivative agree",
                          worst_eff, 1e-9))
 
     worst_unit = 0.0
     for setup in (setups[1], setups[2]):
-        memo = {}
-        for a in range(4):
-            lhs = cov_deriv_right(unit_right(), np.eye(4)[a], setup)
-            rhs = RightSpinorField(f_scale(-0.5, setup.omega(a)))
-            worst_unit = max(worst_unit, _sup_field_diff(lhs, rhs, xs, memo))
+        laws = [(cov_deriv_right(unit_right(), np.eye(4)[a], setup).expr,
+                 f_scale(-0.5, setup.omega(a))) for a in range(4)]
+        worst_unit = worst_of(worst_unit, *sup_diffs(laws, xs))
     checks.append(_check(scn, "derivatives", "unit-section-law",
                          "the right unit section differentiates to -(1/2) 1r omega_a",
                          worst_unit, 1e-9))
@@ -355,7 +347,7 @@ def suite_transport(scn) -> list[Check]:
     for k in (1, 2, 3):
         h0 = random_multivector(rng, grade=k)
         outk = parallel_transport(h0, Kind.CLIFFORD, bent, setup, steps=scn.transport_steps)
-        worst = max(worst, (outk - outk.grade(k)).norm_sup())
+        worst = worst_of(worst, (outk - outk.grade(k)).norm_sup())
     checks.append(_check(scn, "transport", "grade-preservation",
                          "homogeneous values stay homogeneous along transport", worst, 1e-9))
 
@@ -396,63 +388,68 @@ def suite_dirac_triad(scn) -> list[Check]:
     xs = scn.chart.grid(scn.grid)
     rep = build_gamma_rep()
     checks = []
-    memo: dict = {}
 
     psi = scn.unknown
-    r_dhe = residual_representative(psi, scn.params, scn.setup, xs, memo)
+    r_dhe = residual_representative(psi, scn.params, scn.setup, xs)
+    r_decl = residual_left_form(LeftSpinorField(psi.expr), scn.params, scn.setup, xs)
+    Pc = LeftSpinorField(f_product(psi.expr, Constant(IDEMPOTENT_F)))
+    r_ci = residual_complex_ideal(Pc, scn.params, scn.setup, xs)
+    sup_dhe, sup_decl, sup_ci, d_componentwise = sup_diffs(
+        [(r_dhe.field.expr, None), (r_decl.field.expr, None), (r_ci.field.expr, None),
+         (r_decl.field.expr, r_dhe.field.expr)], xs)
     checks.append(_residual_check(scn, "dirac-triad", "representative-residual",
                                   "representative-form residual of the scenario unknown",
-                                  r_dhe.sup, 1e-9))
-
-    Psi = LeftSpinorField(psi.expr)
-    r_decl = residual_left_form(Psi, scn.params, scn.setup, xs, memo)
+                                  sup_dhe, 1e-9))
     checks.append(_residual_check(scn, "dirac-triad", "left-residual",
                                   "left spin-Clifford residual of the scenario unknown",
-                                  r_decl.sup, 1e-9))
-
-    Pc = LeftSpinorField(f_product(psi.expr, Constant(IDEMPOTENT_F)))
-    r_ci = residual_complex_ideal(Pc, scn.params, scn.setup, xs, memo)
+                                  sup_decl, 1e-9))
     checks.append(_residual_check(scn, "dirac-triad", "ideal-residual",
                                   "complex minimal-ideal residual of the scenario unknown",
-                                  r_ci.sup, 1e-9))
+                                  sup_ci, 1e-9))
 
-    r_col = residual_covariant(ColumnSpinorField(Pc, rep), scn.params, scn.setup, xs, memo)
+    r_col = residual_covariant(ColumnSpinorField(Pc, rep), scn.params, scn.setup, xs)
     checks.append(_residual_check(scn, "dirac-triad", "column-residual",
                                   "column-spinor residual of the scenario unknown",
                                   r_col.sup, 1e-9))
 
     checks.append(_check(scn, "dirac-triad", "left-representative-componentwise",
                          "left-form and representative-form residuals agree componentwise",
-                         np.max(np.abs(r_decl.values - r_dhe.values)), 1e-9))
+                         d_componentwise, 1e-9))
 
     rc_setups = [random_setup(scn, rng) for _ in range(2)]
     worst_eq = worst_phase = worst_col = worst_lin = 0.0
     for setup in rc_setups:
         params = DiracParams(float(rng.uniform(0.2, 1.5)), float(rng.uniform(-1.0, 1.0)),
                              random_potential(rng))
-        m2: dict = {}
+        forms = []  # representative, left, phase map, ideal and column forms of one unknown
         for _ in range(3):
             ex = random_field_expr(rng, even=True)
-            ra = residual_representative(CliffordField(ex), params, setup, xs, m2, check_even=False)
-            rb = residual_left_form(LeftSpinorField(ex), params, setup, xs, m2, check_even=False)
-            worst_eq = max(worst_eq, float(np.max(np.abs(ra.values - rb.values))))
-
-            proj = evaluate(f_product(rb.field.expr, Constant(IDEMPOTENT_F)), xs, m2)
+            ra = residual_representative(CliffordField(ex), params, setup, xs, check_even=False)
+            rb = residual_left_form(LeftSpinorField(ex), params, setup, xs, check_even=False)
             pc = LeftSpinorField(f_product(ex, Constant(IDEMPOTENT_F)))
-            rci = residual_complex_ideal(pc, params, setup, xs, m2, check_ideal=False)
-            worst_phase = max(worst_phase, float(np.max(np.abs(proj - rci.values))))
-
-            rcv = residual_covariant(ColumnSpinorField(pc, rep), params, setup, xs, m2)
-            cols = columns_from_coeffs(rci.values, rep)
-            worst_col = max(worst_col, float(np.max(np.abs(cols - rcv.values))))
+            rci = residual_complex_ideal(pc, params, setup, xs, check_ideal=False)
+            forms.append((ra.field.expr, rb.field.expr,
+                          f_product(rb.field.expr, Constant(IDEMPOTENT_F)), rci.field.expr,
+                          ColumnSpinorField(pc, rep)))
 
         ex1 = random_field_expr(rng, even=True)
         ex2 = random_field_expr(rng, even=True)
-        r1 = residual_representative(CliffordField(ex1), params, setup, xs, m2, check_even=False)
-        r2 = residual_representative(CliffordField(ex2), params, setup, xs, m2, check_even=False)
-        r12 = residual_representative(CliffordField(ex1) + CliffordField(ex2), params, setup, xs, m2,
-                           check_even=False)
-        worst_lin = max(worst_lin, float(np.max(np.abs(r12.values - r1.values - r2.values))))
+        r1 = residual_representative(CliffordField(ex1), params, setup, xs, check_even=False)
+        r2 = residual_representative(CliffordField(ex2), params, setup, xs, check_even=False)
+        r12 = residual_representative(CliffordField(ex1) + CliffordField(ex2), params, setup, xs,
+                                      check_even=False)
+        roots = [e for form in forms for e in form[:4]] + [r12.field.expr, r1.field.expr, r2.field.expr]
+        roots += [e for form in forms for e in covariant_nodes(form[4], params, setup)]
+        vals = dict(zip(roots, evaluate_many(roots, xs)))
+
+        for ra, rb, proj, rci, col in forms:
+            worst_eq = worst_of(worst_eq, float(np.max(np.abs(vals[ra] - vals[rb]))))
+            worst_phase = worst_of(worst_phase, float(np.max(np.abs(vals[proj] - vals[rci]))))
+            rcv = residual_covariant(col, params, setup, xs, vals)
+            cols = columns_from_coeffs(vals[rci], rep)
+            worst_col = worst_of(worst_col, float(np.max(np.abs(cols - rcv.values))))
+        v12, v1, v2 = (vals[r.field.expr] for r in (r12, r1, r2))
+        worst_lin = worst_of(worst_lin, float(np.max(np.abs(v12 - v1 - v2))))
 
     checks.append(_check(scn, "dirac-triad", "left-representative-random",
                          "componentwise left/representative agreement on random even fields "
@@ -485,24 +482,22 @@ def suite_gauge(scn) -> list[Check]:
     for label, chi_expr in shapes:
         chi = GaugeFn(chi_expr)
         ex = random_field_expr(rng, even=True)
-        memo: dict = {}
 
         Psi = LeftSpinorField(ex)
         P2, params2, G = gauge_transform_left_form(Psi, params, chi, setup)
-        r1 = residual_left_form(Psi, params, setup, xs, memo, check_even=False)
-        r2 = residual_left_form(P2, params2, setup, xs, memo, check_even=False)
-        want = evaluate(f_product(r1.field.expr, G.expr), xs, memo)
-        d = float(np.max(np.abs(r2.values - want)))
-        checks.append(_check(scn, "gauge", f"left-covariance-{label}",
-                             "left-form residual picks up exactly the gauge rotor on the right",
-                             d, 1e-9))
+        r1 = residual_left_form(Psi, params, setup, xs, check_even=False)
+        r2 = residual_left_form(P2, params2, setup, xs, check_even=False)
 
         psi = CliffordField(ex)
         p2, params2b, G2 = gauge_transform_representative(psi, params, chi, setup)
-        r1b = residual_representative(psi, params, setup, xs, memo, check_even=False)
-        r2b = residual_representative(p2, params2b, setup, xs, memo, check_even=False)
-        wantb = evaluate(f_product(r1b.field.expr, G2.expr), xs, memo)
-        db = float(np.max(np.abs(r2b.values - wantb)))
+        r1b = residual_representative(psi, params, setup, xs, check_even=False)
+        r2b = residual_representative(p2, params2b, setup, xs, check_even=False)
+
+        d, db = sup_diffs([(r2.field.expr, f_product(r1.field.expr, G.expr)),
+                           (r2b.field.expr, f_product(r1b.field.expr, G2.expr))], xs)
+        checks.append(_check(scn, "gauge", f"left-covariance-{label}",
+                             "left-form residual picks up exactly the gauge rotor on the right",
+                             d, 1e-9))
         checks.append(_check(scn, "gauge", f"representative-covariance-{label}",
                              "representative-form residual picks up exactly the gauge rotor",
                              db, 1e-9))
@@ -513,7 +508,7 @@ def suite_gauge(scn) -> list[Check]:
     Gi = exp_bivector(q * theta / 2.0 * E21)
     cq, sq = np.cos(q * theta), np.sin(q * theta)
     wants = [E(0), cq * E(1) + sq * E(2), -sq * E(1) + cq * E(2), E(3)]
-    worst = max((G * E(a) * Gi - wants[a]).norm_sup() for a in range(4))
+    worst = worst_of(*((G * E(a) * Gi - wants[a]).norm_sup() for a in range(4)))
     checks.append(_check(scn, "gauge", "spin-plane-rotation",
                          "conjugating the legs by the gauge rotor rotates the 1-2 plane by "
                          "the gauge angle and fixes the 0 and 3 legs", worst, 1e-10))
@@ -541,18 +536,16 @@ def suite_lorentz(scn) -> list[Check]:
                          "frame change by a position-dependent rotor multiplies the residual "
                          "by the inverse rotor, with the connection transformed", rep_local.defect, 1e-8))
 
-    legs = rep_local.frame_change.legs
-    memo: dict = {}
-    worst = 0.0
-    vals = [evaluate(l.expr, xs, memo) for l in legs]
-    unit = np.zeros(DIM)
+    legs = [l.expr for l in rep_local.frame_change.legs]
+    anticommutators = []
     for a in range(4):
         for b in range(4):
-            anti = gp_batch(vals[a], vals[b]) + gp_batch(vals[b], vals[a])
-            unit[0] = 2.0 if a == b == 0 else (-2.0 if a == b else 0.0)
-            worst = max(worst, float(np.max(np.abs(anti - unit))))
+            eta = 2.0 if a == b == 0 else (-2.0 if a == b else 0.0)
+            anticommutators.append((f_sum(f_product(legs[a], legs[b]), f_product(legs[b], legs[a])),
+                                    Constant(Multivector.scalar(eta))))
     checks.append(_check(scn, "lorentz", "frame-orthonormality",
-                         "transformed frame legs stay orthonormal pointwise", worst, 1e-9))
+                         "transformed frame legs stay orthonormal pointwise",
+                         worst_of(*sup_diffs(anticommutators, xs)), 1e-9))
 
     A = CliffordField(random_field_expr(rng))
     P = LeftSpinorField(random_field_expr(rng))
@@ -565,28 +558,27 @@ def suite_lorentz(scn) -> list[Check]:
     A2, V2, dA2w = fc.clifford
     P2, dP2w = fc.left
     R2, dR2w = fc.right
-    memo2: dict = {}
-    nat = {
-        "clifford": _sup_field_diff(cov_deriv_clifford(A2, V2, fc.setup), dA2w, xs, memo2),
-        "left": _sup_field_diff(cov_deriv_left(P2, V2, fc.setup), dP2w, xs, memo2),
-        "right": _sup_field_diff(cov_deriv_right(R2, V2, fc.setup), dR2w, xs, memo2),
+    naturality = {
+        "clifford": (cov_deriv_clifford(A2, V2, fc.setup).expr, dA2w.expr),
+        "left": (cov_deriv_left(P2, V2, fc.setup).expr, dP2w.expr),
+        "right": (cov_deriv_right(R2, V2, fc.setup).expr, dR2w.expr),
     }
-    for kind, d in nat.items():
-        checks.append(_check(scn, "lorentz", f"naturality-{kind}",
-                             "covariant differentiation commutes with the change of spin frame",
-                             d, 1e-8))
 
     from .geometry import ETA, transformed_connection_form
 
-    worst = 0.0
+    routes = []
     for a in range(4):
         lowered = Field(Kind.CLIFFORD, f_scale(float(ETA[a]), fc.legs[a].expr))
-        wB = transformed_connection_form(u_local, base, lowered)
         wA = f_product(f_product(u_local, fc.setup.omega(a)), f_reverse(u_local))
-        worst = max(worst, float(np.max(np.abs(evaluate(wA, xs, memo2) - evaluate(wB, xs, memo2)))))
+        routes.append((wA, transformed_connection_form(u_local, base, lowered)))
+    sups = sup_diffs(list(naturality.values()) + routes, xs)
+    for kind, d in zip(naturality, sups):
+        checks.append(_check(scn, "lorentz", f"naturality-{kind}",
+                             "covariant differentiation commutes with the change of spin frame",
+                             d, 1e-8))
     checks.append(_check(scn, "lorentz", "connection-two-routes",
                          "recomputing the coefficients from the new legs matches the "
-                         "connection transformation law", worst, 1e-8))
+                         "connection transformation law", worst_of(*sups[len(naturality):]), 1e-8))
     return checks
 
 
@@ -607,18 +599,18 @@ def suite_bilinears(scn) -> list[Check]:
         M = evaluate(bil["M"].expr, x0, memo)[0]
         sig = evaluate(bil["sigma"], x0, memo)[0, 0]
         om = evaluate(bil["omega"], x0, memo)[0, 0]
-        leak = max(
+        leak = worst_of(
             float(np.max(np.abs(S[(GRADES != 0) & (GRADES != 4)]))),
             float(np.max(np.abs(J[GRADES != 1]))),
             float(np.max(np.abs(K[GRADES != 1]))),
             float(np.max(np.abs(M[GRADES != 2]))),
         )
-        worst_purity = max(worst_purity, leak)
+        worst_purity = worst_of(worst_purity, leak)
 
         JJ = gp_batch(J, J)[0]
         KK = gp_batch(K, K)[0]
         JK = 0.5 * (gp_batch(J, K) + gp_batch(K, J))[0]
-        worst_fierz = max(
+        worst_fierz = worst_of(
             worst_fierz,
             abs(JJ - (sig**2 + om**2)),
             abs(KK + (sig**2 + om**2)),
@@ -630,7 +622,7 @@ def suite_bilinears(scn) -> list[Check]:
         for key in ("S", "J", "K", "M"):
             dd = float(np.max(np.abs(evaluate(biln[key].expr, x0, memo2)
                                      - evaluate(bil[key].expr, x0, memo))))
-            worst_sign = max(worst_sign, dd)
+            worst_sign = worst_of(worst_sign, dd)
 
     checks.append(_check(scn, "bilinears", "grade-purity",
                          "S lives in grades {0,4}, the currents in grade 1, the moment in "
@@ -644,10 +636,8 @@ def suite_bilinears(scn) -> list[Check]:
     pw = make_plane_wave(scn.params.mass if scn.params.mass else 1.0)
     ts = scn.chart.grid(3)
     bil = bilinear_covariants(pw, flat)
-    memo3: dict = {}
-    sig = evaluate(bil["sigma"], ts, memo3)[:, 0]
-    om = evaluate(bil["omega"], ts, memo3)[:, 0]
-    d = max(float(np.max(np.abs(sig - 1.0))), float(np.max(np.abs(om))))
+    d = worst_of(*sup_diffs([(bil["sigma"], Constant(Multivector.scalar(1.0))),
+                             (bil["omega"], None)], ts))
     checks.append(_check(scn, "bilinears", "rest-wave-normalization",
                          "the rest plane wave has sigma = 1 and omega = 0 at every sampled "
                          "point", d, 1e-12))

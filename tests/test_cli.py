@@ -11,6 +11,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -205,6 +206,21 @@ def test_exit_code_two_on_report_dir_that_cannot_be_created(tmp_path, monkeypatc
     assert ran == []  # refused before any suite ran
 
 
+def test_exit_code_two_on_over_long_name_before_any_suite_runs(tmp_path, monkeypatch):
+    cfg = load_config("minkowski-plane-wave")
+    cfg["name"] = "n" * 300  # longer than a file name may be
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(cfg))
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda name, scn: ran.append(name) or [])
+    code, lines = _main("run", str(path), "--report-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("configuration error: cannot write the report"), lines
+    assert "file name is 312 bytes" in lines[0], lines  # the name and ".report.json"
+    assert ran == []  # refused before any suite ran
+    assert not list(tmp_path.rglob("*.report.json"))
+
+
 def test_exit_code_two_when_the_report_cannot_be_written(tmp_path):
     cfg = load_config("minkowski-plane-wave")
     cfg["name"] = "n" * 300  # longer than a file name may be
@@ -286,6 +302,23 @@ def test_report_writes_non_finite_value_as_failing_null():
     assert obj["summary"] == {"total": 2, "passed": 1, "failed": 1}
 
 
+def test_nan_residuals_fail_their_checks(tmp_path):
+    cfg = load_config("torsion-toy")
+    for entry in cfg["connection"]["entries"]:
+        entry["expr"]["blades"]["1"] = 1.5e308  # derivatives overflow to inf, differences to NaN
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    with np.errstate(all="ignore"):
+        code, _ = _main("run", str(path), "--suite", "derivatives", "--grid", "2",
+                        "--report-dir", str(tmp_path))
+    assert code == 1
+    checks = {c["name"]: c for c in
+              json.loads((tmp_path / "torsion-toy.report.json").read_text())["checks"]}
+    for name in ("leibniz-clifford", "leibniz-left", "leibniz-right", "leibniz-effective",
+                 "ideal-preservation"):
+        assert checks[name]["value"] is None and checks[name]["passed"] is False, checks[name]
+
+
 def test_exit_code_two_on_unknown_suite(tmp_path):
     r = run_cli("run", "minkowski-plane-wave", "--suite", "nope",
                 "--report-dir", str(tmp_path), cwd=tmp_path)
@@ -348,6 +381,7 @@ def test_threaded_run_matches_serial(tmp_path):
     # suite threads share the node table, so a threaded run must build the same nodes
     for name, grid, threads in (("minkowski-plane-wave", "3", "3"),
                                 ("torsion-toy", "2", "2"),
+                                ("gauge-sine", "2", "2"),
                                 ("lorentz-local-rotor", "2", "2")):
         d1, d2 = tmp_path / name / "serial", tmp_path / name / "threads"
         r = run_cli("run", name, "--grid", grid, "--report-dir", str(d1), cwd=tmp_path)

@@ -112,6 +112,18 @@ def test_residual_parity_and_kind_guards():
                                params, FLAT, XS)
 
 
+def test_non_finite_fields_fail_the_guards():
+    nan = Constant(Multivector.scalar(float("nan")))
+    params = DiracParams(1.0, 0.0)
+    with pytest.raises(NotEven):
+        residual_representative(CliffordField(nan), params, FLAT, XS)
+    with pytest.raises(NotInIdeal):
+        residual_complex_ideal(LeftSpinorField(f_product(nan, Constant(IDEMPOTENT_F))),
+                               params, FLAT, XS)
+    with pytest.raises(ValueError, match="grade 1"):
+        DiracParams(1.0, 0.0, CliffordField(nan)).validate_grade1(FLAT)
+
+
 # -- the triad of translations ---------------------------------------------------
 
 

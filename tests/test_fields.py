@@ -23,11 +23,14 @@ from sta.fields import (
     ScalarLinear,
     ScalarSine,
     evaluate,
+    evaluate_many,
     f_product,
     f_reverse,
     f_scale,
     f_sum,
     rotor_wave,
+    sup_diffs,
+    worst_of,
 )
 from sta.geometry import Chart, fd_directional
 
@@ -381,20 +384,41 @@ def _structure_numbers():
     return number
 
 
+def _leibniz_pairs():
+    """The four (lhs, rhs) Leibniz pairs of one derivative-suite iteration, and the grid."""
+    from sta.geometry import cov_deriv_clifford, cov_deriv_left, cov_deriv_right, effective_deriv
+    from sta.scenario import Scenario, load_config
+    from sta.suites import _rng, random_field_expr, random_setup
+
+    scn = Scenario(dict(load_config("torsion-toy"), grid=2, suites=["derivatives"]))
+    rng = _rng(scn, "derivatives")
+    setup = random_setup(scn, rng)
+    V = rng.normal(size=4)
+    A = CliffordField(random_field_expr(rng))
+    bexpr = random_field_expr(rng)
+    B, P, F = CliffordField(bexpr), LeftSpinorField(bexpr), RightSpinorField(bexpr)
+    psi = CliffordField(random_field_expr(rng, even=True))
+    pairs = [
+        (cov_deriv_clifford(A * B, V, setup),
+         cov_deriv_clifford(A, V, setup) * B + A * cov_deriv_clifford(B, V, setup)),
+        (cov_deriv_left(A * P, V, setup),
+         A * cov_deriv_left(P, V, setup) + cov_deriv_clifford(A, V, setup) * P),
+        (cov_deriv_right(F * A, V, setup),
+         F * cov_deriv_clifford(A, V, setup) + cov_deriv_right(F, V, setup) * A),
+        (effective_deriv(A * psi, 1, setup, check_even=False),
+         cov_deriv_clifford(A, np.eye(4)[1], setup) * psi
+         + A * effective_deriv(psi, 1, setup, check_even=False)),
+    ]
+    return [(lhs.expr, rhs.expr) for lhs, rhs in pairs], scn.chart.grid(scn.grid)
+
+
 def test_leibniz_iteration_multiplies_each_distinct_product_once(monkeypatch):
     """One iteration of the derivative suite's Leibniz loop, as the suite runs it."""
     from collections import Counter
 
     from sta import fields
-    from sta.geometry import cov_deriv_clifford, cov_deriv_left, cov_deriv_right, effective_deriv
-    from sta.scenario import Scenario, load_config
-    from sta.suites import _rng, _sup_field_diff, random_field_expr, random_setup
 
-    scn = Scenario(dict(load_config("torsion-toy"), grid=2, suites=["derivatives"]))
-    rng = _rng(scn, "derivatives")
-    setup = random_setup(scn, rng)
-    xs = scn.chart.grid(scn.grid)
-
+    pairs, xs = _leibniz_pairs()
     number = _structure_numbers()
     evaluating, general = [], []
     product_eval, kernel = Product._eval, fields.gp_batch
@@ -414,25 +438,97 @@ def test_leibniz_iteration_multiplies_each_distinct_product_once(monkeypatch):
     monkeypatch.setattr(Product, "_eval", observed_eval)
     monkeypatch.setattr(fields, "gp_batch", observed_kernel)
 
-    memo: dict = {}
-    V = rng.normal(size=4)
-    A = CliffordField(random_field_expr(rng))
-    bexpr = random_field_expr(rng)
-    B, P, F = CliffordField(bexpr), LeftSpinorField(bexpr), RightSpinorField(bexpr)
-    psi = CliffordField(random_field_expr(rng, even=True))
-    pairs = [
-        (cov_deriv_clifford(A * B, V, setup),
-         cov_deriv_clifford(A, V, setup) * B + A * cov_deriv_clifford(B, V, setup)),
-        (cov_deriv_left(A * P, V, setup),
-         A * cov_deriv_left(P, V, setup) + cov_deriv_clifford(A, V, setup) * P),
-        (cov_deriv_right(F * A, V, setup),
-         F * cov_deriv_clifford(A, V, setup) + cov_deriv_right(F, V, setup) * A),
-        (effective_deriv(A * psi, 1, setup, check_even=False),
-         cov_deriv_clifford(A, np.eye(4)[1], setup) * psi
-         + A * effective_deriv(psi, 1, setup, check_even=False)),
-    ]
-    for lhs, rhs in pairs:
-        assert _sup_field_diff(lhs, rhs, xs, memo) < 1e-9
+    sups = sup_diffs(pairs, xs)
+    assert len(sups) == 4 and all(d < 1e-9 for d in sups), sups
     assert len(general) >= 20
     repeated = {n: k for n, k in Counter(general).items() if k > 1}
     assert not repeated, f"{len(repeated)} products reached the kernel more than once"
+
+
+def _watch_evaluation(monkeypatch):
+    """Record every node ``_eval`` and every memo ``evaluate`` sees, with its peak size."""
+    from sta import fields
+
+    seen = {"nodes": [], "memos": {}, "peak": 0, "live": []}
+    real = fields.evaluate
+
+    def watched(expr, xs, memo=None):
+        out = real(expr, xs, memo)
+        seen["memos"][id(memo)] = memo
+        seen["peak"] = max(seen["peak"], len(memo))
+        seen["live"].append(set(memo))
+        return out
+
+    monkeypatch.setattr(fields, "evaluate", watched)
+    pending = [fields.FieldExpr]
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if "_eval" in cls.__dict__:
+            def node_eval(self, xs, memo, _eval=cls.__dict__["_eval"]):
+                seen["nodes"].append(self)
+                return _eval(self, xs, memo)
+
+            monkeypatch.setattr(cls, "_eval", node_eval)
+    return seen
+
+
+def test_sup_diffs_equal_per_pair_evaluation_with_a_shared_memo():
+    pairs, xs = _leibniz_pairs()
+    memo: dict = {}
+    want = [float(np.max(np.abs(evaluate(l, xs, memo) - evaluate(r, xs, memo)))) for l, r in pairs]
+    got = sup_diffs(pairs, xs)
+    assert got == want  # bit for bit
+    assert sup_diffs([(l, None) for l, _ in pairs], xs) == [
+        float(np.max(np.abs(evaluate(l, xs)))) for l, _ in pairs]
+
+
+def test_sup_diffs_evaluates_each_node_once_and_drops_every_value(monkeypatch):
+    from collections import Counter
+
+    pairs, xs = _leibniz_pairs()
+    seen = _watch_evaluation(monkeypatch)
+    sup_diffs(pairs, xs)
+    counts = Counter(seen["nodes"])
+    assert len(counts) > 50
+    assert set(counts.values()) == {1}, "a node was evaluated more than once"
+    (memo,) = seen["memos"].values()  # one memo serves the whole call
+    assert memo == {}, f"{len(memo)} values outlived the call"
+    assert seen["peak"] < len(counts), (seen["peak"], len(counts))
+    # the first pair is reduced, and its sides released, before the last pair is evaluated
+    first, last = pairs[0], pairs[-1][1]
+    assert not any(last in live and (first[0] in live or first[1] in live) for live in seen["live"])
+
+
+def test_sup_diffs_order_is_reproducible(monkeypatch):
+    pairs, xs = _leibniz_pairs()
+    seen = _watch_evaluation(monkeypatch)
+    sup_diffs(pairs, xs)
+    first = list(seen["nodes"])
+    seen["nodes"].clear()
+    sup_diffs(pairs, xs)
+    assert seen["nodes"] == first
+
+
+def test_sup_diffs_keep_a_nan_pair_nan():
+    xs = CHART.grid(2)
+    broken = Polynomial([(0, float("nan"), (1, 0, 0, 0))])
+    fine = ScalarSine(0.8, [1.0, 0.5, 0.0, 0.3], 0.2)
+    shared = f_product(fine, Constant(E(1)))
+    pairs = [(f_sum(shared, broken), shared), (shared, f_scale(2.0, shared)), (broken, None)]
+    nan_sup, sup, nan_alone = sup_diffs(pairs, xs)
+    assert np.isnan(nan_sup) and np.isnan(nan_alone)
+    assert sup == float(np.max(np.abs(evaluate(shared, xs))))
+    assert np.isnan(worst_of(0.0, nan_sup, 1.0)) and np.isnan(worst_of(nan_sup, 1.0))
+    assert worst_of(0.0, 2.0, 1.0) == 2.0
+
+
+def test_evaluate_many_keeps_only_the_roots(monkeypatch):
+    pairs, xs = _leibniz_pairs()
+    roots = [e for pair in pairs for e in pair]
+    want = [evaluate(e, xs) for e in roots]
+    seen = _watch_evaluation(monkeypatch)
+    got = evaluate_many(roots, xs)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    (memo,) = seen["memos"].values()
+    assert set(memo) == set(roots)

@@ -84,6 +84,17 @@ def test_antisymmetry_validation():
         SpacetimeSetup(CHART, ConnectionField(gamma))
 
 
+def test_non_finite_connection_and_rotor_fail_validation():
+    nan = Constant(Multivector.scalar(float("nan")))
+    gamma = [[[None] * 4 for _ in range(4)] for _ in range(4)]
+    gamma[0][1][2] = nan
+    gamma[0][2][1] = f_scale(-1.0, nan)
+    with pytest.raises(NotAntisymmetric):
+        SpacetimeSetup(CHART, ConnectionField(gamma))
+    with pytest.raises(NotRotor):
+        validate_rotor(nan, CHART)
+
+
 def test_connection_recovered_from_omega():
     """D_{e_a} e_b = Gamma_ab^c e_c with lowered legs, i.e. Gamma_abc e^c."""
     setup = rc_setup(7)
