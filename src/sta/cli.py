@@ -3,7 +3,9 @@
 Exit status: 0 when every check passes, 1 on any check failure, 2 on a
 configuration problem (bad file, schema violation, unknown suite, a report
 directory that cannot be created, a report file name longer than the report
-directory allows, or a report that cannot be written).
+directory allows, or a report that cannot be written).  A standard output
+that its reader closes early leaves the status as it is: the report file is
+written before the summary.
 """
 
 from __future__ import annotations
@@ -125,8 +127,16 @@ def run_command(args) -> int:
         print(f"configuration error: cannot write the report: {exc}", file=sys.stderr)
         return 2
 
-    sys.stdout.write(report.human_text())
-    sys.stdout.write(f"report: {out_path}\n")
+    try:
+        sys.stdout.write(report.human_text())
+        sys.stdout.write(f"report: {out_path}\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away after the report was written; what is still
+        # buffered goes to devnull, so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if report.passed else 1
 
 

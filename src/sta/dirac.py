@@ -40,7 +40,6 @@ from .fields import (
     BladeCoeff,
     FrameScalarField,
     Kind,
-    evaluate,
     evaluate_many,
     f_product,
     f_reverse,
@@ -59,7 +58,7 @@ from .geometry import (
     effective_deriv,
     require_even,
 )
-from .spinors import IDEAL_PHASE, GammaRep, ideal_membership_defect
+from .spinors import IDEAL_PHASE, GammaRep, columns_from_coeffs, ideal_membership_defect
 
 __all__ = [
     "DiracParams",
@@ -210,14 +209,6 @@ class ColumnSpinorField:
         self.ideal = ideal
         self.rep = rep
 
-    def columns(self, xs: np.ndarray, memo=None) -> np.ndarray:
-        coeffs = evaluate(self.ideal.expr, xs, memo)
-        return self.rep.rho_batch(coeffs)[:, :, self.rep.column_index]
-
-    def partial_columns(self, mu: int, xs: np.ndarray, memo=None) -> np.ndarray:
-        coeffs = evaluate(self.ideal.expr.partial(mu), xs, memo)
-        return self.rep.rho_batch(coeffs)[:, :, self.rep.column_index]
-
 
 def covariant_nodes(col: ColumnSpinorField, params: DiracParams,
                     setup: SpacetimeSetup) -> list[FieldExpr]:
@@ -230,35 +221,37 @@ def covariant_nodes(col: ColumnSpinorField, params: DiracParams,
 
 def residual_covariant(col: ColumnSpinorField, params: DiracParams,
                        setup: SpacetimeSetup, xs: np.ndarray | None = None,
-                       memo: dict | None = None) -> Residual:
+                       values: dict | None = None) -> Residual:
     """Column residual c gamma^a (Dcol_a + c q A_a) |psi> - m |psi>.
 
     Everything on this route is 4x4 matrix algebra: the spinor covariant
     derivative acts on columns as the coordinate derivative plus half the
     matrix image of the connection bivector, which is the column-side
-    conjugate of the left-spinor derivative.  ``memo`` holds the values of
-    ``covariant_nodes`` on ``xs`` when the caller evaluated them together
-    with other fields; without it they are evaluated here, in one plan.
+    conjugate of the left-spinor derivative.  ``values`` maps each of
+    ``covariant_nodes`` to its value on ``xs`` when the caller evaluated
+    them together with other fields; without it they are evaluated here, in
+    one plan.
     """
     if xs is None:
         xs = setup.chart.grid(5)
-    if memo is None:
+    if values is None:
         nodes = covariant_nodes(col, params, setup)
-        memo = dict(zip(nodes, evaluate_many(nodes, xs)))
+        values = dict(zip(nodes, evaluate_many(nodes, xs)))
     rep = col.rep
     c = IDEAL_PHASE
-    cols = col.columns(xs, memo)
-    dcols_coord = [col.partial_columns(mu, xs, memo) for mu in range(4)]
-    pot = evaluate(params.potential.expr, xs, memo)
+    ideal = col.ideal.expr
+    cols = columns_from_coeffs(values[ideal], rep)
+    dcols_coord = [columns_from_coeffs(values[ideal.partial(mu)], rep) for mu in range(4)]
+    pot = values[params.potential.expr]
 
     out = -params.mass * cols
     for a in range(4):
         # frame-direction derivative through the tetrad
         dcol = np.zeros_like(cols)
         for mu in range(4):
-            ev = evaluate(setup.tetrad.entry(a, mu), xs, memo)[:, 0]
+            ev = values[setup.tetrad.entry(a, mu)][:, 0]
             dcol = dcol + ev[:, None] * dcols_coord[mu]
-        w = evaluate(setup.omega(a), xs, memo)
+        w = values[setup.omega(a)]
         if np.any(w):
             wmat = rep.rho_batch(w)
             dcol = dcol + 0.5 * np.einsum("nij,nj->ni", wmat, cols)

@@ -4,14 +4,16 @@ Every field expression is a tree over a small set of constructors, and each
 constructor carries an exact partial derivative in every coordinate
 direction, so differential identities can be checked without numerical
 differentiation (finite differences exist only as an independent
-cross-check).  Evaluation is batched: ``evaluate(expr, xs)`` takes points of
-shape (N, 4) and returns blade coefficients of shape (N, 16).  Each call
-keeps one memo, keyed by node, so a subtree referenced twice is evaluated
-once.  ``sup_diffs(pairs, xs)`` is the residual reducer: it evaluates the
-union DAG of many (lhs, rhs) pairs in one post-order plan, through
-``evaluate``, drops every value after its last use and returns each pair's
-max|lhs - rhs|.  ``evaluate_many(roots, xs)`` runs the same plan and keeps
-the roots' values, for comparisons that are not a difference of two nodes.
+cross-check).  Evaluation is batched: points of shape (N, 4) give blade
+coefficients of shape (N, 16).  One plan is the only evaluator: it walks the
+union DAG of its roots in post-order, without recursion, evaluates each node
+once by handing its ``_eval`` the values of its ``children`` (in order, with
+repeats), and drops every value after its last use.  A node never evaluates
+another node and no caller holds a memo.  Three entry points run a plan:
+``sup_diffs(pairs, xs)``, the residual reducer, returns each (lhs, rhs)
+pair's max|lhs - rhs|; ``evaluate_many(roots, xs)`` keeps the roots' values,
+for comparisons that are not a difference of two nodes; ``evaluate(expr,
+xs)`` is its one-root case.
 
 The node set: leaves (``Constant``, ``Polynomial`` and the scalar
 ``ScalarLinear``, ``ScalarSine``, ``ScalarGaussian``), one linear node
@@ -23,15 +25,15 @@ geometric ``Product``, ``Reverse``, ``GradeSelect``, ``BladeCoeff`` and
 Nodes are hash-consed: every constructor call looks its structure up in one
 process-wide table first, so two structurally equal nodes are the same
 object.  A tree rebuilt from the same parts (a covariant derivative built
-again for the next identity, say) is the tree built before, so the
-node-keyed memo and the cached partial derivatives hit across rebuilds.  A
-node's key is its class, its children (by identity) and its parameters:
-``Linear`` keys each term as (type of coefficient, coefficient, expression),
-so a float and a complex coefficient of equal value stay distinct nodes;
-``Constant`` and ``BivectorExp`` key the dtype and raw bytes of their
-coefficients.  The leaves other than ``Constant`` are not interned: they
-come from configuration or random draws and are not rebuilt.  The table
-holds its nodes for the life of the process, with their structure and
+again for the next identity, say) is the tree built before, so a plan over
+both evaluates it once and the cached partial derivatives hit across
+rebuilds.  A node's key is its class, its children (by identity) and its
+parameters: ``Linear`` keys each term as (type of coefficient, coefficient,
+expression), so a float and a complex coefficient of equal value stay
+distinct nodes; ``Constant`` and ``BivectorExp`` key the dtype and raw bytes
+of their coefficients.  The leaves other than ``Constant`` are not interned:
+they come from configuration or random draws and are not rebuilt.  The
+table holds its nodes for the life of the process, with their structure and
 partial-derivative links but never an evaluated value.
 
 Field *kinds* distinguish values that share their coefficient storage but
@@ -95,27 +97,20 @@ __all__ = [
 N_COORDS = 4
 
 
-def evaluate(expr: "FieldExpr", xs: np.ndarray, memo: dict | None = None) -> np.ndarray:
-    """Evaluate ``expr`` on points ``xs`` (N, 4), each shared subtree once.
-
-    The memo maps nodes to values; without one, a fresh memo serves this call.
-    """
-    if memo is None:
-        memo = {}
-    val = memo.get(expr)
-    if val is None:
-        val = memo[expr] = expr._eval(xs, memo)
-    return val
+def evaluate(expr: "FieldExpr", xs: np.ndarray) -> np.ndarray:
+    """Evaluate ``expr`` on points ``xs`` (N, 4), each shared subtree once."""
+    return evaluate_many([expr], xs)[0]
 
 
 class _Plan:
-    """One evaluation plan over the union DAG of ``roots``.
+    """One evaluation plan over the union DAG of ``roots``: the only evaluator.
 
     The plan is a post-order walk, iterative, that visits each node's
     ``children`` in order without repeats, so the evaluation order and the
-    peak number of live values are fixed by the roots.  ``uses`` counts a
-    node's distinct parents plus its appearances as a root; ``run`` drops a
-    value from ``memo`` when its count reaches zero.
+    peak number of live values are fixed by the roots.  ``run`` hands each
+    node the values of its ``children``, in order and with repeats.
+    ``uses`` counts a node's distinct parents plus its appearances as a
+    root; ``run`` drops a value from ``memo`` when its count reaches zero.
     """
 
     def __init__(self, roots):
@@ -142,9 +137,10 @@ class _Plan:
         self.memo: dict = {}
 
     def run(self, xs: np.ndarray):
-        """Evaluate node by node, through ``evaluate``; yield each node once its value is in ``memo``."""
+        """Evaluate node by node; yield each node once its value is in ``memo``."""
+        memo = self.memo
         for node in self.nodes:
-            evaluate(node, xs, self.memo)
+            memo[node] = node._eval(xs, *(memo[k] for k in node.children))
             for kid in self.kids[node]:
                 self.release(kid)
             yield node
@@ -162,9 +158,8 @@ def sup_diffs(pairs, xs: np.ndarray) -> list[float]:
     A right side of None reduces the pair to max|lhs|.  All pairs share one
     plan, so each node is evaluated once and its value is dropped after its
     last use; a pair is reduced as soon as both sides exist, and then
-    releases them.  The sups equal those of per-pair ``evaluate`` calls with
-    one shared memo, bit for bit, and a NaN anywhere in a pair's difference
-    makes its sup NaN.
+    releases them.  The sups equal those of per-pair ``evaluate`` calls, bit
+    for bit, and a NaN anywhere in a pair's difference makes its sup NaN.
     """
     plan = _Plan([e for pair in pairs for e in pair if e is not None])
     step = {node: i for i, node in enumerate(plan.nodes)}
@@ -249,12 +244,13 @@ class FieldExpr(metaclass=_Interned):
     def _partial(self, mu: int) -> "FieldExpr":
         raise NotImplementedError
 
-    def _eval(self, xs: np.ndarray, memo) -> np.ndarray:
+    def _eval(self, xs: np.ndarray, *vals) -> np.ndarray:
+        """The value on ``xs`` from ``vals``, the values of ``children`` in order."""
         raise NotImplementedError
 
     @property
     def children(self) -> tuple:
-        """The nodes whose values ``_eval`` reads through the memo, in order."""
+        """The nodes whose values ``_eval`` receives, in order and with repeats."""
         return ()
 
     @property
@@ -294,7 +290,7 @@ class Constant(FieldExpr):
         self._all_zero = not np.any(c)
         self._scalar = not np.any(c[1:])
 
-    def _eval(self, xs, memo):
+    def _eval(self, xs):
         return np.broadcast_to(self.value.coeffs, (len(xs), DIM))
 
     def _partial(self, mu):
@@ -337,7 +333,7 @@ class Polynomial(FieldExpr):
             norm.append((int(mask), complex(coef) if isinstance(coef, complex) else float(coef), powers))
         self.terms = tuple(norm)
 
-    def _eval(self, xs, memo):
+    def _eval(self, xs):
         dtype = complex if self.is_complex else float
         out = np.zeros((len(xs), DIM), dtype=dtype)
         for mask, coef, powers in self.terms:
@@ -378,7 +374,7 @@ class ScalarLinear(FieldExpr):
         self.slope = np.asarray(slope, dtype=float)
         self.offset = float(offset)
 
-    def _eval(self, xs, memo):
+    def _eval(self, xs):
         out = np.zeros((len(xs), DIM))
         out[:, 0] = xs @ self.slope + self.offset
         return out
@@ -403,7 +399,7 @@ class ScalarSine(FieldExpr):
         self.wave = np.asarray(wave, dtype=float)
         self.phase = float(phase)
 
-    def _eval(self, xs, memo):
+    def _eval(self, xs):
         out = np.zeros((len(xs), DIM))
         out[:, 0] = self.amplitude * np.sin(xs @ self.wave + self.phase)
         return out
@@ -430,7 +426,7 @@ class ScalarGaussian(FieldExpr):
         self.widths = np.asarray(widths, dtype=float)
         self.center = np.asarray(center, dtype=float)
 
-    def _eval(self, xs, memo):
+    def _eval(self, xs):
         out = np.zeros((len(xs), DIM))
         d = xs - self.center
         out[:, 0] = self.amplitude * np.exp(-np.sum(self.widths * d * d, axis=1))
@@ -467,11 +463,11 @@ class Linear(FieldExpr):
         super().__init__()
         self.terms = tuple(terms)
 
-    def _eval(self, xs, memo):
-        vals = [(c, evaluate(e, xs, memo)) for c, e in self.terms]
-        cplx = any(isinstance(c, complex) or np.iscomplexobj(v) for c, v in vals)
+    def _eval(self, xs, *vals):
+        terms = [(c, v) for (c, _), v in zip(self.terms, vals)]
+        cplx = any(isinstance(c, complex) or np.iscomplexobj(v) for c, v in terms)
         out = np.zeros((len(xs), DIM), dtype=complex if cplx else float)
-        for c, v in vals:
+        for c, v in terms:
             out += v if c == 1 else c * v
         return out
 
@@ -510,8 +506,9 @@ class Product(FieldExpr):
         self.left = left
         self.right = right
 
-    def _eval(self, xs, memo):
-        lv, rv = (e.value.coeffs if isinstance(e, Constant) else evaluate(e, xs, memo)
+    def _eval(self, xs, *vals):
+        it = iter(vals)  # a Constant factor is no child: it enters as its 16 coefficients
+        lv, rv = (e.value.coeffs if isinstance(e, Constant) else next(it)
                   for e in (self.left, self.right))
         if self.left.is_scalar:
             return rv * lv[..., :1]
@@ -549,8 +546,8 @@ class Reverse(FieldExpr):
         super().__init__()
         self.arg = arg
 
-    def _eval(self, xs, memo):
-        return evaluate(self.arg, xs, memo) * _T.reverse_signs
+    def _eval(self, xs, v):
+        return v * _T.reverse_signs
 
     @property
     def children(self):
@@ -581,8 +578,8 @@ class GradeSelect(FieldExpr):
         self.grades = frozenset(grades)
         self._mask = np.isin(GRADES, list(self.grades)).astype(float)
 
-    def _eval(self, xs, memo):
-        return evaluate(self.arg, xs, memo) * self._mask
+    def _eval(self, xs, v):
+        return v * self._mask
 
     @property
     def children(self):
@@ -614,8 +611,7 @@ class BladeCoeff(FieldExpr):
         self.arg = arg
         self.mask = int(mask)
 
-    def _eval(self, xs, memo):
-        v = evaluate(self.arg, xs, memo)
+    def _eval(self, xs, v):
         out = np.zeros((len(xs), DIM), dtype=v.dtype)
         out[:, 0] = v[:, self.mask]
         return out
@@ -662,8 +658,8 @@ class BivectorExp(FieldExpr):
         self._beta = np.sqrt(beta2) if beta2 else 0.0
         self._series = None
 
-    def _eval(self, xs, memo):
-        sv = evaluate(self.s, xs, memo)[:, 0]
+    def _eval(self, xs, s):
+        sv = s[:, 0]
         dtype = complex if (self.is_complex or np.iscomplexobj(sv)) else float
         out = np.zeros((len(xs), DIM), dtype=dtype)
         if self._kind == "elliptic":
@@ -811,8 +807,8 @@ class Field:
         self.kind = kind
         self.expr = expr
 
-    def eval(self, xs: np.ndarray, memo: dict | None = None) -> np.ndarray:
-        return evaluate(self.expr, xs, memo)
+    def eval(self, xs: np.ndarray) -> np.ndarray:
+        return evaluate(self.expr, xs)
 
     def __add__(self, other: "Field") -> "Field":
         if not isinstance(other, Field) or other.kind is not self.kind:

@@ -48,6 +48,7 @@ from .fields import (
     LeftSpinorField,
     RightSpinorField,
     evaluate,
+    evaluate_many,
     f_commutator_half,
     f_product,
     f_reverse,
@@ -186,15 +187,16 @@ class ConnectionField:
 
     def validate_antisymmetry(self, chart: Chart, tol: float = 1e-9, n: int = 4):
         xs = chart.sample(n)
-        memo: dict = {}
+        entries = [g for ab in self.gamma for abc in ab for g in abc if g is not None]
+        vals = dict(zip(entries, evaluate_many(entries, xs)))
         worst = 0.0
         for a in range(4):
             for b in range(4):
                 for c in range(b, 4):
                     gbc = self.gamma[a][b][c]
                     gcb = self.gamma[a][c][b]
-                    vbc = evaluate(gbc, xs, memo)[:, 0] if gbc is not None else 0.0
-                    vcb = evaluate(gcb, xs, memo)[:, 0] if gcb is not None else 0.0
+                    vbc = vals[gbc][:, 0] if gbc is not None else 0.0
+                    vcb = vals[gcb][:, 0] if gcb is not None else 0.0
                     worst = worst_of(worst, float(np.max(np.abs(vbc + vcb))))
         if not worst <= tol:  # a NaN fails
             raise NotAntisymmetric(
@@ -312,8 +314,8 @@ class SpacetimeSetup:
         """omega on coordinate velocities ``xdot`` (S, 4) at points x (S, 4).
 
         Each omega_a and each tetrad entry is evaluated once over all S
-        points, by one ``evaluate`` call each with its own memo, so node
-        values are held only until that call returns.
+        points, by one ``evaluate`` call each, so node values are held only
+        until that call returns.
         """
         xdot = np.asarray(xdot, dtype=float)
         x = np.asarray(x, dtype=float)

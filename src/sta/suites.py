@@ -35,7 +35,6 @@ from .fields import (
     RightSpinorField,
     ScalarLinear,
     ScalarSine,
-    evaluate,
     evaluate_many,
     f_product,
     f_reverse,
@@ -592,13 +591,12 @@ def suite_bilinears(scn) -> list[Check]:
     for _ in range(100):
         m = random_multivector(rng, even=True, scale=0.8)
         bil = bilinear_covariants(CliffordField(Constant(m)), flat, check_even=False)
-        memo: dict = {}
-        S = evaluate(bil["S"].expr, x0, memo)[0]
-        J = evaluate(bil["J"].expr, x0, memo)[0]
-        K = evaluate(bil["K"].expr, x0, memo)[0]
-        M = evaluate(bil["M"].expr, x0, memo)[0]
-        sig = evaluate(bil["sigma"], x0, memo)[0, 0]
-        om = evaluate(bil["omega"], x0, memo)[0, 0]
+        biln = bilinear_covariants(CliffordField(Constant(-1.0 * m)), flat, check_even=False)
+        keys = ("S", "J", "K", "M")
+        roots = ([bil[k].expr for k in keys] + [bil["sigma"], bil["omega"]]
+                 + [biln[k].expr for k in keys])
+        S, J, K, M, sig, om, *negated = (v[0] for v in evaluate_many(roots, x0))
+        sig, om = sig[0], om[0]
         leak = worst_of(
             float(np.max(np.abs(S[(GRADES != 0) & (GRADES != 4)]))),
             float(np.max(np.abs(J[GRADES != 1]))),
@@ -617,12 +615,8 @@ def suite_bilinears(scn) -> list[Check]:
             abs(JK),
         )
 
-        biln = bilinear_covariants(CliffordField(Constant(-1.0 * m)), flat, check_even=False)
-        memo2: dict = {}
-        for key in ("S", "J", "K", "M"):
-            dd = float(np.max(np.abs(evaluate(biln[key].expr, x0, memo2)
-                                     - evaluate(bil[key].expr, x0, memo))))
-            worst_sign = worst_of(worst_sign, dd)
+        for vn, v in zip(negated, (S, J, K, M)):
+            worst_sign = worst_of(worst_sign, float(np.max(np.abs(vn - v))))
 
     checks.append(_check(scn, "bilinears", "grade-purity",
                          "S lives in grades {0,4}, the currents in grade 1, the moment in "

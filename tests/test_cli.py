@@ -111,6 +111,26 @@ def test_exit_code_one_on_failing_check(tmp_path):
     assert "representative-residual" in failed
 
 
+@pytest.mark.parametrize("config, status", [
+    ("minkowski-plane-wave", 0),
+    (str(FIXTURES / "failing-mass-term.json"), 1),
+])
+def test_closed_stdout_keeps_the_run_status(tmp_path, config, status):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the run writes a byte
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "sta.cli", "run", config, "--grid", "2",
+             "--report-dir", str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert r.returncode == status, r.stderr
+    assert r.stderr == ""
+    assert list(tmp_path.glob("*.report.json"))
+
+
 def test_exit_code_two_on_config_error(tmp_path):
     r = run_cli("run", str(FIXTURES / "bad-tolerance.json"),
                 "--report-dir", str(tmp_path), cwd=tmp_path)

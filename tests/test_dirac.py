@@ -27,6 +27,7 @@ from sta.fields import (
     ScalarLinear,
     ScalarSine,
     evaluate,
+    evaluate_many,
     f_product,
 )
 from sta.geometry import Chart, SpacetimeSetup
@@ -285,17 +286,13 @@ def test_bilinear_grade_purity_and_quadratic_relations():
         m = Multivector(RNG.normal(size=16)).even()
         bil = bilinear_covariants(CliffordField(Constant(m)), FLAT, check_even=False)
         x0 = XS[:1]
-        memo = {}
-        S = evaluate(bil["S"].expr, x0, memo)[0]
-        J = evaluate(bil["J"].expr, x0, memo)[0]
-        K = evaluate(bil["K"].expr, x0, memo)[0]
-        M = evaluate(bil["M"].expr, x0, memo)[0]
+        roots = [bil[k].expr for k in ("S", "J", "K", "M")] + [bil["sigma"], bil["omega"]]
+        S, J, K, M, sig, om = (v[0] for v in evaluate_many(roots, x0))
+        sig, om = sig[0], om[0]
         assert np.max(np.abs(S[(GRADES != 0) & (GRADES != 4)])) < 1e-12
         assert np.max(np.abs(J[GRADES != 1])) < 1e-12
         assert np.max(np.abs(K[GRADES != 1])) < 1e-12
         assert np.max(np.abs(M[GRADES != 2])) < 1e-12
-        sig = evaluate(bil["sigma"], x0, memo)[0, 0]
-        om = evaluate(bil["omega"], x0, memo)[0, 0]
         assert abs(gp_batch(J, J)[0] - (sig**2 + om**2)) < 1e-10
         assert abs(gp_batch(K, K)[0] + (sig**2 + om**2)) < 1e-10
         assert abs(0.5 * (gp_batch(J, K) + gp_batch(K, J))[0]) < 1e-10

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sta.algebra import _T, E, E21, Multivector, exp_bivector
+from sta.algebra import _T, E, E21, GRADES, Multivector, exp_bivector, gp_batch
 from sta.errors import KindMismatch
 from sta.fields import (
     BivectorExp,
@@ -132,12 +132,13 @@ def test_bivector_exp_series_independent_of_evaluation_order():
 def test_evaluation_memo_consistency():
     expr = sample_exprs()["product"]
     xs = CHART.grid(3)
-    memo = {}
-    a = evaluate(expr, xs, memo)
-    b = evaluate(expr, xs, memo)
-    c = evaluate(expr, xs)
-    assert a is b
+    a = evaluate(expr, xs)
+    evaluate(sample_exprs()["sum"], xs)  # other evaluations in between change nothing
+    b = evaluate(expr, xs)
+    c, d = evaluate_many([expr, expr], xs)
+    assert np.array_equal(a, b)
     assert np.array_equal(a, c)
+    assert c is d  # a repeated root is one node of the plan
 
 
 def test_evaluate_shares_subtrees_without_memo(monkeypatch):
@@ -145,17 +146,46 @@ def test_evaluate_shares_subtrees_without_memo(monkeypatch):
     calls = []
     sine_eval = ScalarSine._eval
 
-    def counted(self, xs, memo):
+    def counted(self, xs, *vals):
         calls.append(self)
-        return sine_eval(self, xs, memo)
+        return sine_eval(self, xs, *vals)
 
     monkeypatch.setattr(ScalarSine, "_eval", counted)
     expr = f_product(shared, f_sum(shared, Constant(E(1))))
     xs = CHART.grid(3)
-    got = evaluate(expr, xs)  # no memo passed
+    got = evaluate(expr, xs)
     assert calls == [shared]
-    s = sine_eval(shared, xs, None)[:, :1]
+    s = sine_eval(shared, xs)[:, :1]
     assert np.array_equal(got, s * (s * np.eye(16)[0] + E(1).coeffs))
+
+
+def test_repeated_children_reach_eval_once_per_appearance():
+    xs = CHART.grid(3)
+    a = sample_exprs()["product"]
+    c = Constant(Multivector.scalar(0.5) + E(1) + 0.3 * (E(0) * E(2)))
+    va = evaluate(a, xs)
+    square, double = Product(a, a), f_sum(a, a)
+    left, right = Product(c, a), Product(a, c)
+    assert square.children == (a, a)
+    assert isinstance(double, Linear) and double.children == (a, a)
+    assert left.children == right.children == (a,)
+    got = evaluate_many([square, double, left, right, a], xs)
+    assert np.array_equal(got[0], gp_batch(va, va))
+    assert np.array_equal(got[1], va + va)
+    assert np.array_equal(got[2], gp_batch(c.value.coeffs, va))
+    assert np.array_equal(got[3], gp_batch(va, c.value.coeffs))
+    assert np.array_equal(got[4], va)
+    assert np.array_equal(evaluate(square, xs), got[0])
+
+
+def test_deep_chain_evaluates_without_recursion():
+    xs = CHART.grid(2)
+    leaf = sample_exprs()["polynomial"]
+    expr = leaf
+    for _ in range(300):  # 600 nodes deep
+        expr = Reverse(GradeSelect(expr, {0, 2}))
+    mask = np.isin(GRADES, [0, 2])
+    assert np.array_equal(evaluate(expr, xs), evaluate(leaf, xs) * mask)
 
 
 def test_sums_and_scalings_fold_into_one_linear_node():
@@ -167,15 +197,14 @@ def test_sums_and_scalings_fold_into_one_linear_node():
     assert [(k, e) for k, e in expr.terms] == [(1.0, a), (1.0, b), (2.0, c), (2.0, d)]
 
     xs = CHART.grid(3)
-    memo = {}
-    va = evaluate(a, xs, memo)
-    kept = va.copy()
+    kept = evaluate(a, xs)
 
     def oracle(f):
         return f(a) + f(b) + 2.0 * (f(c) + f(d))
 
-    assert evaluate(expr, xs, memo) == pytest.approx(oracle(lambda e: evaluate(e, xs)), rel=1e-14)
-    assert np.array_equal(memo[a], kept)  # children's memoised values stay untouched
+    va, got = evaluate_many([a, expr], xs)
+    assert got == pytest.approx(oracle(lambda e: evaluate(e, xs)), rel=1e-14)
+    assert np.array_equal(va, kept)  # the child's value, read by Linear, stays untouched
     for mu in range(4):
         want = oracle(lambda e: evaluate(e.partial(mu), xs))
         assert evaluate(expr.partial(mu), xs) == pytest.approx(want, rel=1e-14, abs=1e-14)
@@ -423,10 +452,10 @@ def test_leibniz_iteration_multiplies_each_distinct_product_once(monkeypatch):
     evaluating, general = [], []
     product_eval, kernel = Product._eval, fields.gp_batch
 
-    def observed_eval(self, xs, memo):
+    def observed_eval(self, xs, *vals):
         evaluating.append(self)
         try:
-            return product_eval(self, xs, memo)
+            return product_eval(self, xs, *vals)
         finally:
             evaluating.pop()
 
@@ -446,28 +475,28 @@ def test_leibniz_iteration_multiplies_each_distinct_product_once(monkeypatch):
 
 
 def _watch_evaluation(monkeypatch):
-    """Record every node ``_eval`` and every memo ``evaluate`` sees, with its peak size."""
+    """Record every node ``_eval`` and every plan memo after each step, with its peak size."""
     from sta import fields
 
     seen = {"nodes": [], "memos": {}, "peak": 0, "live": []}
-    real = fields.evaluate
+    real = fields._Plan.run
 
-    def watched(expr, xs, memo=None):
-        out = real(expr, xs, memo)
-        seen["memos"][id(memo)] = memo
-        seen["peak"] = max(seen["peak"], len(memo))
-        seen["live"].append(set(memo))
-        return out
+    def watched(plan, xs):
+        seen["memos"][id(plan.memo)] = plan.memo
+        for node in real(plan, xs):
+            seen["peak"] = max(seen["peak"], len(plan.memo))
+            seen["live"].append(set(plan.memo))
+            yield node
 
-    monkeypatch.setattr(fields, "evaluate", watched)
+    monkeypatch.setattr(fields._Plan, "run", watched)
     pending = [fields.FieldExpr]
     while pending:
         cls = pending.pop()
         pending.extend(cls.__subclasses__())
         if "_eval" in cls.__dict__:
-            def node_eval(self, xs, memo, _eval=cls.__dict__["_eval"]):
+            def node_eval(self, xs, *vals, _eval=cls.__dict__["_eval"]):
                 seen["nodes"].append(self)
-                return _eval(self, xs, memo)
+                return _eval(self, xs, *vals)
 
             monkeypatch.setattr(cls, "_eval", node_eval)
     return seen
@@ -475,8 +504,7 @@ def _watch_evaluation(monkeypatch):
 
 def test_sup_diffs_equal_per_pair_evaluation_with_a_shared_memo():
     pairs, xs = _leibniz_pairs()
-    memo: dict = {}
-    want = [float(np.max(np.abs(evaluate(l, xs, memo) - evaluate(r, xs, memo)))) for l, r in pairs]
+    want = [float(np.max(np.abs(evaluate(l, xs) - evaluate(r, xs)))) for l, r in pairs]
     got = sup_diffs(pairs, xs)
     assert got == want  # bit for bit
     assert sup_diffs([(l, None) for l, _ in pairs], xs) == [

@@ -14,9 +14,11 @@ from sta.fields import (
     LeftSpinorField,
     RightSpinorField,
     evaluate,
+    evaluate_many,
     f_product,
     f_reverse,
     f_scale,
+    sup_diffs,
 )
 from sta.geometry import (
     ETA,
@@ -50,9 +52,9 @@ def rc_setup(seed=0, scale=0.3):
     return SpacetimeSetup(CHART, random_connection(np.random.default_rng(seed), scale))
 
 
-def sup_diff(f1: Field, f2: Field, xs, memo=None) -> float:
-    memo = {} if memo is None else memo
-    return float(np.max(np.abs(f1.eval(xs, memo) - f2.eval(xs, memo))))
+def sup_diff(f1: Field, f2: Field, xs) -> float:
+    (d,) = sup_diffs([(f1.expr, f2.expr)], xs)
+    return d
 
 
 # -- connection ---------------------------------------------------------------
@@ -99,7 +101,6 @@ def test_connection_recovered_from_omega():
     """D_{e_a} e_b = Gamma_ab^c e_c with lowered legs, i.e. Gamma_abc e^c."""
     setup = rc_setup(7)
     xs = CHART.grid(3)
-    memo = {}
     for a in range(4):
         for b in range(4):
             nab = cov_deriv_clifford(setup.leg_lower(b), np.eye(4)[a], setup)
@@ -108,7 +109,7 @@ def test_connection_recovered_from_omega():
                 g = setup.connection.entry(a, b, c)
                 if g is not None:
                     acc = acc + f_product(g, Constant(E(c)))
-            assert sup_diff(nab, CliffordField(acc), xs, memo) < 1e-12
+            assert sup_diff(nab, CliffordField(acc), xs) < 1e-12
 
 
 # -- covariant derivatives ----------------------------------------------------
@@ -134,21 +135,20 @@ def test_leibniz_rules():
         a_expr = random_field_expr(RNG)
         b_expr = random_field_expr(RNG)
         V = RNG.normal(size=4)
-        memo = {}
         A, B = CliffordField(a_expr), CliffordField(b_expr)
         lhs = cov_deriv_clifford(A * B, V, setup)
         rhs = cov_deriv_clifford(A, V, setup) * B + A * cov_deriv_clifford(B, V, setup)
-        assert sup_diff(lhs, rhs, xs, memo) < 1e-12
+        assert sup_diff(lhs, rhs, xs) < 1e-12
 
         P = LeftSpinorField(b_expr)
         lhs = cov_deriv_left(A * P, V, setup)
         rhs = A * cov_deriv_left(P, V, setup) + cov_deriv_clifford(A, V, setup) * P
-        assert sup_diff(lhs, rhs, xs, memo) < 1e-12
+        assert sup_diff(lhs, rhs, xs) < 1e-12
 
         F = RightSpinorField(b_expr)
         lhs = cov_deriv_right(F * A, V, setup)
         rhs = F * cov_deriv_clifford(A, V, setup) + cov_deriv_right(F, V, setup) * A
-        assert sup_diff(lhs, rhs, xs, memo) < 1e-12
+        assert sup_diff(lhs, rhs, xs) < 1e-12
 
 
 def test_spinor_derivative_preserves_ideal():
@@ -398,8 +398,7 @@ def test_frame_change_two_routes_and_orthonormality():
     u = random_rotor_expr(RNG)
     fc = change_spin_frame(u, setup)
     xs = CHART.grid(3)
-    memo = {}
-    vals = [evaluate(l.expr, xs, memo) for l in fc.legs]
+    vals = evaluate_many([l.expr for l in fc.legs], xs)
     for a in range(4):
         for b in range(4):
             anti = gp_batch(vals[a], vals[b]) + gp_batch(vals[b], vals[a])
@@ -411,7 +410,7 @@ def test_frame_change_two_routes_and_orthonormality():
         lowered = Field(Kind.CLIFFORD, f_scale(float(ETA[a]), fc.legs[a].expr))
         wB = transformed_connection_form(u, setup, lowered)
         wA = f_product(f_product(u, fc.setup.omega(a)), f_reverse(u))
-        assert np.max(np.abs(evaluate(wA, xs, memo) - evaluate(wB, xs, memo))) < 1e-10
+        assert sup_diffs([(wA, wB)], xs)[0] < 1e-10
 
 
 def test_frame_change_naturality_all_kinds():
@@ -429,10 +428,9 @@ def test_frame_change_naturality_all_kinds():
     A2, V2, dA2w = fc.clifford
     P2, dP2w = fc.left
     F2, dF2w = fc.right
-    memo = {}
-    assert sup_diff(cov_deriv_clifford(A2, V2, fc.setup), dA2w, xs, memo) < 1e-10
-    assert sup_diff(cov_deriv_left(P2, V2, fc.setup), dP2w, xs, memo) < 1e-10
-    assert sup_diff(cov_deriv_right(F2, V2, fc.setup), dF2w, xs, memo) < 1e-10
+    assert sup_diff(cov_deriv_clifford(A2, V2, fc.setup), dA2w, xs) < 1e-10
+    assert sup_diff(cov_deriv_left(P2, V2, fc.setup), dP2w, xs) < 1e-10
+    assert sup_diff(cov_deriv_right(F2, V2, fc.setup), dF2w, xs) < 1e-10
 
 
 def test_rotor_validation():
