@@ -1,5 +1,7 @@
 """Command-line front end: load a scenario, run suites, write reports.
 
+The suites run one after another, in the order the scenario lists them.
+
 Exit status: 0 when every check passes, 1 on any check failure, 2 on a
 configuration problem (bad file, schema violation, unknown suite, a report
 directory that cannot be created, a report file name longer than the report
@@ -14,12 +16,11 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import ConfigError, StaError
 from .report import Report
-from .scenario import SUITE_NAMES, Scenario, builtin_scenario_names, load_config
+from .scenario import Scenario, builtin_scenario_names, load_config
 from .suites import SUITES, run_suite
 
 
@@ -41,26 +42,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def list_suites() -> int:
-    for name in SUITE_NAMES:
-        _, desc = SUITES[name]
+    for name, (_, desc) in SUITES.items():
         print(f"{name:12s} {desc}")
-    print(f"({len(SUITE_NAMES)} suites; built-in scenarios: "
+    print(f"({len(SUITES)} suites; built-in scenarios: "
           f"{', '.join(builtin_scenario_names())})")
     return 0
-
-
-def _threads() -> int:
-    """Worker count from ``VERIFY_THREADS``: unset or empty means 1."""
-    raw = os.environ.get("VERIFY_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ConfigError(f"VERIFY_THREADS must be a positive integer, got {raw!r}")
-    return n
 
 
 def _report_path(report_dir: str, name: str) -> Path:
@@ -89,7 +75,6 @@ def _report_path(report_dir: str, name: str) -> Path:
 
 def run_command(args) -> int:
     try:
-        threads = _threads()
         cfg = load_config(args.config)
         if args.grid is not None:
             cfg["grid"] = args.grid
@@ -103,22 +88,15 @@ def run_command(args) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
+    report = Report(scenario=scn.name, seed=scn.seed, grid=scn.grid)
     t0 = time.perf_counter()
     try:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = {name: pool.submit(run_suite, name, scn) for name in scn.suites}
-                results = {name: f.result() for name, f in futures.items()}
-        else:
-            results = {name: run_suite(name, scn) for name in scn.suites}
+        for name in scn.suites:
+            report.checks.extend(run_suite(name, scn))
     except StaError as exc:
         # a violated operation precondition traces back to the scenario
         print(f"configuration error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-
-    report = Report(scenario=scn.name, seed=scn.seed, grid=scn.grid)
-    for name in scn.suites:
-        report.checks.extend(results[name])
     report.wall_time_s = time.perf_counter() - t0
 
     try:

@@ -12,7 +12,8 @@ brackets; see the README for the full schema):
   params            {"mass": m, "charge": q, "potential": EXPR or {"kind":"zero"}}
   unknown           {"type": "plane-wave", "boost": ROTOR or null}
                     | {"type": "expr", "expr": EXPR} | {"type": "constant-one"}
-  suites            list of suite names [all seven]
+  suites            list of suite names, run in this order; a repeated
+                    name runs once [all seven]
   tolerances        {check-name: positive float} overrides [{}]
   grid              points per axis for residual grids [9]
   transport_steps   integrator step count [256]
@@ -60,21 +61,12 @@ from .fields import (
 )
 from .geometry import Chart, ConnectionField, SpacetimeSetup, change_spin_frame
 from .dirac import DiracParams, make_plane_wave
+from .suites import SUITES
 
 _BLADE_BY_NAME = {"1": 0, "s": 0}
 for _mask in range(1, 16):
     _name = "e" + "".join(str(a) for a in range(4) if _mask >> a & 1)
     _BLADE_BY_NAME[_name] = _mask
-
-SUITE_NAMES = (
-    "algebra",
-    "derivatives",
-    "transport",
-    "dirac-triad",
-    "gauge",
-    "lorentz",
-    "bilinears",
-)
 
 
 def _fail(msg: str):
@@ -256,13 +248,13 @@ class Scenario:
         expected_cfg = _object(cfg.get("expected", {}), "expected")
         self.expected = {k: _number(v, f"expected[{k!r}]") for k, v in expected_cfg.items()}
 
-        suites = cfg.get("suites", list(SUITE_NAMES))
+        suites = cfg.get("suites", list(SUITES))
         if not isinstance(suites, list) or not suites:
             _fail("suites must be a nonempty list")
         for s in suites:
-            if s not in SUITE_NAMES:
+            if not isinstance(s, str) or s not in SUITES:
                 raise UnknownSuite(f"unknown suite {s!r}")
-        self.suites = list(suites)
+        self.suites = list(dict.fromkeys(suites))
 
         self.setup, self.frame_rotor = self._build_setup(cfg)
 

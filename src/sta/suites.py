@@ -2,8 +2,10 @@
 
 Each suite function takes a :class:`sta.scenario.Scenario` and returns a
 list of :class:`sta.report.Check` records.  Randomized checks draw from a
-generator seeded by (scenario seed, suite index), so a fixed configuration
-yields identical reports regardless of execution order.
+generator seeded by (scenario seed, position of the suite in ``SUITES``), so
+a fixed configuration yields identical reports regardless of execution order.
+``SUITES`` is the one suite catalog: the CLI lists it and scenarios default to
+and validate against it.
 """
 
 from __future__ import annotations
@@ -79,19 +81,9 @@ from .spinors import (
     columns_from_coeffs,
 )
 
-_SUITE_INDEX = {
-    "algebra": 0,
-    "derivatives": 1,
-    "transport": 2,
-    "dirac-triad": 3,
-    "gauge": 4,
-    "lorentz": 5,
-    "bilinears": 6,
-}
-
 
 def _rng(scn, suite: str) -> np.random.Generator:
-    return np.random.default_rng([scn.seed, _SUITE_INDEX[suite]])
+    return np.random.default_rng([scn.seed, list(SUITES).index(suite)])
 
 
 def _check(scn, suite, name, law, value, default_tol, ge=False, diagnostic=False):

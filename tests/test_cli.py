@@ -68,10 +68,11 @@ def test_validation_errors():
     bad["tolerances"] = {"representative-residual": -1.0}
     with pytest.raises(ConfigError):
         Scenario(bad)
-    bad = dict(base)
-    bad["suites"] = ["dirac-triad", "nope"]
-    with pytest.raises(UnknownSuite):
-        Scenario(bad)
+    for suites in (["dirac-triad", "nope"], ["dirac-triad", ["algebra"]]):
+        bad = dict(base)
+        bad["suites"] = suites
+        with pytest.raises(UnknownSuite):
+            Scenario(bad)
     bad = dict(base)
     bad["chart"] = {"lo": [0, 0, 0, 0], "hi": [0, 1, 1, 1]}
     with pytest.raises(ConfigError):
@@ -139,15 +140,18 @@ def test_exit_code_two_on_config_error(tmp_path):
     assert not list(tmp_path.glob("*.report.json"))  # no report written
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_exit_code_two_on_bad_thread_count(tmp_path, value):
-    r = run_cli("run", "minkowski-plane-wave", "--report-dir", str(tmp_path),
-                cwd=tmp_path, env=dict(os.environ, VERIFY_THREADS=value))
-    assert r.returncode == 2
-    assert r.stderr.splitlines() == [
-        f"configuration error: VERIFY_THREADS must be a positive integer, got {value!r}"
-    ]
-    assert not list(tmp_path.glob("*.report.json"))
+@pytest.mark.parametrize("value", ["abc", "0", "2"])
+def test_verify_threads_is_no_longer_read(tmp_path, value):
+    # suites always run one after another; the variable, valid or not, changes nothing
+    unset = {k: v for k, v in os.environ.items() if k != "VERIFY_THREADS"}
+    runs = {}
+    for label, env in (("unset", unset), ("set", dict(unset, VERIFY_THREADS=value))):
+        r = run_cli("run", "minkowski-plane-wave", "--grid", "3",
+                    "--report-dir", str(tmp_path / label), cwd=tmp_path, env=env)
+        assert r.returncode == 0, r.stdout + r.stderr
+        assert r.stderr == ""
+        runs[label] = (tmp_path / label / "minkowski-plane-wave.report.json").read_bytes()
+    assert runs["set"] == runs["unset"]
 
 
 def _set(section, **values):
@@ -397,17 +401,40 @@ def test_report_lists_every_check_once(tmp_path):
     assert {s for s, _ in keys} == {"algebra", "dirac-triad", "bilinears"}
 
 
-def test_threaded_run_matches_serial(tmp_path):
-    # suite threads share the node table, so a threaded run must build the same nodes
-    for name, grid, threads in (("minkowski-plane-wave", "3", "3"),
-                                ("torsion-toy", "2", "2"),
-                                ("gauge-sine", "2", "2"),
-                                ("lorentz-local-rotor", "2", "2")):
-        d1, d2 = tmp_path / name / "serial", tmp_path / name / "threads"
-        r = run_cli("run", name, "--grid", grid, "--report-dir", str(d1), cwd=tmp_path)
+def test_repeated_suite_runs_once(tmp_path):
+    reports = {}
+    for label, args in (("once", ("--suite", "algebra")),
+                        ("twice", ("--suite", "algebra", "--suite", "algebra"))):
+        r = run_cli("run", "minkowski-plane-wave", *args,
+                    "--report-dir", str(tmp_path / label), cwd=tmp_path)
         assert r.returncode == 0, r.stdout + r.stderr
-        r = run_cli("run", name, "--grid", grid, "--report-dir", str(d2), cwd=tmp_path,
-                    env=dict(os.environ, VERIFY_THREADS=threads))
+        reports[label] = (tmp_path / label / "minkowski-plane-wave.report.json").read_bytes()
+    assert reports["twice"] == reports["once"]
+    cfg = small(load_config("gauge-sine"))
+    cfg["suites"] = ["gauge", "algebra", "gauge"]
+    assert Scenario(cfg).suites == ["gauge", "algebra"]
+
+
+def _checks_by_key(path):
+    checks = json.loads(path.read_text())["checks"]
+    suites = list(dict.fromkeys(c["suite"] for c in checks))
+    return suites, {(c["suite"], c["name"]): (c["value"], c["tol"], c["passed"])
+                    for c in checks}
+
+
+def test_suite_order_does_not_change_results(tmp_path):
+    # a check's result does not depend on what the suites before it evaluated
+    for name, grid in (("minkowski-plane-wave", "3"), ("torsion-toy", "2"),
+                       ("gauge-sine", "2"), ("lorentz-local-rotor", "2")):
+        listed, backward = tmp_path / name / "listed", tmp_path / name / "reversed"
+        r = run_cli("run", name, "--grid", grid, "--report-dir", str(listed), cwd=tmp_path)
         assert r.returncode == 0, r.stdout + r.stderr
-        assert (d1 / f"{name}.report.json").read_bytes() == \
-            (d2 / f"{name}.report.json").read_bytes(), name
+        suites, checks = _checks_by_key(listed / f"{name}.report.json")
+        assert suites == load_config(name)["suites"]
+        args = [a for s in reversed(suites) for a in ("--suite", s)]
+        r = run_cli("run", name, "--grid", grid, *args, "--report-dir", str(backward),
+                    cwd=tmp_path)
+        assert r.returncode == 0, r.stdout + r.stderr
+        suites_rev, checks_rev = _checks_by_key(backward / f"{name}.report.json")
+        assert suites_rev == suites[::-1], name
+        assert checks_rev == checks, name
