@@ -42,7 +42,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def list_suites() -> int:
-    for name, (_, desc) in SUITES.items():
+    for name, (_, desc, _) in SUITES.items():
         print(f"{name:12s} {desc}")
     print(f"({len(SUITES)} suites; built-in scenarios: "
           f"{', '.join(builtin_scenario_names())})")

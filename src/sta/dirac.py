@@ -45,8 +45,8 @@ from .fields import (
     f_reverse,
     f_scale,
     f_sum,
+    fold_sups,
     rotor_wave,
-    sup_diffs,
     worst_of,
 )
 from .geometry import (
@@ -68,7 +68,7 @@ __all__ = [
     "residual_left_form",
     "residual_complex_ideal",
     "residual_covariant",
-    "covariant_nodes",
+    "covariant_map",
     "gauge_transform_left_form",
     "gauge_transform_representative",
     "gauge_rotor_expr",
@@ -118,7 +118,7 @@ class Residual:
     """Field-valued equation residual on the points ``xs``.
 
     ``values`` and the grid sup norm ``sup`` are computed on first access,
-    so a residual that is only compared (through ``sup_diffs``) is never
+    so a residual that is only compared (through ``fold_sups``) is never
     evaluated on its own.
     """
 
@@ -210,56 +210,56 @@ class ColumnSpinorField:
         self.rep = rep
 
 
-def covariant_nodes(col: ColumnSpinorField, params: DiracParams,
-                    setup: SpacetimeSetup) -> list[FieldExpr]:
-    """The field nodes whose values ``residual_covariant`` reads."""
-    ideal = col.ideal.expr
-    return ([ideal, *(ideal.partial(mu) for mu in range(4)), params.potential.expr]
-            + [setup.tetrad.entry(a, mu) for a in range(4) for mu in range(4)]
-            + [setup.omega(a) for a in range(4)])
+def covariant_map(col: ColumnSpinorField, params: DiracParams, setup: SpacetimeSetup):
+    """The column residual as a value map: (the field nodes it reads, map).
 
-
-def residual_covariant(col: ColumnSpinorField, params: DiracParams,
-                       setup: SpacetimeSetup, xs: np.ndarray | None = None,
-                       values: dict | None = None) -> Residual:
-    """Column residual c gamma^a (Dcol_a + c q A_a) |psi> - m |psi>.
-
-    Everything on this route is 4x4 matrix algebra: the spinor covariant
-    derivative acts on columns as the coordinate derivative plus half the
-    matrix image of the connection bivector, which is the column-side
-    conjugate of the left-spinor derivative.  ``values`` maps each of
-    ``covariant_nodes`` to its value on ``xs`` when the caller evaluated
-    them together with other fields; without it they are evaluated here, in
-    one plan.
+    The map takes the values of those nodes, in order, and returns the
+    column residual c gamma^a (Dcol_a + c q A_a) |psi> - m |psi> on their
+    points.  Everything on this route is 4x4 matrix algebra: the spinor
+    covariant derivative acts on columns as the coordinate derivative plus
+    half the matrix image of the connection bivector, which is the
+    column-side conjugate of the left-spinor derivative.
     """
-    if xs is None:
-        xs = setup.chart.grid(5)
-    if values is None:
-        nodes = covariant_nodes(col, params, setup)
-        values = dict(zip(nodes, evaluate_many(nodes, xs)))
     rep = col.rep
     c = IDEAL_PHASE
     ideal = col.ideal.expr
-    cols = columns_from_coeffs(values[ideal], rep)
-    dcols_coord = [columns_from_coeffs(values[ideal.partial(mu)], rep) for mu in range(4)]
-    pot = values[params.potential.expr]
+    nodes = ([ideal, *(ideal.partial(mu) for mu in range(4)), params.potential.expr]
+             + [setup.tetrad.entry(a, mu) for a in range(4) for mu in range(4)]
+             + [setup.omega(a) for a in range(4)])
 
-    out = -params.mass * cols
-    for a in range(4):
-        # frame-direction derivative through the tetrad
-        dcol = np.zeros_like(cols)
-        for mu in range(4):
-            ev = values[setup.tetrad.entry(a, mu)][:, 0]
-            dcol = dcol + ev[:, None] * dcols_coord[mu]
-        w = values[setup.omega(a)]
-        if np.any(w):
-            wmat = rep.rho_batch(w)
-            dcol = dcol + 0.5 * np.einsum("nij,nj->ni", wmat, cols)
-        # gamma^a (dcol + c q A_a cols)
-        A_a = pot[:, 1 << a]
-        term = dcol + (c * params.charge) * A_a[:, None] * cols
-        out = out + c * np.einsum("ij,nj->ni", rep.gammas[a], term)
-    return Residual(None, xs, out)
+    def residual(*vals) -> np.ndarray:
+        values = dict(zip(nodes, vals))
+        cols = columns_from_coeffs(values[ideal], rep)
+        dcols_coord = [columns_from_coeffs(values[ideal.partial(mu)], rep) for mu in range(4)]
+        pot = values[params.potential.expr]
+
+        out = -params.mass * cols
+        for a in range(4):
+            # frame-direction derivative through the tetrad
+            dcol = np.zeros_like(cols)
+            for mu in range(4):
+                ev = values[setup.tetrad.entry(a, mu)][:, 0]
+                dcol = dcol + ev[:, None] * dcols_coord[mu]
+            w = values[setup.omega(a)]
+            if np.any(w):
+                wmat = rep.rho_batch(w)
+                dcol = dcol + 0.5 * np.einsum("nij,nj->ni", wmat, cols)
+            # gamma^a (dcol + c q A_a cols)
+            A_a = pot[:, 1 << a]
+            term = dcol + (c * params.charge) * A_a[:, None] * cols
+            out = out + c * np.einsum("ij,nj->ni", rep.gammas[a], term)
+        return out
+
+    return nodes, residual
+
+
+def residual_covariant(col: ColumnSpinorField, params: DiracParams,
+                       setup: SpacetimeSetup, xs: np.ndarray | None = None) -> Residual:
+    """Column residual of ``col`` on ``xs``: ``covariant_map``'s nodes in one plan."""
+    if xs is None:
+        xs = setup.chart.grid(5)
+    nodes, residual = covariant_map(col, params, setup)
+    return Residual(None, xs, residual(*evaluate_many(nodes, xs)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +344,7 @@ def lorentz_covariance_check(psi: Field, params: DiracParams, setup: SpacetimeSe
     psi2 = fc.representatives[0]
     r2 = residual_representative(psi2, params2, fc.setup, xs, check_even=False)
     expected = f_product(f_reverse(u), r1.field.expr)
-    (defect,) = sup_diffs([(r2.field.expr, expected)], xs)
+    defect = fold_sups({}, [("defect", (r2.field.expr, expected))], xs)["defect"]
     return LorentzReport(defect, r1, r2, fc)
 
 

@@ -10,10 +10,11 @@ union DAG of its roots in post-order, without recursion, evaluates each node
 once by handing its ``_eval`` the values of its ``children`` (in order, with
 repeats), and drops every value after its last use.  A node never evaluates
 another node and no caller holds a memo.  Three entry points run a plan:
-``sup_diffs(pairs, xs)``, the residual reducer, returns each (lhs, rhs)
-pair's max|lhs - rhs|; ``evaluate_many(roots, xs)`` keeps the roots' values,
-for comparisons that are not a difference of two nodes; ``evaluate(expr,
-xs)`` is its one-root case.
+``fold_sups(worst, residuals, xs)``, the one residual reducer, folds the sup
+of each named residual (a pair of nodes, or a map from some nodes' values to
+an array) into ``worst[name]`` with the NaN-keeping ``worst_of``;
+``evaluate_many(roots, xs)`` keeps the roots' values; ``evaluate(expr, xs)``
+is its one-root case.
 
 The node set: leaves (``Constant``, ``Polynomial`` and the scalar
 ``ScalarLinear``, ``ScalarSine``, ``ScalarGaussian``), one linear node
@@ -51,6 +52,7 @@ how constant algebra elements act on spinor fields from the outside.
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 
 import numpy as np
@@ -83,7 +85,7 @@ __all__ = [
     "BivectorExp",
     "rotor_wave",
     "evaluate",
-    "sup_diffs",
+    "fold_sups",
     "evaluate_many",
     "worst_of",
     "Kind",
@@ -152,31 +154,36 @@ class _Plan:
             del self.memo[node]
 
 
-def sup_diffs(pairs, xs: np.ndarray) -> list[float]:
-    """max|lhs - rhs| over the points ``xs`` for each (lhs, rhs) pair of nodes.
+def fold_sups(worst: dict, residuals, xs: np.ndarray) -> dict:
+    """Fold the sup over the points ``xs`` of each residual into ``worst[name]``.
 
-    A right side of None reduces the pair to max|lhs|.  All pairs share one
-    plan, so each node is evaluated once and its value is dropped after its
-    last use; a pair is reduced as soon as both sides exist, and then
-    releases them.  The sups equal those of per-pair ``evaluate`` calls, bit
-    for bit, and a NaN anywhere in a pair's difference makes its sup NaN.
+    A residual is a check name and either a pair ``(name, (lhs, rhs))`` of
+    nodes, reduced to max|lhs - rhs| (max|lhs| when rhs is None), or a value
+    map ``(name, nodes, fn)``, reduced to max|fn(*values of nodes)|.  All
+    residuals share one plan, so each node is evaluated once; a residual is
+    reduced as soon as its last node exists, and then releases its nodes.
+    Each sup enters ``worst[name]`` (0.0 when absent) through ``worst_of``,
+    so a NaN stays.  Returns ``worst``.  A map gets ``evaluate``'s values bit
+    for bit, but its arithmetic is its own: 2-D ``gp_batch`` in place of 1-D
+    calls on one point, or ``a - (b + c)`` for ``(a - b) - c``, can change
+    the last bits of a reported value.
     """
-    plan = _Plan([e for pair in pairs for e in pair if e is not None])
+    # a pair is the value map lhs - rhs, or +lhs alone
+    maps = [(name, nodes, fn[0]) if fn else (name, nodes[:1], operator.pos)
+            if nodes[1] is None else (name, nodes, operator.sub)
+            for name, nodes, *fn in residuals]
+    plan = _Plan([node for _, nodes, _ in maps for node in nodes])
     step = {node: i for i, node in enumerate(plan.nodes)}
-    due: dict = {}  # node -> the pairs whose later side it is
-    for k, (lhs, rhs) in enumerate(pairs):
-        last = lhs if rhs is None or step[lhs] > step[rhs] else rhs
-        due.setdefault(last, []).append(k)
-    sups = [0.0] * len(pairs)
+    due: dict = {}  # node -> the residuals whose last node it is
+    for m in maps:
+        due.setdefault(max(m[1], key=step.__getitem__), []).append(m)
     for node in plan.run(xs):
-        for k in due.get(node, ()):
-            lhs, rhs = pairs[k]
-            diff = plan.memo[lhs] if rhs is None else plan.memo[lhs] - plan.memo[rhs]
-            sups[k] = float(np.max(np.abs(diff)))
-            plan.release(lhs)
-            if rhs is not None:
-                plan.release(rhs)
-    return sups
+        for name, nodes, fn in due.get(node, ()):
+            sup = float(np.max(np.abs(fn(*(plan.memo[n] for n in nodes)))))
+            worst[name] = worst_of(worst.get(name, 0.0), sup)
+            for n in nodes:
+                plan.release(n)
+    return worst
 
 
 def evaluate_many(roots, xs: np.ndarray) -> list[np.ndarray]:

@@ -14,12 +14,14 @@ brackets; see the README for the full schema):
                     | {"type": "expr", "expr": EXPR} | {"type": "constant-one"}
   suites            list of suite names, run in this order; a repeated
                     name runs once [all seven]
-  tolerances        {check-name: positive float} overrides [{}]
+  tolerances        {check-name: positive float} overrides; each key names a
+                    check of any suite in the catalog [{}]
   grid              points per axis for residual grids [9]
   transport_steps   integrator step count [256]
   seed              integer for the randomized property checks [0]
   expected          {check-name: value} turns residual checks into
-                    expected-value diagnostics [{}]
+                    expected-value diagnostics; each key names one of the
+                    four dirac-triad residual checks that read it [{}]
 
 Every section is an object and every number a finite JSON number (booleans
 are not numbers); grid, transport_steps, seed, polynomial powers and
@@ -239,14 +241,22 @@ class Scenario:
         if self.seed < 0:
             _fail("seed must be nonnegative")
 
+        rows = [row for _, _, table in SUITES.values() for row in table]
+        expectable = [row.name for row in rows if row.expectable]
         tol_cfg = _object(cfg.get("tolerances", {}), "tolerances")
         self.tolerances = {k: _number(v, f"tolerances[{k!r}]") for k, v in tol_cfg.items()}
         for k, v in self.tolerances.items():
+            if k not in {row.name for row in rows}:
+                _fail(f"tolerances[{k!r}]: no check of that name in the catalog")
             if v <= 0:
                 _fail(f"tolerances[{k!r}] must be a positive number")
 
         expected_cfg = _object(cfg.get("expected", {}), "expected")
         self.expected = {k: _number(v, f"expected[{k!r}]") for k, v in expected_cfg.items()}
+        for k in self.expected:
+            if k not in expectable:
+                _fail(f"expected[{k!r}]: not one of the residual checks that read an "
+                      f"expected value ({', '.join(expectable)})")
 
         suites = cfg.get("suites", list(SUITES))
         if not isinstance(suites, list) or not suites:

@@ -179,6 +179,9 @@ BAD_CONFIGS = {
         {"kind": "polynomial", "terms": [{"blade": "1", "coef": float("inf")}]}),
     "expr-power-float": _unknown_expr(
         {"kind": "polynomial", "terms": [{"blade": "1", "coef": 1.0, "powers": [1.5, 0, 0, 0]}]}),
+    "tolerance-misspelled-check": _set(None, tolerances={"asociativity": 1e-30}),
+    "tolerance-empty-check-name": _set(None, tolerances={"": 1.0}),
+    "expected-non-residual-check": _set(None, expected={"associativity": 5.0}),
 }
 
 
@@ -194,6 +197,17 @@ def test_exit_code_two_on_malformed_numbers_and_sections(tmp_path, case):
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("configuration error: "), r.stderr
     assert not list(tmp_path.glob("*.report.json"))
+
+
+def test_tolerance_for_a_check_of_an_unselected_suite_runs(tmp_path):
+    cfg = load_config("minkowski-plane-wave")
+    cfg.update(suites=["algebra"], tolerances={"leibniz-clifford": 1e-3})
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(cfg))
+    r = run_cli("run", str(path), "--grid", "2", "--report-dir", str(tmp_path), cwd=tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    report = json.loads((tmp_path / "minkowski-plane-wave.report.json").read_text())
+    assert {c["suite"] for c in report["checks"]} == {"algebra"}
 
 
 def _main(*argv):

@@ -28,8 +28,8 @@ from sta.fields import (
     f_reverse,
     f_scale,
     f_sum,
+    fold_sups,
     rotor_wave,
-    sup_diffs,
     worst_of,
 )
 from sta.geometry import Chart, fd_directional
@@ -414,7 +414,7 @@ def _structure_numbers():
 
 
 def _leibniz_pairs():
-    """The four (lhs, rhs) Leibniz pairs of one derivative-suite iteration, and the grid."""
+    """The four named Leibniz residuals of one derivative-suite iteration, and the grid."""
     from sta.geometry import cov_deriv_clifford, cov_deriv_left, cov_deriv_right, effective_deriv
     from sta.scenario import Scenario, load_config
     from sta.suites import _rng, random_field_expr, random_setup
@@ -428,17 +428,17 @@ def _leibniz_pairs():
     B, P, F = CliffordField(bexpr), LeftSpinorField(bexpr), RightSpinorField(bexpr)
     psi = CliffordField(random_field_expr(rng, even=True))
     pairs = [
-        (cov_deriv_clifford(A * B, V, setup),
+        ("leibniz-clifford", cov_deriv_clifford(A * B, V, setup),
          cov_deriv_clifford(A, V, setup) * B + A * cov_deriv_clifford(B, V, setup)),
-        (cov_deriv_left(A * P, V, setup),
+        ("leibniz-left", cov_deriv_left(A * P, V, setup),
          A * cov_deriv_left(P, V, setup) + cov_deriv_clifford(A, V, setup) * P),
-        (cov_deriv_right(F * A, V, setup),
+        ("leibniz-right", cov_deriv_right(F * A, V, setup),
          F * cov_deriv_clifford(A, V, setup) + cov_deriv_right(F, V, setup) * A),
-        (effective_deriv(A * psi, 1, setup, check_even=False),
+        ("leibniz-effective", effective_deriv(A * psi, 1, setup, check_even=False),
          cov_deriv_clifford(A, np.eye(4)[1], setup) * psi
          + A * effective_deriv(psi, 1, setup, check_even=False)),
     ]
-    return [(lhs.expr, rhs.expr) for lhs, rhs in pairs], scn.chart.grid(scn.grid)
+    return [(name, (lhs.expr, rhs.expr)) for name, lhs, rhs in pairs], scn.chart.grid(scn.grid)
 
 
 def test_leibniz_iteration_multiplies_each_distinct_product_once(monkeypatch):
@@ -467,8 +467,8 @@ def test_leibniz_iteration_multiplies_each_distinct_product_once(monkeypatch):
     monkeypatch.setattr(Product, "_eval", observed_eval)
     monkeypatch.setattr(fields, "gp_batch", observed_kernel)
 
-    sups = sup_diffs(pairs, xs)
-    assert len(sups) == 4 and all(d < 1e-9 for d in sups), sups
+    sups = fold_sups({}, pairs, xs)
+    assert len(sups) == 4 and all(d < 1e-9 for d in sups.values()), sups
     assert len(general) >= 20
     repeated = {n: k for n, k in Counter(general).items() if k > 1}
     assert not repeated, f"{len(repeated)} products reached the kernel more than once"
@@ -504,11 +504,12 @@ def _watch_evaluation(monkeypatch):
 
 def test_sup_diffs_equal_per_pair_evaluation_with_a_shared_memo():
     pairs, xs = _leibniz_pairs()
-    want = [float(np.max(np.abs(evaluate(l, xs) - evaluate(r, xs)))) for l, r in pairs]
-    got = sup_diffs(pairs, xs)
+    want = {name: float(np.max(np.abs(evaluate(l, xs) - evaluate(r, xs))))
+            for name, (l, r) in pairs}
+    got = fold_sups({}, pairs, xs)
     assert got == want  # bit for bit
-    assert sup_diffs([(l, None) for l, _ in pairs], xs) == [
-        float(np.max(np.abs(evaluate(l, xs)))) for l, _ in pairs]
+    assert fold_sups({}, [(name, (l, None)) for name, (l, _) in pairs], xs) == {
+        name: float(np.max(np.abs(evaluate(l, xs)))) for name, (l, _) in pairs}
 
 
 def test_sup_diffs_evaluates_each_node_once_and_drops_every_value(monkeypatch):
@@ -516,7 +517,7 @@ def test_sup_diffs_evaluates_each_node_once_and_drops_every_value(monkeypatch):
 
     pairs, xs = _leibniz_pairs()
     seen = _watch_evaluation(monkeypatch)
-    sup_diffs(pairs, xs)
+    fold_sups({}, pairs, xs)
     counts = Counter(seen["nodes"])
     assert len(counts) > 50
     assert set(counts.values()) == {1}, "a node was evaluated more than once"
@@ -524,17 +525,17 @@ def test_sup_diffs_evaluates_each_node_once_and_drops_every_value(monkeypatch):
     assert memo == {}, f"{len(memo)} values outlived the call"
     assert seen["peak"] < len(counts), (seen["peak"], len(counts))
     # the first pair is reduced, and its sides released, before the last pair is evaluated
-    first, last = pairs[0], pairs[-1][1]
+    first, last = pairs[0][1], pairs[-1][1][1]
     assert not any(last in live and (first[0] in live or first[1] in live) for live in seen["live"])
 
 
 def test_sup_diffs_order_is_reproducible(monkeypatch):
     pairs, xs = _leibniz_pairs()
     seen = _watch_evaluation(monkeypatch)
-    sup_diffs(pairs, xs)
+    fold_sups({}, pairs, xs)
     first = list(seen["nodes"])
     seen["nodes"].clear()
-    sup_diffs(pairs, xs)
+    fold_sups({}, pairs, xs)
     assert seen["nodes"] == first
 
 
@@ -543,20 +544,73 @@ def test_sup_diffs_keep_a_nan_pair_nan():
     broken = Polynomial([(0, float("nan"), (1, 0, 0, 0))])
     fine = ScalarSine(0.8, [1.0, 0.5, 0.0, 0.3], 0.2)
     shared = f_product(fine, Constant(E(1)))
-    pairs = [(f_sum(shared, broken), shared), (shared, f_scale(2.0, shared)), (broken, None)]
-    nan_sup, sup, nan_alone = sup_diffs(pairs, xs)
-    assert np.isnan(nan_sup) and np.isnan(nan_alone)
-    assert sup == float(np.max(np.abs(evaluate(shared, xs))))
-    assert np.isnan(worst_of(0.0, nan_sup, 1.0)) and np.isnan(worst_of(nan_sup, 1.0))
+    pairs = [("nan", (f_sum(shared, broken), shared)), ("fine", (shared, f_scale(2.0, shared))),
+             ("nan-alone", (broken, None))]
+    sups = fold_sups({}, pairs, xs)
+    assert np.isnan(sups["nan"]) and np.isnan(sups["nan-alone"])
+    assert sups["fine"] == float(np.max(np.abs(evaluate(shared, xs))))
+    assert np.isnan(worst_of(0.0, sups["nan"], 1.0)) and np.isnan(worst_of(sups["nan"], 1.0))
     assert worst_of(0.0, 2.0, 1.0) == 2.0
 
 
 def test_evaluate_many_keeps_only_the_roots(monkeypatch):
     pairs, xs = _leibniz_pairs()
-    roots = [e for pair in pairs for e in pair]
+    roots = [e for _, pair in pairs for e in pair]
     want = [evaluate(e, xs) for e in roots]
     seen = _watch_evaluation(monkeypatch)
     got = evaluate_many(roots, xs)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     (memo,) = seen["memos"].values()
     assert set(memo) == set(roots)
+
+
+def test_value_map_sharing_nodes_with_a_pair_evaluates_each_node_once(monkeypatch):
+    from collections import Counter
+
+    pairs, xs = _leibniz_pairs()
+    lhs, rhs = pairs[0][1]
+    nodes = (lhs, rhs, lhs.children[0])  # both sides of a pair and a node inside them
+    fn = lambda l, r, c: (l - r) * 2.0 - c
+    want = float(np.max(np.abs(fn(*evaluate_many(nodes, xs)))))
+    seen = _watch_evaluation(monkeypatch)
+    got = fold_sups({}, pairs + [("map", nodes, fn)], xs)
+    assert got["map"] == want  # bit for bit
+    assert set(got) == {"map"} | {name for name, _ in pairs}
+    counts = Counter(seen["nodes"])
+    assert set(counts.values()) == {1}, "a node was evaluated more than once"
+    (memo,) = seen["memos"].values()
+    assert memo == {}, f"{len(memo)} values outlived the call"
+
+
+def test_value_map_fires_once_its_last_node_exists():
+    xs = CHART.grid(2)
+    early = ScalarSine(0.8, [1.0, 0.5, 0.0, 0.3], 0.2)
+    late = f_product(f_product(early, Constant(E(1))), Constant(E(2)))  # planned after early
+    vals = {e: evaluate(e, xs) for e in (early, late)}
+    got = fold_sups({}, [("late-first", (late, early), lambda a, b: a - b),
+                         ("early-first", (early, late), lambda a, b: a + b)], xs)
+    assert got == {"late-first": float(np.max(np.abs(vals[late] - vals[early]))),
+                   "early-first": float(np.max(np.abs(vals[early] + vals[late])))}
+
+
+def test_value_map_keeps_a_nan_under_its_name():
+    xs = CHART.grid(2)
+    broken = Polynomial([(0, float("nan"), (1, 0, 0, 0))])
+    fine = ScalarSine(0.8, [1.0, 0.5, 0.0, 0.3], 0.2)
+    worst = {"broken": 5.0}
+    fold_sups(worst, [("broken", (broken, fine), lambda b, f: f - b), ("broken", (fine, None)),
+                      ("fine", (fine,), lambda f: f)], xs)
+    assert np.isnan(worst["broken"])
+    assert worst["fine"] == float(np.max(np.abs(evaluate(fine, xs))))
+
+
+def test_two_calls_into_one_dict_equal_the_worst_of_both():
+    xs = CHART.grid(2)
+    a = ScalarSine(0.8, [1.0, 0.5, 0.0, 0.3], 0.2)
+    b = ScalarLinear([0.2, -0.1, 0.3, 0.05], 0.4)
+    calls = ([("x", (a, None)), ("y", (b, None)), ("z", (a, b))],
+             [("x", (b, None)), ("y", (a, None)), ("z", (f_scale(3.0, a), b))])
+    first, second = (fold_sups({}, residuals, xs) for residuals in calls)
+    both = fold_sups(fold_sups({}, calls[0], xs), calls[1], xs)
+    assert both == {k: worst_of(first[k], second[k]) for k in first}
+    assert first["x"] != second["x"] and first["z"] != second["z"]

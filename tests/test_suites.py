@@ -1,0 +1,39 @@
+"""The check catalog: every suite emits its catalog rows, in order, from one emitter."""
+
+import pytest
+
+from sta.scenario import Scenario, load_config
+from sta.suites import SUITES, run_suite
+
+
+def _grid2(**overrides) -> Scenario:
+    return Scenario(dict(load_config("minkowski-plane-wave"), grid=2, transport_steps=32,
+                         **overrides))
+
+
+def test_check_names_are_unique_across_suites():
+    names = [row.name for _, _, rows in SUITES.values() for row in rows]
+    assert len(names) == len(set(names))  # tolerances are keyed by check name alone
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_emitted_checks_are_the_catalog_rows_in_order(suite):
+    checks = run_suite(suite, _grid2())
+    rows = SUITES[suite][2]
+    assert [(c.suite, c.name, c.law, c.tol, c.diagnostic) for c in checks] == [
+        (suite, row.name, row.law, row.tol, False) for row in rows]
+    for c, row in zip(checks, rows):
+        assert c.passed == (c.value >= c.tol if row.at_least else c.value <= c.tol)
+
+
+def test_expected_value_turns_a_residual_row_into_a_diagnostic():
+    plain = {c.name: c for c in run_suite("dirac-triad", _grid2())}
+    checks = run_suite("dirac-triad", _grid2(expected={"left-residual": 1.0},
+                                              tolerances={"left-residual": 0.5}))
+    for c in checks:
+        if c.name == "left-residual":
+            assert c.diagnostic and c.tol == 0.5
+            assert c.law == plain[c.name].law + " (expected nonzero value 1)"
+            assert c.value == abs(plain[c.name].value - 1.0) and c.passed == (c.value <= 0.5)
+        else:
+            assert (c.value, c.law, c.diagnostic) == (plain[c.name].value, plain[c.name].law, False)
