@@ -8,8 +8,8 @@ Layers, bottom up:
   fields     field expressions with exact derivatives; field kinds
   geometry   charts, connections, covariant derivatives, transport,
              changes of spin frame
-  dirac      the equation residuals in all their forms, gauge and frame
-             covariance, bilinears
+  dirac      the equation residuals in all their forms, as fields, and the
+             gauge and frame covariance laws; bilinears
   suites     the verification suites wired into the `verify` CLI
 """
 
@@ -31,10 +31,7 @@ from .algebra import (
     reverse,
 )
 from .dirac import (
-    ColumnSpinorField,
     DiracParams,
-    GaugeFn,
-    Residual,
     bilinear_covariants,
     gauge_transform_left_form,
     gauge_transform_representative,
@@ -77,7 +74,6 @@ from .fields import (
 )
 from .geometry import (
     Chart,
-    spin_connection,
     ConnectionField,
     Curve,
     SpacetimeSetup,

@@ -123,7 +123,6 @@ class _Tables:
         self.reverse_signs = np.array(
             [(-1.0) ** (g * (g - 1) // 2) for g in self.grades]
         )
-        self.even_mask = (self.grades % 2 == 0).astype(float)
         self.dim = dim
 
 
@@ -294,17 +293,6 @@ def blade_name(mask: int) -> str:
     if mask == 0:
         return "1"
     return "e" + "".join(str(a) for a in range(STA.n_gen) if mask >> a & 1)
-
-
-def blade_mask(*generators: int) -> int:
-    mask = 0
-    for g in generators:
-        if not 0 <= g < STA.n_gen:
-            raise ValueError(f"generator index {g} out of range")
-        if mask >> g & 1:
-            raise ValueError("repeated generator in blade")
-        mask |= 1 << g
-    return mask
 
 
 # Canonical basis vectors.  E(a) is the upper-index generator e^a; lowering

@@ -3,11 +3,13 @@
 The suites run one after another, in the order the scenario lists them.
 
 Exit status: 0 when every check passes, 1 on any check failure, 2 on a
-configuration problem (bad file, schema violation, unknown suite, a report
-directory that cannot be created, a report file name longer than the report
-directory allows, or a report that cannot be written).  A standard output
-that its reader closes early leaves the status as it is: the report file is
-written before the summary.
+configuration problem (bad file, schema violation, unknown suite, a scenario
+whose frame, connection or expressions violate a precondition of the
+operations that build or check it, a report directory that cannot be
+created, a report file name longer than the report directory allows, or a
+report that cannot be written).  A standard output that its reader closes
+early leaves the status as it is: the report file is written before the
+summary.
 """
 
 from __future__ import annotations
@@ -84,18 +86,15 @@ def run_command(args) -> int:
             cfg["suites"] = args.suite
         scn = Scenario(cfg)
         out_path = _report_path(args.report_dir, scn.name)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-
-    report = Report(scenario=scn.name, seed=scn.seed, grid=scn.grid)
-    t0 = time.perf_counter()
-    try:
+        report = Report(scenario=scn.name, seed=scn.seed, grid=scn.grid)
+        t0 = time.perf_counter()
         for name in scn.suites:
             report.checks.extend(run_suite(name, scn))
     except StaError as exc:
-        # a violated operation precondition traces back to the scenario
-        print(f"configuration error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # a violated operation precondition, while the scenario is built or
+        # a suite runs, traces back to the scenario too
+        detail = exc if isinstance(exc, ConfigError) else f"{type(exc).__name__}: {exc}"
+        print(f"configuration error: {detail}", file=sys.stderr)
         return 2
     report.wall_time_s = time.perf_counter() - t0
 

@@ -1,4 +1,4 @@
-"""Residual evaluators for the three faces of the Dirac equation.
+"""Residuals of the three faces of the Dirac equation, as fields.
 
 The three forms, for mass m, charge q and electromagnetic potential A:
 
@@ -15,6 +15,14 @@ The three forms, for mass m, charge q and electromagnetic potential A:
   column spinors, through the matrix representation, same constant c:
       c gamma^a (Dcol_a + c q A_a) |psi> - m |psi>               (column form)
 
+Each residual function returns the section it builds and evaluates nothing
+beyond its guards: the representative residual is a Clifford field, the
+left and ideal residuals are left spinor fields.  The column residual lives
+outside the field algebra, so ``residual_covariant`` returns it as a value
+map, the nodes it reads and the map from their values to columns.  The
+gauge and frame-change laws are returned the same way, as fields or node
+pairs, and ``fields.fold_sups`` reduces them.
+
 Right-multiplying the left form by the idempotent f turns E21 into the
 scalar c and E0 into 1, which is exactly the ideal form; pushing that
 through the column bijection gives the column form.  The translations are
@@ -25,50 +33,44 @@ the ideal/column equations orient the spin plane the opposite way.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
-from .algebra import E, E0, E21, E_lower, Multivector, reverse
+from .algebra import E0, E21, GRADES, E_lower, Multivector, reverse
 from .errors import KindMismatch, NotInIdeal, NotRotor
 from .fields import (
     BivectorExp,
+    BladeCoeff,
     CliffordField,
     Constant,
     Field,
     FieldExpr,
-    BladeCoeff,
     FrameScalarField,
     Kind,
-    evaluate_many,
     f_product,
     f_reverse,
     f_scale,
     f_sum,
-    fold_sups,
     rotor_wave,
     worst_of,
 )
 from .geometry import (
-    GRADES,
+    FrameChange,
     SpacetimeSetup,
     change_spin_frame,
     dirac_operator_left,
     directional_derivative,
     effective_deriv,
+    frame_sum,
     require_even,
 )
 from .spinors import IDEAL_PHASE, GammaRep, columns_from_coeffs, ideal_membership_defect
 
 __all__ = [
     "DiracParams",
-    "GaugeFn",
-    "Residual",
     "residual_representative",
     "residual_left_form",
     "residual_complex_ideal",
     "residual_covariant",
-    "covariant_map",
     "gauge_transform_left_form",
     "gauge_transform_representative",
     "gauge_rotor_expr",
@@ -100,137 +102,90 @@ class DiracParams:
         return DiracParams(self.mass, self.charge, potential)
 
     def validate_grade1(self, setup: SpacetimeSetup, tol: float = 1e-10):
-        xs = setup.chart.sample(3)
+        xs = setup.chart.grid(3)
         vals = self.potential.eval(xs)
         off = vals[:, GRADES != 1]
         if off.size and not float(np.max(np.abs(off))) <= tol:  # a NaN fails
             raise ValueError("potential is not pointwise grade 1")
 
 
-class GaugeFn:
-    """A scalar gauge function chi(x)."""
-
-    def __init__(self, chi: FieldExpr):
-        self.chi = chi
-
-
-class Residual:
-    """Field-valued equation residual on the points ``xs``.
-
-    ``values`` and the grid sup norm ``sup`` are computed on first access,
-    so a residual that is only compared (through ``fold_sups``) is never
-    evaluated on its own.
-    """
-
-    def __init__(self, field: Field | None, xs: np.ndarray, values: np.ndarray | None = None):
-        self.field = field
-        self.xs = xs
-        if values is not None:
-            self.values = values
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return self.field.eval(self.xs)
-
-    @cached_property
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
-    def __repr__(self):
-        return f"Residual(sup={self.sup:.3e})"
-
-
 def residual_representative(psi: Field, params: DiracParams, setup: SpacetimeSetup,
-                 xs: np.ndarray | None = None, check_even: bool = True) -> Residual:
-    """Residual of the representative-form equation for an even Clifford field."""
+                            check_even: bool = True) -> Field:
+    """Residual of the representative form, a Clifford field, for an even Clifford field."""
     if psi.kind is not Kind.CLIFFORD:
         raise KindMismatch("residual_representative expects a Clifford field")
     if check_even:
         require_even(psi, setup.chart, label="representative")
-    acc: FieldExpr = Constant(Multivector.zero())
-    for a in range(4):
-        da = effective_deriv(psi, a, setup, check_even=False).expr
-        acc = f_sum(acc, f_product(Constant(E(a)), da))
-    expr = f_product(acc, Constant(E21))
+    ds = frame_sum([effective_deriv(psi, a, setup, check_even=False).expr for a in range(4)])
+    expr = f_product(ds, Constant(E21))
     expr = f_sum(expr, f_scale(-params.charge, f_product(params.potential.expr, psi.expr)))
     expr = f_sum(expr, f_scale(-params.mass, f_product(psi.expr, Constant(E0))))
-    field = CliffordField(expr)
-    return Residual(field, setup.chart.grid(5) if xs is None else xs)
+    return CliffordField(expr)
 
 
 def residual_left_form(Psi: Field, params: DiracParams, setup: SpacetimeSetup,
-                  xs: np.ndarray | None = None, check_even: bool = True) -> Residual:
-    """Residual of the left spin-Clifford form for an even left spinor field."""
+                       check_even: bool = True) -> Field:
+    """Residual of the left spin-Clifford form, a left field, for an even left spinor field."""
     if Psi.kind is not Kind.LEFT:
         raise KindMismatch("residual_left_form expects a left spinor field")
     if check_even:
         require_even(Psi, setup.chart, label="spinor field")
     ds = dirac_operator_left(Psi, setup)
-    field = (
+    return (
         ds * E21
         - params.mass * (Psi * E0)
         - params.charge * (params.potential * Psi)
     )
-    return Residual(field, setup.chart.grid(5) if xs is None else xs)
 
 
 def residual_complex_ideal(Psi_c: Field, params: DiracParams, setup: SpacetimeSetup,
                            xs: np.ndarray | None = None,
-                           check_ideal: bool = True, tol: float = 1e-9) -> Residual:
-    """Residual of the complex-ideal form c Ds Psi - m Psi - q A Psi.
+                           check_ideal: bool = True, tol: float = 1e-9) -> Field:
+    """Residual of the complex-ideal form c Ds Psi - m Psi - q A Psi, a left field.
 
     The scalar c is the derived constant with e2e1 f = c f; it plays the
-    role of the imaginary unit of the column formulation.
+    role of the imaginary unit of the column formulation.  The ideal guard
+    checks Psi f = Psi on the points ``xs`` (the chart's 5-point grid when
+    None).
     """
     if Psi_c.kind is not Kind.LEFT:
         raise KindMismatch("residual_complex_ideal expects a left spinor field")
-    if xs is None:
-        xs = setup.chart.grid(5)
     if check_ideal:
-        vals = Psi_c.eval(xs)
+        vals = Psi_c.eval(setup.chart.grid(5) if xs is None else xs)
         scale = worst_of(1.0, float(np.max(np.abs(vals))))
         if not ideal_membership_defect(vals) <= tol * scale:  # a NaN fails
             raise NotInIdeal("field does not satisfy Psi f = Psi")
     ds = dirac_operator_left(Psi_c, setup)
-    field = (
+    return (
         IDEAL_PHASE * ds
         - params.mass * Psi_c
         - params.charge * (params.potential * Psi_c)
     )
-    return Residual(field, xs)
 
 
-class ColumnSpinorField:
-    """Column-spinor view of a complex ideal field, through a gamma rep."""
-
-    def __init__(self, ideal: Field, rep: GammaRep):
-        if ideal.kind is not Kind.LEFT:
-            raise KindMismatch("column view expects a left spinor field")
-        self.ideal = ideal
-        self.rep = rep
-
-
-def covariant_map(col: ColumnSpinorField, params: DiracParams, setup: SpacetimeSetup):
-    """The column residual as a value map: (the field nodes it reads, map).
+def residual_covariant(ideal: Field, rep: GammaRep, params: DiracParams, setup: SpacetimeSetup):
+    """The column residual of a complex ideal field as a value map: (the nodes it reads, map).
 
     The map takes the values of those nodes, in order, and returns the
     column residual c gamma^a (Dcol_a + c q A_a) |psi> - m |psi> on their
-    points.  Everything on this route is 4x4 matrix algebra: the spinor
-    covariant derivative acts on columns as the coordinate derivative plus
-    half the matrix image of the connection bivector, which is the
-    column-side conjugate of the left-spinor derivative.
+    points, with |psi> the columns of ``ideal`` through ``rep``.  Everything
+    on this route is 4x4 matrix algebra: the spinor covariant derivative
+    acts on columns as the coordinate derivative plus half the matrix image
+    of the connection bivector, which is the column-side conjugate of the
+    left-spinor derivative.
     """
-    rep = col.rep
+    if ideal.kind is not Kind.LEFT:
+        raise KindMismatch("residual_covariant expects a left spinor field")
     c = IDEAL_PHASE
-    ideal = col.ideal.expr
-    nodes = ([ideal, *(ideal.partial(mu) for mu in range(4)), params.potential.expr]
+    psi = ideal.expr
+    nodes = ([psi, *(psi.partial(mu) for mu in range(4)), params.potential.expr]
              + [setup.tetrad.entry(a, mu) for a in range(4) for mu in range(4)]
              + [setup.omega(a) for a in range(4)])
 
     def residual(*vals) -> np.ndarray:
         values = dict(zip(nodes, vals))
-        cols = columns_from_coeffs(values[ideal], rep)
-        dcols_coord = [columns_from_coeffs(values[ideal.partial(mu)], rep) for mu in range(4)]
+        cols = columns_from_coeffs(values[psi], rep)
+        dcols_coord = [columns_from_coeffs(values[psi.partial(mu)], rep) for mu in range(4)]
         pot = values[params.potential.expr]
 
         out = -params.mass * cols
@@ -253,15 +208,6 @@ def covariant_map(col: ColumnSpinorField, params: DiracParams, setup: SpacetimeS
     return nodes, residual
 
 
-def residual_covariant(col: ColumnSpinorField, params: DiracParams,
-                       setup: SpacetimeSetup, xs: np.ndarray | None = None) -> Residual:
-    """Column residual of ``col`` on ``xs``: ``covariant_map``'s nodes in one plan."""
-    if xs is None:
-        xs = setup.chart.grid(5)
-    nodes, residual = covariant_map(col, params, setup)
-    return Residual(None, xs, residual(*evaluate_many(nodes, xs)))
-
-
 # ---------------------------------------------------------------------------
 # Gauge transformations
 # ---------------------------------------------------------------------------
@@ -269,12 +215,9 @@ def residual_covariant(col: ColumnSpinorField, params: DiracParams,
 
 def scalar_gradient(chi: FieldExpr, setup: SpacetimeSetup) -> Field:
     """The grade-1 field e^a (e_a chi), the Dirac operator on a scalar."""
-    acc: FieldExpr = Constant(Multivector.zero())
     chifield = CliffordField(chi)
-    for a in range(4):
-        da = directional_derivative(chifield, np.eye(4)[a], setup).expr
-        acc = f_sum(acc, f_product(Constant(E(a)), da))
-    return CliffordField(acc)
+    return CliffordField(frame_sum([directional_derivative(chifield, np.eye(4)[a], setup).expr
+                                    for a in range(4)]))
 
 
 def gauge_rotor_expr(charge: float, chi: FieldExpr) -> FieldExpr:
@@ -287,29 +230,29 @@ def gauge_rotor_expr(charge: float, chi: FieldExpr) -> FieldExpr:
     return BivectorExp(E21, f_scale(-charge, chi))
 
 
-def gauge_transform_left_form(Psi: Field, params: DiracParams, chi: GaugeFn,
-                         setup: SpacetimeSetup) -> tuple[Field, DiracParams, Field]:
-    """Gauge transform of the left form: Psi -> Psi G, A -> A + grad(chi).
+def gauge_transform_left_form(Psi: Field, params: DiracParams, chi: FieldExpr,
+                              setup: SpacetimeSetup) -> tuple[Field, DiracParams, Field]:
+    """Gauge transform of the left form by the scalar chi: Psi -> Psi G, A -> A + grad(chi).
 
     Returns (Psi', params', G) with G the frame-scalar gauge rotor.  The
     connection bivectors are untouched.
     """
     if Psi.kind is not Kind.LEFT:
         raise KindMismatch("gauge_transform_left_form expects a left spinor field")
-    G = FrameScalarField(gauge_rotor_expr(params.charge, chi.chi))
+    G = FrameScalarField(gauge_rotor_expr(params.charge, chi))
     Psi2 = Psi * G
-    A2 = params.potential + scalar_gradient(chi.chi, setup)
+    A2 = params.potential + scalar_gradient(chi, setup)
     return Psi2, params.with_potential(A2), G
 
 
-def gauge_transform_representative(psi: Field, params: DiracParams, chi: GaugeFn,
-                        setup: SpacetimeSetup) -> tuple[Field, DiracParams, Field]:
+def gauge_transform_representative(psi: Field, params: DiracParams, chi: FieldExpr,
+                                   setup: SpacetimeSetup) -> tuple[Field, DiracParams, Field]:
     """Gauge transform of the representative form; the rotor is a Clifford field."""
     if psi.kind is not Kind.CLIFFORD:
         raise KindMismatch("gauge_transform_representative expects a Clifford field")
-    G = CliffordField(gauge_rotor_expr(params.charge, chi.chi))
+    G = CliffordField(gauge_rotor_expr(params.charge, chi))
     psi2 = psi * G
-    A2 = params.potential + scalar_gradient(chi.chi, setup)
+    A2 = params.potential + scalar_gradient(chi, setup)
     return psi2, params.with_potential(A2), G
 
 
@@ -318,34 +261,24 @@ def gauge_transform_representative(psi: Field, params: DiracParams, chi: GaugeFn
 # ---------------------------------------------------------------------------
 
 
-class LorentzReport:
-    def __init__(self, defect: float, residual_before: Residual,
-                 residual_after: Residual, frame_change):
-        self.defect = defect
-        self.residual_before = residual_before
-        self.residual_after = residual_after
-        self.frame_change = frame_change
-
-
 def lorentz_covariance_check(psi: Field, params: DiracParams, setup: SpacetimeSetup,
-                             u: FieldExpr, xs: np.ndarray | None = None) -> LorentzReport:
-    """Check that the representative residual transforms as R -> R U^{-1}.
+                             u: FieldExpr) -> tuple[tuple[FieldExpr, FieldExpr], FrameChange]:
+    """The residual law R -> R U^{-1} under a change of spin frame, as a node pair.
 
-    The check changes the spin frame by the rotor field u, re-expresses the
-    representative (psi -> u~ psi in the new frame's components) and the
-    potential, recomputes the residual against the transformed setup and
-    compares with u~ R, the transformed components of R U^{-1}.
+    The frame changes by the rotor field u; the representative (psi -> u~ psi
+    in the new frame's components) and the potential are re-expressed, and
+    the representative residual is rebuilt against the transformed setup.
+    Returns ``((after, expected), frame_change)``: ``after`` is that
+    residual, ``expected`` is u~ R, the transformed components of R U^{-1}
+    for the residual R before the change.  Nothing is evaluated here (the
+    guards on psi and u aside); the law holds when the pair agrees, which
+    ``fields.fold_sups`` measures.
     """
-    if xs is None:
-        xs = setup.chart.grid(5)
-    r1 = residual_representative(psi, params, setup, xs)
+    before = residual_representative(psi, params, setup).expr
     fc = change_spin_frame(u, setup, clifford=[params.potential], representatives=[psi])
-    params2 = params.with_potential(fc.clifford[0])
-    psi2 = fc.representatives[0]
-    r2 = residual_representative(psi2, params2, fc.setup, xs, check_even=False)
-    expected = f_product(f_reverse(u), r1.field.expr)
-    defect = fold_sups({}, [("defect", (r2.field.expr, expected))], xs)["defect"]
-    return LorentzReport(defect, r1, r2, fc)
+    after = residual_representative(fc.representatives[0], params.with_potential(fc.clifford[0]),
+                                    fc.setup, check_even=False).expr
+    return (after, f_product(f_reverse(u), before)), fc
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,18 @@ BAD_CONFIGS = {
     "tolerance-misspelled-check": _set(None, tolerances={"asociativity": 1e-30}),
     "tolerance-empty-check-name": _set(None, tolerances={"": 1.0}),
     "expected-non-residual-check": _set(None, expected={"associativity": 5.0}),
+    # preconditions that fail while the scenario is built, not while a suite runs
+    "frame-not-a-rotor": _set(None, frame={
+        "type": "rotor", "expr": {"kind": "constant", "blades": {"e1": 1}}}),
+    "connection-entry-overflows": _set(None, connection={"type": "table", "entries": [
+        {"a": 0, "b": 1, "c": 2,
+         "expr": {"kind": "scalar-linear", "slope": [1e308, 0, 0, 0], "offset": 1e308}}]}),
+    "frame-rotor-series-diverges": _set(None, frame={"type": "rotor", "expr": {
+        "kind": "const-rotor", "bivector": {"e01": 1, "e12": 0.5, "e23": 0.3},
+        "parameter": 200}}),
+    "frame-rotor-overflows": _set(None, frame={"type": "rotor", "expr": {
+        "kind": "exp-bivector", "bivector": {"e12": 1},
+        "scalar": {"kind": "scalar-linear", "slope": [1e308, 0, 0, 0], "offset": 1e308}}}),
 }
 
 

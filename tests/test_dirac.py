@@ -5,9 +5,7 @@ import pytest
 
 from sta.algebra import E, E0, E21, Multivector, exp_bivector, gp_batch, GRADES
 from sta.dirac import (
-    ColumnSpinorField,
     DiracParams,
-    GaugeFn,
     bilinear_covariants,
     gauge_transform_left_form,
     gauge_transform_representative,
@@ -23,12 +21,14 @@ from sta.errors import KindMismatch, NotEven, NotInIdeal, NotRotor
 from sta.fields import (
     CliffordField,
     Constant,
+    Kind,
     LeftSpinorField,
     ScalarLinear,
     ScalarSine,
     evaluate,
     evaluate_many,
     f_product,
+    fold_sups,
 )
 from sta.geometry import Chart, SpacetimeSetup
 from sta.spinors import IDEMPOTENT_F, build_gamma_rep, columns_from_coeffs
@@ -45,6 +45,11 @@ def rc_setup(seed):
     return SpacetimeSetup(CHART, random_connection(np.random.default_rng(seed)))
 
 
+def sup(field) -> float:
+    """max|residual| of a residual field on XS."""
+    return float(np.max(np.abs(field.eval(XS))))
+
+
 def rc_params(seed):
     rng = np.random.default_rng(seed)
     return DiracParams(float(rng.uniform(0.3, 1.4)), float(rng.uniform(-1, 1)),
@@ -58,19 +63,32 @@ def test_rest_plane_wave_solves_every_form():
     m = 1.3
     params = DiracParams(m, 0.0)
     psi = make_plane_wave(m)
-    assert residual_representative(psi, params, FLAT, XS).sup < 1e-10
+    assert sup(residual_representative(psi, params, FLAT)) < 1e-10
     Psi = LeftSpinorField(psi.expr)
-    assert residual_left_form(Psi, params, FLAT, XS).sup < 1e-10
+    assert sup(residual_left_form(Psi, params, FLAT)) < 1e-10
     Pc = LeftSpinorField(f_product(psi.expr, Constant(IDEMPOTENT_F)))
-    assert residual_complex_ideal(Pc, params, FLAT, XS).sup < 1e-10
-    assert residual_covariant(ColumnSpinorField(Pc, REP), params, FLAT, XS).sup < 1e-9
+    assert sup(residual_complex_ideal(Pc, params, FLAT, XS)) < 1e-10
+    column = fold_sups({}, [("column", *residual_covariant(Pc, REP, params, FLAT))], XS)
+    assert column["column"] < 1e-9
+
+
+def test_each_residual_is_a_field_of_its_bundle():
+    params = rc_params(3)
+    setup = rc_setup(3)
+    ex = random_field_expr(RNG, even=True)
+    assert residual_representative(CliffordField(ex), params, setup).kind is Kind.CLIFFORD
+    assert residual_left_form(LeftSpinorField(ex), params, setup).kind is Kind.LEFT
+    pc = LeftSpinorField(f_product(ex, Constant(IDEMPOTENT_F)))
+    assert residual_complex_ideal(pc, params, setup, XS).kind is Kind.LEFT
+    with pytest.raises(KindMismatch):
+        residual_covariant(CliffordField(ex), REP, params, setup)
 
 
 def test_boosted_plane_wave_solves_dhe():
     m = 0.9
     boost = exp_bivector(0.45 * (E(1) * E(0)))
     psi = make_plane_wave(m, boost)
-    assert residual_representative(psi, DiracParams(m, 0.0), FLAT, XS).sup < 1e-9
+    assert sup(residual_representative(psi, DiracParams(m, 0.0), FLAT)) < 1e-9
     bil = bilinear_covariants(make_plane_wave(m), FLAT)
     sig = evaluate(bil["sigma"], XS)[:, 0]
     om = evaluate(bil["omega"], XS)[:, 0]
@@ -85,10 +103,10 @@ def test_make_plane_wave_rejects_non_rotor():
 def test_constant_unknown_residual_is_exactly_the_mass_term():
     params = DiracParams(1.0, 0.0)
     one = CliffordField(Constant(Multivector.scalar(1.0)))
-    r = residual_representative(one, params, FLAT, XS)
+    r = residual_representative(one, params, FLAT)
     want = (-1.0 * E0).coeffs
-    assert np.max(np.abs(r.values - want)) == 0.0
-    assert r.sup == 1.0
+    assert np.max(np.abs(r.eval(XS) - want)) == 0.0
+    assert sup(r) == 1.0
 
 
 def test_residual_linearity():
@@ -96,18 +114,18 @@ def test_residual_linearity():
     setup = rc_setup(5)
     e1 = random_field_expr(RNG, even=True)
     e2 = random_field_expr(RNG, even=True)
-    r1 = residual_representative(CliffordField(e1), params, setup, XS)
-    r2 = residual_representative(CliffordField(e2), params, setup, XS)
-    r12 = residual_representative(CliffordField(e1) + CliffordField(e2), params, setup, XS)
-    assert np.max(np.abs(r12.values - r1.values - r2.values)) < 1e-12
+    r1 = residual_representative(CliffordField(e1), params, setup)
+    r2 = residual_representative(CliffordField(e2), params, setup)
+    r12 = residual_representative(CliffordField(e1) + CliffordField(e2), params, setup)
+    assert np.max(np.abs(r12.eval(XS) - r1.eval(XS) - r2.eval(XS))) < 1e-12
 
 
 def test_residual_parity_and_kind_guards():
     params = DiracParams(1.0, 0.0)
     with pytest.raises(NotEven):
-        residual_representative(CliffordField(Constant(E(1))), params, FLAT, XS)
+        residual_representative(CliffordField(Constant(E(1))), params, FLAT)
     with pytest.raises(KindMismatch):
-        residual_left_form(CliffordField(Constant(Multivector.scalar(1.0))), params, FLAT, XS)
+        residual_left_form(CliffordField(Constant(Multivector.scalar(1.0))), params, FLAT)
     with pytest.raises(NotInIdeal):
         residual_complex_ideal(LeftSpinorField(Constant(Multivector.scalar(1.0))),
                                params, FLAT, XS)
@@ -117,7 +135,7 @@ def test_non_finite_fields_fail_the_guards():
     nan = Constant(Multivector.scalar(float("nan")))
     params = DiracParams(1.0, 0.0)
     with pytest.raises(NotEven):
-        residual_representative(CliffordField(nan), params, FLAT, XS)
+        residual_representative(CliffordField(nan), params, FLAT)
     with pytest.raises(NotInIdeal):
         residual_complex_ideal(LeftSpinorField(f_product(nan, Constant(IDEMPOTENT_F))),
                                params, FLAT, XS)
@@ -134,9 +152,9 @@ def test_left_and_representative_forms_agree_componentwise():
         params = rc_params(seed)
         for _ in range(3):
             ex = random_field_expr(RNG, even=True)
-            ra = residual_representative(CliffordField(ex), params, setup, XS, check_even=False)
-            rb = residual_left_form(LeftSpinorField(ex), params, setup, XS, check_even=False)
-            assert np.max(np.abs(ra.values - rb.values)) < 1e-12
+            ra = residual_representative(CliffordField(ex), params, setup, check_even=False)
+            rb = residual_left_form(LeftSpinorField(ex), params, setup, check_even=False)
+            assert np.max(np.abs(ra.eval(XS) - rb.eval(XS))) < 1e-12
 
 
 def test_idempotent_projection_maps_left_form_to_ideal_form():
@@ -144,11 +162,11 @@ def test_idempotent_projection_maps_left_form_to_ideal_form():
     params = rc_params(23)
     for _ in range(3):
         ex = random_field_expr(RNG, even=True)
-        rdecl = residual_left_form(LeftSpinorField(ex), params, setup, XS, check_even=False)
-        projected = evaluate(f_product(rdecl.field.expr, Constant(IDEMPOTENT_F)), XS)
+        rdecl = residual_left_form(LeftSpinorField(ex), params, setup, check_even=False)
+        projected = evaluate(f_product(rdecl.expr, Constant(IDEMPOTENT_F)), XS)
         pc = LeftSpinorField(f_product(ex, Constant(IDEMPOTENT_F)))
-        rci = residual_complex_ideal(pc, params, setup, XS, check_ideal=False)
-        assert np.max(np.abs(projected - rci.values)) < 1e-12
+        rci = residual_complex_ideal(pc, params, setup, check_ideal=False)
+        assert np.max(np.abs(projected - rci.eval(XS))) < 1e-12
 
 
 def test_column_bijection_intertwines_residuals():
@@ -157,45 +175,44 @@ def test_column_bijection_intertwines_residuals():
     for _ in range(3):
         ex = random_field_expr(RNG, even=True)
         pc = LeftSpinorField(f_product(ex, Constant(IDEMPOTENT_F)))
-        rci = residual_complex_ideal(pc, params, setup, XS, check_ideal=False)
-        cols = columns_from_coeffs(rci.values, REP)
-        rcv = residual_covariant(ColumnSpinorField(pc, REP), params, setup, XS)
-        assert np.max(np.abs(cols - rcv.values)) < 1e-11
+        rci = residual_complex_ideal(pc, params, setup, check_ideal=False)
+        cols = columns_from_coeffs(rci.eval(XS), REP)
+        nodes, column = residual_covariant(pc, REP, params, setup)
+        assert np.max(np.abs(cols - column(*evaluate_many(nodes, XS)))) < 1e-11
 
 
 # -- gauge transformations --------------------------------------------------------
 
 
-@pytest.mark.parametrize("chi_expr", [
+@pytest.mark.parametrize("chi", [
     Constant(Multivector.scalar(0.4)),
     ScalarLinear([0.3, -0.2, 0.1, 0.4], 0.1),
     ScalarSine(0.5, [1.0, 0.7, -0.3, 0.2], 0.3),
 ], ids=["constant", "linear", "sine"])
-def test_gauge_covariance_both_forms(chi_expr):
+def test_gauge_covariance_both_forms(chi):
     setup = rc_setup(31)
     params = rc_params(31)
-    chi = GaugeFn(chi_expr)
     ex = random_field_expr(RNG, even=True)
 
     Psi = LeftSpinorField(ex)
     P2, params2, G = gauge_transform_left_form(Psi, params, chi, setup)
-    r1 = residual_left_form(Psi, params, setup, XS, check_even=False)
-    r2 = residual_left_form(P2, params2, setup, XS, check_even=False)
-    want = evaluate(f_product(r1.field.expr, G.expr), XS)
-    assert np.max(np.abs(r2.values - want)) < 1e-11
+    r1 = residual_left_form(Psi, params, setup, check_even=False)
+    r2 = residual_left_form(P2, params2, setup, check_even=False)
+    want = evaluate(f_product(r1.expr, G.expr), XS)
+    assert np.max(np.abs(r2.eval(XS) - want)) < 1e-11
 
     psi = CliffordField(ex)
     p2, params2b, G2 = gauge_transform_representative(psi, params, chi, setup)
-    r1b = residual_representative(psi, params, setup, XS, check_even=False)
-    r2b = residual_representative(p2, params2b, setup, XS, check_even=False)
-    wantb = evaluate(f_product(r1b.field.expr, G2.expr), XS)
-    assert np.max(np.abs(r2b.values - wantb)) < 1e-11
+    r1b = residual_representative(psi, params, setup, check_even=False)
+    r2b = residual_representative(p2, params2b, setup, check_even=False)
+    wantb = evaluate(f_product(r1b.expr, G2.expr), XS)
+    assert np.max(np.abs(r2b.eval(XS) - wantb)) < 1e-11
 
 
 def test_constant_gauge_function_is_a_constant_rotor():
     setup = rc_setup(37)
     params = DiracParams(1.0, 0.8, random_potential(np.random.default_rng(37)))
-    chi = GaugeFn(Constant(Multivector.scalar(0.25)))
+    chi = Constant(Multivector.scalar(0.25))
     Psi = LeftSpinorField(random_field_expr(RNG, even=True))
     P2, params2, G = gauge_transform_left_form(Psi, params, chi, setup)
     assert np.max(np.abs(evaluate(params2.potential.expr, XS)
@@ -231,18 +248,19 @@ def test_gauge_rotor_leg_rotation_closed_forms():
 def test_lorentz_identity_rotor():
     params = rc_params(41)
     psi = CliffordField(random_field_expr(RNG, even=True))
-    rep = lorentz_covariance_check(psi, params, rc_setup(41),
-                                   Constant(Multivector.scalar(1.0)), XS)
-    assert rep.defect < 1e-13
-    assert np.max(np.abs(rep.residual_after.values - rep.residual_before.values)) < 1e-13
+    setup = rc_setup(41)
+    (after, expected), _ = lorentz_covariance_check(psi, params, setup,
+                                                    Constant(Multivector.scalar(1.0)))
+    assert expected is residual_representative(psi, params, setup).expr  # u~ R with u = 1 is R
+    assert fold_sups({}, [("defect", (after, expected))], XS)["defect"] < 1e-13
 
 
 def test_lorentz_constant_boost():
     params = rc_params(43)
     psi = CliffordField(random_field_expr(RNG, even=True))
     u = Constant(exp_bivector(0.35 * (E(1) * E(0))))
-    rep = lorentz_covariance_check(psi, params, rc_setup(43), u, XS)
-    assert rep.defect < 1e-9
+    law, _ = lorentz_covariance_check(psi, params, rc_setup(43), u)
+    assert fold_sups({}, [("defect", law)], XS)["defect"] < 1e-9
 
 
 def test_lorentz_local_rotor():
@@ -251,14 +269,14 @@ def test_lorentz_local_rotor():
     params = rc_params(47)
     psi = CliffordField(random_field_expr(RNG, even=True))
     u = random_rotor_expr(np.random.default_rng(47))
-    rep = lorentz_covariance_check(psi, params, rc_setup(47), u, XS)
-    assert rep.defect < 1e-8
+    law, _ = lorentz_covariance_check(psi, params, rc_setup(47), u)
+    assert fold_sups({}, [("defect", law)], XS)["defect"] < 1e-8
 
 
 def test_lorentz_rejects_non_rotor():
     with pytest.raises(NotRotor):
         lorentz_covariance_check(CliffordField(Constant(Multivector.scalar(1.0))),
-                                 DiracParams(1.0, 0.0), FLAT, Constant(E(1)), XS)
+                                 DiracParams(1.0, 0.0), FLAT, Constant(E(1)))
 
 
 # -- bilinears ------------------------------------------------------------------------
