@@ -347,11 +347,6 @@ def commutator_half(w, a):
     return 0.5 * (w * a - a * w)
 
 
-def _exp_series_done(t, n: int, smax: float) -> bool:
-    """Whether the series may stop after its term t = B^n / n! at |s| <= smax."""
-    return t.norm_sup() * max(smax, 1.0) ** n < _EXP_SERIES_TOL and n >= 4
-
-
 def _exp_series(B, smax: float = 1.0):
     """Taylor coefficients B^n / n! as long as they matter at |s| <= smax."""
     terms = [Multivector.scalar(1.0) if isinstance(B, Multivector) else CMultivector.scalar(1.0)]
@@ -359,7 +354,7 @@ def _exp_series(B, smax: float = 1.0):
     for n in range(1, _EXP_SERIES_MAX_TERMS + 1):
         t = t * B * (1.0 / n)
         terms.append(t)
-        if _exp_series_done(t, n, smax):
+        if t.norm_sup() * max(smax, 1.0) ** n < _EXP_SERIES_TOL and n >= 4:
             return terms
     raise SeriesNotConverged(
         f"exp series did not converge within {_EXP_SERIES_MAX_TERMS} terms"

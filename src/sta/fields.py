@@ -67,7 +67,7 @@ from .algebra import (
     bivector_square_class,
     gp_batch,
 )
-from .algebra import _exp_series, _exp_series_done, _T
+from .algebra import _exp_series, _T
 from .errors import KindMismatch
 
 __all__ = [
@@ -647,7 +647,7 @@ class BivectorExp(FieldExpr):
     with the same convergence guard as :func:`sta.algebra.exp_bivector`.
     """
 
-    __slots__ = ("B", "s", "_kind", "_beta", "_series")
+    __slots__ = ("B", "s", "_kind", "_beta")
 
     @staticmethod
     def _key(B, s):
@@ -663,7 +663,6 @@ class BivectorExp(FieldExpr):
         kind, beta2 = bivector_square_class(self.B)
         self._kind = kind
         self._beta = np.sqrt(beta2) if beta2 else 0.0
-        self._series = None
 
     def _eval(self, xs, s):
         sv = s[:, 0]
@@ -683,7 +682,7 @@ class BivectorExp(FieldExpr):
         else:
             acc = np.zeros((len(xs), DIM), dtype=complex)
             p = np.ones(len(xs))
-            for n, term in enumerate(self._series_for(float(np.max(np.abs(sv))))):
+            for n, term in enumerate(_exp_series(self.B, float(np.max(np.abs(sv))))):
                 if n:
                     p = p * sv
                 acc += p[:, None] * term.coeffs
@@ -693,21 +692,6 @@ class BivectorExp(FieldExpr):
     @property
     def children(self):
         return (self.s,)
-
-    def _series_for(self, smax: float) -> list:
-        """The terms ``_exp_series(B, smax)`` gives, cut from the longest built.
-
-        The cache holds (smax, terms) and grows when a larger |s| arrives; a
-        smaller one takes a prefix, so the terms used never depend on what
-        was evaluated before.
-        """
-        cached = self._series
-        if cached is None or not smax <= cached[0]:  # NaN rebuilds, and raises
-            cached = (smax, _exp_series(self.B, smax=smax))
-            self._series = cached
-        terms = cached[1]
-        n = next(n for n, t in enumerate(terms) if _exp_series_done(t, n, smax))
-        return terms[:n + 1]
 
     def _partial(self, mu):
         ds = self.s.partial(mu)

@@ -100,9 +100,7 @@ class Chart:
 
     def grid(self, n: int) -> np.ndarray:
         """Tensor grid with n points per axis, flattened to (n^4, 4)."""
-        axes = [np.linspace(self.lo[mu], self.hi[mu], n) for mu in range(4)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return _tensor_grid(self.lo, self.hi, n)
 
     def contains(self, xs: np.ndarray, slack: float = 1e-12) -> bool:
         return bool(
@@ -112,12 +110,14 @@ class Chart:
     def interior_grid(self, n: int, margin: float) -> np.ndarray:
         """Grid shrunk away from the boundary (room for FD stencils)."""
         span = self.hi - self.lo
-        axes = [
-            np.linspace(self.lo[mu] + margin * span[mu], self.hi[mu] - margin * span[mu], n)
-            for mu in range(4)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return _tensor_grid(self.lo + margin * span, self.hi - margin * span, n)
+
+
+def _tensor_grid(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """The n^4 points of the box [lo, hi], n per axis, as an (n^4, 4) array."""
+    axes = [np.linspace(lo[mu], hi[mu], n) for mu in range(4)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 class Curve:
@@ -183,6 +183,7 @@ class ConnectionField:
         )
 
     def validate_antisymmetry(self, chart: Chart, tol: float = 1e-9, n: int = 4):
+        """Raise ``NotAntisymmetric`` unless |Gamma_abc + Gamma_acb| <= tol on chart.grid(n)."""
         xs = chart.grid(n)
         entries = [g for ab in self.gamma for abc in ab for g in abc if g is not None]
         worst = 0.0
@@ -268,12 +269,10 @@ class SpacetimeSetup:
     """
 
     def __init__(self, chart: Chart, connection: ConnectionField | None = None,
-                 tetrad: Tetrad | None = None, validate: bool = True):
+                 tetrad: Tetrad | None = None):
         self.chart = chart
         self.connection = connection if connection is not None else ConnectionField.zero()
         self.tetrad = tetrad if tetrad is not None else Tetrad()
-        if validate and not self.connection.is_zero:
-            self.connection.validate_antisymmetry(chart)
 
     def leg_lower(self, a: int) -> Field:
         """The lowered frame leg e_a as a field in the setup's own trivialization."""
@@ -386,21 +385,23 @@ def cov_deriv_right(F: Field, V, setup: SpacetimeSetup) -> Field:
     return RightSpinorField(f_sum(dF, f_scale(-0.5, f_product(F.expr, w))))
 
 
-def require_even(F: Field, chart: Chart, tol: float = 1e-10, label: str = "field"):
-    xs = chart.grid(3)
-    vals = F.eval(xs)
+def require_even(F: Field, xs: np.ndarray, tol: float = 1e-10, label: str = "field"):
+    """Raise ``NotEven`` unless F is finite and even, up to ``tol`` relative, at the points xs."""
+    # a field that overflows at xs fails through its non-finite value, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = F.eval(xs)
+    if not np.all(np.isfinite(vals)):
+        raise NotEven(f"{label} is not finite at every checked point")
     odd = vals[:, GRADES % 2 == 1]
-    scale = worst_of(1.0, float(np.max(np.abs(vals))))
-    if odd.size and not float(np.max(np.abs(odd))) <= tol * scale:  # a NaN fails
+    scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
+    if float(np.max(np.abs(odd), initial=0.0)) > tol * scale:
         raise NotEven(f"{label} has a nonzero odd part")
 
 
-def effective_deriv(psi: Field, a: int, setup: SpacetimeSetup, check_even: bool = True) -> Field:
+def effective_deriv(psi: Field, a: int, setup: SpacetimeSetup) -> Field:
     """Effective derivative of a representative: d_{e_a} psi + omega_a psi / 2."""
     if psi.kind is not Kind.CLIFFORD:
         raise KindMismatch("effective_deriv expects a Clifford field")
-    if check_even:
-        require_even(psi, setup.chart, label="representative")
     dpsi = directional_derivative(psi, np.eye(4)[a], setup).expr
     return CliffordField(f_sum(dpsi, f_scale(0.5, f_product(setup.omega(a), psi.expr))))
 
@@ -484,6 +485,7 @@ def parallel_transport(a0, kind: Kind, curve: Curve, setup: SpacetimeSetup,
 
 
 def validate_rotor(u: FieldExpr, chart: Chart, tol: float = ROTOR_TOL, n: int = 4):
+    """Raise ``NotRotor`` unless u is even and reverse(u) u = 1, within tol, on chart.grid(n)."""
     xs = chart.grid(n)
     # a rotor that overflows on the grid fails through its NaN, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -538,8 +540,8 @@ def change_spin_frame(u: FieldExpr, setup: SpacetimeSetup, *, clifford=(), left=
     trivialization:  Clifford components conjugate, left components pick up
     u~ on the left, right components pick up u on the right, and a
     representative of a spinor field transforms like the spinor itself.
+    The caller vouches that u is a rotor field; ``validate_rotor`` checks it.
     """
-    validate_rotor(u, setup.chart)
     legs = transformed_frame_legs(u)
     lowered = [Field(Kind.CLIFFORD, f_scale(float(ETA[a]), legs[a].expr)) for a in range(4)]
 
@@ -567,7 +569,6 @@ def change_spin_frame(u: FieldExpr, setup: SpacetimeSetup, *, clifford=(), left=
         setup.chart,
         ConnectionField(gamma),
         tetrad=setup.tetrad.compose(lam),
-        validate=False,
     )
 
     ur = f_reverse(u)

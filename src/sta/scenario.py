@@ -27,6 +27,15 @@ Every section is an object and every number a finite JSON number (booleans
 are not numbers); grid, transport_steps, seed, polynomial powers and
 connection indices are integers.  Any violation is a ``ConfigError``.
 
+This is where data from outside the program enters, so the fields it
+builds are checked here, once, and the builders downstream check nothing:
+a table connection must be antisymmetric (``NotAntisymmetric``), a frame
+expression a rotor field (``NotRotor``), the potential finite and grade 1
+(``ConfigError``), and the unknown finite and even at every point of the
+run grid (``NotEven``), the points the dirac-triad suite evaluates.  Each
+check samples under ``np.errstate``, so a field that overflows fails the
+check instead of warning.
+
 Field expressions EXPR form a closed constructor set, each with an exact
 derivative: zero, constant, polynomial (degree <= 3), rotor-wave, sum,
 product, scalar-linear, scalar-sine, scalar-gaussian, exp-bivector and
@@ -61,7 +70,14 @@ from .fields import (
     f_sum,
     rotor_wave,
 )
-from .geometry import Chart, ConnectionField, SpacetimeSetup, change_spin_frame
+from .geometry import (
+    Chart,
+    ConnectionField,
+    SpacetimeSetup,
+    change_spin_frame,
+    require_even,
+    validate_rotor,
+)
 from .dirac import DiracParams, make_plane_wave
 from .suites import SUITES
 
@@ -283,6 +299,7 @@ class Scenario:
 
         self.unknown = self._build_unknown(
             _object(cfg.get("unknown", {"type": "plane-wave"}), "unknown"))
+        require_even(self.unknown, self.chart.grid(self.grid), label="unknown")
 
     def _build_setup(self, cfg):
         conn_cfg = _object(cfg.get("connection", {"type": "zero"}), "connection")
@@ -303,6 +320,7 @@ class Scenario:
                 gamma[a][b][c] = e
                 gamma[a][c][b] = f_scale(-1.0, e)
             conn = ConnectionField(gamma)
+            conn.validate_antisymmetry(self.chart)
         else:
             _fail(f"connection.type must be 'zero' or 'table', got {ctype!r}")
 
@@ -313,8 +331,8 @@ class Scenario:
             return base, None
         if ftype == "rotor":
             rot = parse_expr(frame_cfg.get("expr"), "frame.expr")
-            fc = change_spin_frame(rot, base)
-            return fc.setup, rot
+            validate_rotor(rot, self.chart)
+            return change_spin_frame(rot, base).setup, rot
         _fail(f"frame.type must be 'fiducial' or 'rotor', got {ftype!r}")
 
     def _build_unknown(self, cfg) -> Field:

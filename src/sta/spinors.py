@@ -25,7 +25,6 @@ from .algebra import (
     Multivector,
     complexify,
     even_part,
-    gp_batch,
     odd_part,
 )
 from .errors import InconsistentParity, NotEven, NotInIdeal
@@ -179,10 +178,3 @@ def ideal_from_column(col: np.ndarray, rep: GammaRep) -> CMultivector:
 def columns_from_coeffs(coeffs: np.ndarray, rep: GammaRep) -> np.ndarray:
     """Columns for a batch of ideal coefficient rows, shape (N, 4)."""
     return rep.rho_batch(coeffs)[:, :, rep.column_index]
-
-
-def ideal_membership_defect(coeffs: np.ndarray) -> float:
-    """Sup norm of a*f - a over an (N, 16) coefficient batch."""
-    f = IDEMPOTENT_F.coeffs
-    proj = gp_batch(np.asarray(coeffs, dtype=complex), f)
-    return float(np.max(np.abs(proj - coeffs))) if len(coeffs) else 0.0

@@ -265,9 +265,9 @@ def suite_derivatives(scn) -> dict:
                      A * cov_deriv_left(P, V, setup) + cov_deriv_clifford(A, V, setup) * P),
             "right": (cov_deriv_right(F * A, V, setup),
                       F * cov_deriv_clifford(A, V, setup) + cov_deriv_right(F, V, setup) * A),
-            "effective": (effective_deriv(A * psi, a, setup, check_even=False),
+            "effective": (effective_deriv(A * psi, a, setup),
                           cov_deriv_clifford(A, np.eye(4)[a], setup) * psi
-                          + A * effective_deriv(psi, a, setup, check_even=False)),
+                          + A * effective_deriv(psi, a, setup)),
         }
         residuals = [(f"leibniz-{k}", (lhs.expr, rhs.expr)) for k, (lhs, rhs) in laws.items()]
         fold_sups(worst, residuals, xs)
@@ -283,7 +283,7 @@ def suite_derivatives(scn) -> dict:
     for setup in (setups[0], setups[1], rotor_setup):
         psi = CliffordField(random_field_expr(rng, even=True))
         fold_sups(worst, [("effective-two-routes",
-                           (effective_deriv(psi, a, setup, check_even=False).expr,
+                           (effective_deriv(psi, a, setup).expr,
                             effective_deriv_via_connection(psi, a, setup).expr))
                           for a in range(4)], xs)
 
@@ -359,7 +359,7 @@ def suite_dirac_triad(scn) -> dict:
     r_dhe = residual_representative(psi, scn.params, scn.setup).expr
     r_decl = residual_left_form(LeftSpinorField(psi.expr), scn.params, scn.setup).expr
     Pc = LeftSpinorField(f_product(psi.expr, Constant(IDEMPOTENT_F)))
-    r_ci = residual_complex_ideal(Pc, scn.params, scn.setup, xs).expr
+    r_ci = residual_complex_ideal(Pc, scn.params, scn.setup).expr
     worst = fold_sups({}, [
         ("representative-residual", (r_dhe, None)),
         ("left-residual", (r_decl, None)),
@@ -374,10 +374,10 @@ def suite_dirac_triad(scn) -> dict:
         residuals = []
         for _ in range(3):  # the representative, left, ideal and column forms of one unknown
             ex = random_field_expr(rng, even=True)
-            ra = residual_representative(CliffordField(ex), params, setup, check_even=False).expr
-            rb = residual_left_form(LeftSpinorField(ex), params, setup, check_even=False).expr
+            ra = residual_representative(CliffordField(ex), params, setup).expr
+            rb = residual_left_form(LeftSpinorField(ex), params, setup).expr
             pc = LeftSpinorField(f_product(ex, Constant(IDEMPOTENT_F)))
-            rci = residual_complex_ideal(pc, params, setup, check_ideal=False).expr
+            rci = residual_complex_ideal(pc, params, setup).expr
             residuals += [
                 ("left-representative-random", (ra, rb)),
                 ("left-ideal-phase-map", (f_product(rb, Constant(IDEMPOTENT_F)), rci)),
@@ -386,10 +386,9 @@ def suite_dirac_triad(scn) -> dict:
 
         ex1 = random_field_expr(rng, even=True)
         ex2 = random_field_expr(rng, even=True)
-        r1 = residual_representative(CliffordField(ex1), params, setup, check_even=False)
-        r2 = residual_representative(CliffordField(ex2), params, setup, check_even=False)
-        r12 = residual_representative(CliffordField(ex1) + CliffordField(ex2), params, setup,
-                                      check_even=False)
+        r1 = residual_representative(CliffordField(ex1), params, setup)
+        r2 = residual_representative(CliffordField(ex2), params, setup)
+        r12 = residual_representative(CliffordField(ex1) + CliffordField(ex2), params, setup)
         residuals.append(("residual-linearity", (r12.expr, r1.expr, r2.expr),
                           lambda v12, v1, v2: v12 - v1 - v2))
         fold_sups(worst, residuals, xs)
@@ -414,13 +413,13 @@ def suite_gauge(scn) -> dict:
 
         Psi = LeftSpinorField(ex)
         P2, params2, G = gauge_transform_left_form(Psi, params, chi, setup)
-        r1 = residual_left_form(Psi, params, setup, check_even=False)
-        r2 = residual_left_form(P2, params2, setup, check_even=False)
+        r1 = residual_left_form(Psi, params, setup)
+        r2 = residual_left_form(P2, params2, setup)
 
         psi = CliffordField(ex)
         p2, params2b, G2 = gauge_transform_representative(psi, params, chi, setup)
-        r1b = residual_representative(psi, params, setup, check_even=False)
-        r2b = residual_representative(p2, params2b, setup, check_even=False)
+        r1b = residual_representative(psi, params, setup)
+        r2b = residual_representative(p2, params2b, setup)
 
         fold_sups(worst, [
             (f"left-covariance-{label}", (r2.expr, f_product(r1.expr, G.expr))),
@@ -507,21 +506,20 @@ _PURITY = {"S": _off_grades(0, 4), "J": _off_grades(1), "K": _off_grades(1), "M"
 
 def suite_bilinears(scn) -> dict:
     rng = _rng(scn, "bilinears")
-    flat = SpacetimeSetup(scn.chart)
     x0 = scn.chart.grid(2)[:1]
 
     worst: dict = {}
     for _ in range(100):
         m = random_multivector(rng, even=True, scale=0.8)
-        bil = bilinear_covariants(CliffordField(Constant(m)), flat, check_even=False)
-        biln = bilinear_covariants(CliffordField(Constant(-1.0 * m)), flat, check_even=False)
+        bil = bilinear_covariants(CliffordField(Constant(m)))
+        biln = bilinear_covariants(CliffordField(Constant(-1.0 * m)))
         residuals = [("grade-purity", (bil[k].expr,), off) for k, off in _PURITY.items()]
         residuals.append(("quadratic-relations",
                           (bil["J"].expr, bil["K"].expr, bil["sigma"], bil["omega"]), _fierz))
         residuals += [("sign-invariance", (biln[k].expr, bil[k].expr)) for k in _PURITY]
         fold_sups(worst, residuals, x0)
 
-    bil = bilinear_covariants(make_plane_wave(scn.params.mass or 1.0), flat)
+    bil = bilinear_covariants(make_plane_wave(scn.params.mass or 1.0))
     return fold_sups(worst, [
         ("rest-wave-normalization", (bil["sigma"], Constant(Multivector.scalar(1.0)))),
         ("rest-wave-normalization", (bil["omega"], None)),

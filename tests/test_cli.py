@@ -194,6 +194,14 @@ BAD_CONFIGS = {
     "frame-rotor-overflows": _set(None, frame={"type": "rotor", "expr": {
         "kind": "exp-bivector", "bivector": {"e12": 1},
         "scalar": {"kind": "scalar-linear", "slope": [1e308, 0, 0, 0], "offset": 1e308}}}),
+    # the potential and the unknown are checked when the scenario is built, whatever suites run
+    "potential-overflows": _set("params", potential={"kind": "polynomial", "terms": [
+        {"blade": "e0", "coef": 1e308, "powers": [1, 0, 0, 0]},
+        {"blade": "e0", "coef": 1e308}]}),
+    "unknown-overflows": _unknown_expr({  # finite on the 3-point grid, overflowing between
+        "kind": "exp-bivector", "bivector": {"e01": 1}, "scalar": {
+            "kind": "scalar-sine", "amplitude": 1000, "wave": [6.283185307179586, 0, 0, 0]}}),
+    "unknown-odd": _unknown_expr({"kind": "constant", "blades": {"e1": 1}}),
 }
 
 

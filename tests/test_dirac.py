@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sta.algebra import E, E0, E21, Multivector, exp_bivector, gp_batch, GRADES
+from sta.algebra import E, E0, E21, CMultivector, Multivector, exp_bivector, gp_batch, GRADES
 from sta.dirac import (
     DiracParams,
     bilinear_covariants,
@@ -30,9 +30,16 @@ from sta.fields import (
     f_product,
     fold_sups,
 )
-from sta.geometry import Chart, SpacetimeSetup
-from sta.spinors import IDEMPOTENT_F, build_gamma_rep, columns_from_coeffs
-from sta.suites import random_connection, random_field_expr, random_potential
+from sta.geometry import (
+    Chart,
+    SpacetimeSetup,
+    change_spin_frame,
+    effective_deriv,
+    require_even,
+    validate_rotor,
+)
+from sta.spinors import IDEMPOTENT_F, build_gamma_rep, column_from_ideal, columns_from_coeffs
+from sta.suites import random_connection, random_field_expr, random_potential, random_rotor_expr
 
 CHART = Chart([0, 0, 0, 0], [1, 1, 1, 1])
 FLAT = SpacetimeSetup(CHART)
@@ -67,7 +74,7 @@ def test_rest_plane_wave_solves_every_form():
     Psi = LeftSpinorField(psi.expr)
     assert sup(residual_left_form(Psi, params, FLAT)) < 1e-10
     Pc = LeftSpinorField(f_product(psi.expr, Constant(IDEMPOTENT_F)))
-    assert sup(residual_complex_ideal(Pc, params, FLAT, XS)) < 1e-10
+    assert sup(residual_complex_ideal(Pc, params, FLAT)) < 1e-10
     column = fold_sups({}, [("column", *residual_covariant(Pc, REP, params, FLAT))], XS)
     assert column["column"] < 1e-9
 
@@ -79,9 +86,33 @@ def test_each_residual_is_a_field_of_its_bundle():
     assert residual_representative(CliffordField(ex), params, setup).kind is Kind.CLIFFORD
     assert residual_left_form(LeftSpinorField(ex), params, setup).kind is Kind.LEFT
     pc = LeftSpinorField(f_product(ex, Constant(IDEMPOTENT_F)))
-    assert residual_complex_ideal(pc, params, setup, XS).kind is Kind.LEFT
+    assert residual_complex_ideal(pc, params, setup).kind is Kind.LEFT
     with pytest.raises(KindMismatch):
         residual_covariant(CliffordField(ex), REP, params, setup)
+
+
+def test_builders_evaluate_nothing(monkeypatch):
+    """Setups, residuals, laws and frame changes are built without evaluating a field."""
+    def refuse(plan, xs):
+        raise AssertionError("a builder evaluated a field")
+
+    monkeypatch.setattr("sta.fields._Plan.run", refuse)
+    rng = np.random.default_rng(53)
+    u = random_rotor_expr(rng)
+    table = SpacetimeSetup(CHART, random_connection(rng))
+    rotor = change_spin_frame(u, table).setup
+    params = rc_params(53)
+    for setup in (table, rotor):
+        psi = CliffordField(random_field_expr(rng, even=True))
+        pc = LeftSpinorField(f_product(psi.expr, Constant(IDEMPOTENT_F)))
+        residual_representative(psi, params, setup)
+        residual_left_form(LeftSpinorField(psi.expr), params, setup)
+        residual_complex_ideal(pc, params, setup)
+        residual_covariant(pc, REP, params, setup)
+        bilinear_covariants(psi)
+        effective_deriv(psi, 2, setup)
+        lorentz_covariance_check(psi, params, setup, u)
+        change_spin_frame(u, setup, clifford=[psi], left=[pc], representatives=[psi])
 
 
 def test_boosted_plane_wave_solves_dhe():
@@ -89,7 +120,7 @@ def test_boosted_plane_wave_solves_dhe():
     boost = exp_bivector(0.45 * (E(1) * E(0)))
     psi = make_plane_wave(m, boost)
     assert sup(residual_representative(psi, DiracParams(m, 0.0), FLAT)) < 1e-9
-    bil = bilinear_covariants(make_plane_wave(m), FLAT)
+    bil = bilinear_covariants(make_plane_wave(m))
     sig = evaluate(bil["sigma"], XS)[:, 0]
     om = evaluate(bil["omega"], XS)[:, 0]
     assert np.max(np.abs(sig - 1.0)) < 1e-12 and np.max(np.abs(om)) < 1e-12
@@ -121,26 +152,30 @@ def test_residual_linearity():
 
 
 def test_residual_parity_and_kind_guards():
+    # parity is the caller's check, made once on the unknown; the builders check kinds only
     params = DiracParams(1.0, 0.0)
     with pytest.raises(NotEven):
-        residual_representative(CliffordField(Constant(E(1))), params, FLAT)
+        require_even(CliffordField(Constant(E(1))), XS)
     with pytest.raises(KindMismatch):
         residual_left_form(CliffordField(Constant(Multivector.scalar(1.0))), params, FLAT)
+    # Psi f lies in the ideal by construction; a value outside it is refused by the column map
+    ex = random_field_expr(np.random.default_rng(11), even=True)
+    pc = evaluate(f_product(ex, Constant(IDEMPOTENT_F)), XS)
+    assert np.max(np.abs(gp_batch(pc, IDEMPOTENT_F.coeffs) - pc)) < 1e-12
     with pytest.raises(NotInIdeal):
-        residual_complex_ideal(LeftSpinorField(Constant(Multivector.scalar(1.0))),
-                               params, FLAT, XS)
+        column_from_ideal(CMultivector.scalar(1.0), REP)
 
 
 def test_non_finite_fields_fail_the_guards():
     nan = Constant(Multivector.scalar(float("nan")))
-    params = DiracParams(1.0, 0.0)
-    with pytest.raises(NotEven):
-        residual_representative(CliffordField(nan), params, FLAT)
-    with pytest.raises(NotInIdeal):
-        residual_complex_ideal(LeftSpinorField(f_product(nan, Constant(IDEMPOTENT_F))),
-                               params, FLAT, XS)
-    with pytest.raises(ValueError, match="grade 1"):
+    with pytest.raises(NotEven, match="not finite"):
+        require_even(CliffordField(nan), XS)
+    with pytest.raises(NotEven, match="not finite"):
+        require_even(CliffordField(f_product(nan, Constant(IDEMPOTENT_F))), XS)
+    with pytest.raises(ValueError, match="not finite"):
         DiracParams(1.0, 0.0, CliffordField(nan)).validate_grade1(FLAT)
+    with pytest.raises(ValueError, match="grade 1"):
+        DiracParams(1.0, 0.0, CliffordField(Constant(E(1) * E(2)))).validate_grade1(FLAT)
 
 
 # -- the triad of translations ---------------------------------------------------
@@ -152,8 +187,8 @@ def test_left_and_representative_forms_agree_componentwise():
         params = rc_params(seed)
         for _ in range(3):
             ex = random_field_expr(RNG, even=True)
-            ra = residual_representative(CliffordField(ex), params, setup, check_even=False)
-            rb = residual_left_form(LeftSpinorField(ex), params, setup, check_even=False)
+            ra = residual_representative(CliffordField(ex), params, setup)
+            rb = residual_left_form(LeftSpinorField(ex), params, setup)
             assert np.max(np.abs(ra.eval(XS) - rb.eval(XS))) < 1e-12
 
 
@@ -162,10 +197,10 @@ def test_idempotent_projection_maps_left_form_to_ideal_form():
     params = rc_params(23)
     for _ in range(3):
         ex = random_field_expr(RNG, even=True)
-        rdecl = residual_left_form(LeftSpinorField(ex), params, setup, check_even=False)
+        rdecl = residual_left_form(LeftSpinorField(ex), params, setup)
         projected = evaluate(f_product(rdecl.expr, Constant(IDEMPOTENT_F)), XS)
         pc = LeftSpinorField(f_product(ex, Constant(IDEMPOTENT_F)))
-        rci = residual_complex_ideal(pc, params, setup, check_ideal=False)
+        rci = residual_complex_ideal(pc, params, setup)
         assert np.max(np.abs(projected - rci.eval(XS))) < 1e-12
 
 
@@ -175,7 +210,7 @@ def test_column_bijection_intertwines_residuals():
     for _ in range(3):
         ex = random_field_expr(RNG, even=True)
         pc = LeftSpinorField(f_product(ex, Constant(IDEMPOTENT_F)))
-        rci = residual_complex_ideal(pc, params, setup, check_ideal=False)
+        rci = residual_complex_ideal(pc, params, setup)
         cols = columns_from_coeffs(rci.eval(XS), REP)
         nodes, column = residual_covariant(pc, REP, params, setup)
         assert np.max(np.abs(cols - column(*evaluate_many(nodes, XS)))) < 1e-11
@@ -196,15 +231,15 @@ def test_gauge_covariance_both_forms(chi):
 
     Psi = LeftSpinorField(ex)
     P2, params2, G = gauge_transform_left_form(Psi, params, chi, setup)
-    r1 = residual_left_form(Psi, params, setup, check_even=False)
-    r2 = residual_left_form(P2, params2, setup, check_even=False)
+    r1 = residual_left_form(Psi, params, setup)
+    r2 = residual_left_form(P2, params2, setup)
     want = evaluate(f_product(r1.expr, G.expr), XS)
     assert np.max(np.abs(r2.eval(XS) - want)) < 1e-11
 
     psi = CliffordField(ex)
     p2, params2b, G2 = gauge_transform_representative(psi, params, chi, setup)
-    r1b = residual_representative(psi, params, setup, check_even=False)
-    r2b = residual_representative(p2, params2b, setup, check_even=False)
+    r1b = residual_representative(psi, params, setup)
+    r2b = residual_representative(p2, params2b, setup)
     wantb = evaluate(f_product(r1b.expr, G2.expr), XS)
     assert np.max(np.abs(r2b.eval(XS) - wantb)) < 1e-11
 
@@ -273,17 +308,17 @@ def test_lorentz_local_rotor():
     assert fold_sups({}, [("defect", law)], XS)["defect"] < 1e-8
 
 
-def test_lorentz_rejects_non_rotor():
+def test_lorentz_frame_rotor_is_checked_by_validate_rotor():
+    # the frame change takes its rotor on trust; the scenario checks it once
     with pytest.raises(NotRotor):
-        lorentz_covariance_check(CliffordField(Constant(Multivector.scalar(1.0))),
-                                 DiracParams(1.0, 0.0), FLAT, Constant(E(1)))
+        validate_rotor(Constant(E(1)), CHART)
 
 
 # -- bilinears ------------------------------------------------------------------------
 
 
 def test_bilinears_of_unity():
-    bil = bilinear_covariants(CliffordField(Constant(Multivector.scalar(1.0))), FLAT)
+    bil = bilinear_covariants(CliffordField(Constant(Multivector.scalar(1.0))))
     x0 = XS[:1]
     assert np.allclose(evaluate(bil["S"].expr, x0)[0], Multivector.scalar(1.0).coeffs)
     assert np.allclose(evaluate(bil["J"].expr, x0)[0], E(0).coeffs)          # e_0
@@ -295,14 +330,14 @@ def test_bilinears_of_unity():
 
 def test_bilinears_spin_plane_rotor_keeps_current():
     rot = CliffordField(Constant(exp_bivector(0.77 * E21)))
-    bil = bilinear_covariants(rot, FLAT)
+    bil = bilinear_covariants(rot)
     assert np.allclose(evaluate(bil["J"].expr, XS[:1])[0], E(0).coeffs, atol=1e-14)
 
 
 def test_bilinear_grade_purity_and_quadratic_relations():
     for _ in range(30):
         m = Multivector(RNG.normal(size=16)).even()
-        bil = bilinear_covariants(CliffordField(Constant(m)), FLAT, check_even=False)
+        bil = bilinear_covariants(CliffordField(Constant(m)))
         x0 = XS[:1]
         roots = [bil[k].expr for k in ("S", "J", "K", "M")] + [bil["sigma"], bil["omega"]]
         S, J, K, M, sig, om = (v[0] for v in evaluate_many(roots, x0))
@@ -316,6 +351,6 @@ def test_bilinear_grade_purity_and_quadratic_relations():
         assert abs(0.5 * (gp_batch(J, K) + gp_batch(K, J))[0]) < 1e-10
 
 
-def test_bilinears_reject_odd_input():
+def test_bilinears_odd_input_is_refused_by_require_even():
     with pytest.raises(NotEven):
-        bilinear_covariants(CliffordField(Constant(E(1))), FLAT)
+        require_even(CliffordField(Constant(E(1))), XS)

@@ -434,9 +434,9 @@ def _leibniz_pairs():
          A * cov_deriv_left(P, V, setup) + cov_deriv_clifford(A, V, setup) * P),
         ("leibniz-right", cov_deriv_right(F * A, V, setup),
          F * cov_deriv_clifford(A, V, setup) + cov_deriv_right(F, V, setup) * A),
-        ("leibniz-effective", effective_deriv(A * psi, 1, setup, check_even=False),
+        ("leibniz-effective", effective_deriv(A * psi, 1, setup),
          cov_deriv_clifford(A, np.eye(4)[1], setup) * psi
-         + A * effective_deriv(psi, 1, setup, check_even=False)),
+         + A * effective_deriv(psi, 1, setup)),
     ]
     return [(name, (lhs.expr, rhs.expr)) for name, lhs, rhs in pairs], scn.chart.grid(scn.grid)
 

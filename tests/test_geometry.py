@@ -36,6 +36,7 @@ from sta.geometry import (
     effective_deriv_via_connection,
     pair_to_clifford,
     parallel_transport,
+    require_even,
     transformed_connection_form,
     unit_left,
     unit_right,
@@ -82,7 +83,7 @@ def test_antisymmetry_validation():
     gamma[0][1][2] = Constant(Multivector.scalar(1.0))
     gamma[0][2][1] = Constant(Multivector.scalar(1.0))  # wrong sign
     with pytest.raises(NotAntisymmetric):
-        SpacetimeSetup(CHART, ConnectionField(gamma))
+        ConnectionField(gamma).validate_antisymmetry(CHART)
 
 
 def test_non_finite_connection_and_rotor_fail_validation():
@@ -91,7 +92,7 @@ def test_non_finite_connection_and_rotor_fail_validation():
     gamma[0][1][2] = nan
     gamma[0][2][1] = f_scale(-1.0, nan)
     with pytest.raises(NotAntisymmetric):
-        SpacetimeSetup(CHART, ConnectionField(gamma))
+        ConnectionField(gamma).validate_antisymmetry(CHART)
     with pytest.raises(NotRotor):
         validate_rotor(nan, CHART)
 
@@ -178,7 +179,7 @@ def test_effective_derivative_two_routes_and_parity():
             d2 = effective_deriv_via_connection(psi, a, setup)
             assert sup_diff(d1, d2, xs) < 1e-11
     with pytest.raises(NotEven):
-        effective_deriv(CliffordField(Constant(E(1))), 0, SpacetimeSetup(CHART))
+        require_even(CliffordField(Constant(E(1))), xs)
 
 
 def test_effective_one_sided_leibniz():
@@ -187,7 +188,7 @@ def test_effective_one_sided_leibniz():
     U = CliffordField(random_field_expr(RNG))
     psi = CliffordField(random_field_expr(RNG, even=True))
     for a in range(4):
-        lhs = effective_deriv(U * psi, a, setup, check_even=False)
+        lhs = effective_deriv(U * psi, a, setup)
         rhs = cov_deriv_clifford(U, np.eye(4)[a], setup) * psi + U * effective_deriv(psi, a, setup)
         assert sup_diff(lhs, rhs, xs) < 1e-12
 
@@ -437,7 +438,7 @@ def test_rotor_validation():
     with pytest.raises(NotRotor):
         validate_rotor(not_rotor, CHART)
     with pytest.raises(NotRotor):
-        change_spin_frame(Constant(2.0 * Multivector.scalar(1.0)), SpacetimeSetup(CHART))
+        validate_rotor(Constant(2.0 * Multivector.scalar(1.0)), CHART)
 
 
 # -- pairings -------------------------------------------------------------------
