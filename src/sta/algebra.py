@@ -119,6 +119,11 @@ class _Tables:
         self.signs = signs
         self.index = index
         self.cayley = cayley
+        # the multiplication operators of a fixed factor: a @ left_op gives
+        # L[j, k] = sum_i a[i] cayley[i, j, k], and b @ right_op gives
+        # R[i, k] = sum_j cayley[i, j, k] b[j], each flattened to dim * dim
+        self.left_op = cayley.reshape(dim, dim * dim)
+        self.right_op = cayley.transpose(1, 0, 2).reshape(dim, dim * dim)
         self.grades = np.array([_popcount(m) for m in range(dim)])
         self.reverse_signs = np.array(
             [(-1.0) ** (g * (g - 1) // 2) for g in self.grades]
@@ -140,20 +145,22 @@ GRADES = _T.grades
 def gp_batch(a: np.ndarray, b: np.ndarray, tables: _Tables = _T) -> np.ndarray:
     """Geometric product of coefficient arrays with shape (..., dim).
 
-    A 1-D operand is a fixed factor: its multiplication matrix comes from the
-    Cayley tensor once, and the other operand goes through one matrix
-    product, ``b @ L`` with ``L[j, k] = sum_i a[i] cayley[i, j, k]`` or
-    ``a @ R`` with ``R[i, k] = sum_j cayley[i, j, k] b[j]``.  Otherwise each
-    point builds its own ``L`` from a single matrix product and
-    ``out[k] = sum_j b[j] L[j, k]`` is a stacked vector-matrix product, with
-    leading axes broadcast.
+    A 1-D operand is a fixed factor: its multiplication matrix comes from one
+    vector-matrix product with the precomputed ``left_op`` or ``right_op``,
+    and the other operand goes through one matrix product, ``b @ L`` with
+    ``L[j, k] = sum_i a[i] cayley[i, j, k]`` or ``a @ R`` with
+    ``R[i, k] = sum_j cayley[i, j, k] b[j]``.  Every entry of ``L`` and
+    ``R`` has exactly one nonzero term, so they equal the Cayley-tensor
+    contractions bit for bit.  Otherwise each point builds its own ``L``
+    from a single matrix product and ``out[k] = sum_j b[j] L[j, k]`` is a
+    stacked vector-matrix product, with leading axes broadcast.
     """
     dim = tables.dim
     if a.ndim == 1:
-        return b @ np.tensordot(a, tables.cayley, axes=([0], [0]))
+        return b @ (a @ tables.left_op).reshape(dim, dim)
     if b.ndim == 1:
-        return a @ np.tensordot(tables.cayley, b, axes=([1], [0]))
-    left = a @ tables.cayley.reshape(dim, dim * dim)
+        return a @ (b @ tables.right_op).reshape(dim, dim)
+    left = a @ tables.left_op
     left = left.reshape(a.shape[:-1] + (dim, dim))
     return np.matmul(b[..., None, :], left)[..., 0, :]
 

@@ -107,13 +107,13 @@ class DiracParams:
     def with_potential(self, potential: Field) -> "DiracParams":
         return DiracParams(self.mass, self.charge, potential)
 
-    def validate_grade1(self, setup: SpacetimeSetup, tol: float = 1e-10):
-        """Raise ``ValueError`` unless the potential is finite and grade 1 on a 3-point grid."""
-        # a potential that overflows on the grid fails through its non-finite value, not a warning
+    def validate_grade1(self, xs: np.ndarray, tol: float = 1e-10):
+        """Raise ``ValueError`` unless the potential is finite and grade 1 at the points xs."""
+        # a potential that overflows at xs fails through its non-finite value, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            vals = self.potential.eval(setup.chart.grid(3))
+            vals = self.potential.eval(xs)
         if not np.all(np.isfinite(vals)):
-            raise ValueError("potential is not finite on the chart")
+            raise ValueError("potential is not finite at every checked point")
         if float(np.max(np.abs(vals[:, GRADES != 1]))) > tol:
             raise ValueError("potential is not pointwise grade 1")
 

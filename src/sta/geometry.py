@@ -182,12 +182,16 @@ class ConnectionField:
             for c in range(4)
         )
 
-    def validate_antisymmetry(self, chart: Chart, tol: float = 1e-9, n: int = 4):
-        """Raise ``NotAntisymmetric`` unless |Gamma_abc + Gamma_acb| <= tol on chart.grid(n)."""
-        xs = chart.grid(n)
+    def validate_antisymmetry(self, xs: np.ndarray, tol: float = 1e-9):
+        """Raise ``NotAntisymmetric`` unless |Gamma_abc + Gamma_acb| <= tol at the points xs.
+
+        Only the points xs are checked: transport evaluates the connection
+        along curves, off any grid, so an entry that overflows only there
+        passes.
+        """
         entries = [g for ab in self.gamma for abc in ab for g in abc if g is not None]
         worst = 0.0
-        # an entry that overflows on the grid fails through its NaN sup, not a warning
+        # an entry that overflows at xs fails through its NaN sup, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             vals = dict(zip(entries, evaluate_many(entries, xs)))
             for a in range(4):
@@ -200,7 +204,7 @@ class ConnectionField:
                         worst = worst_of(worst, float(np.max(np.abs(vbc + vcb))))
         if not worst <= tol:  # a NaN fails
             raise NotAntisymmetric(
-                f"Gamma_abc + Gamma_acb reaches {worst:.3e} on the sample grid"
+                f"Gamma_abc + Gamma_acb reaches {worst:.3e} at the checked points"
             )
 
     def omega(self, a: int) -> FieldExpr:
@@ -281,24 +285,28 @@ class SpacetimeSetup:
     def omega(self, a: int) -> FieldExpr:
         return self.connection.omega(a)
 
-    def frame_components(self, V) -> list[FieldExpr]:
-        """Components v^a with V = v^a e_a, from an array or grade-1 field."""
+    def frame_components(self, V) -> list:
+        """Components v^a with V = v^a e_a: floats for an array, fields for a grade-1 field."""
         if isinstance(V, Field):
             return [f_scale(float(ETA[a]), BladeCoeff(V.expr, 1 << a)) for a in range(4)]
         v = np.asarray(V, dtype=float)
-        return [Constant(float(v[a])) for a in range(4)]
+        return [float(v[a]) for a in range(4)]
 
-    def coord_components(self, V) -> list[FieldExpr]:
-        """Coordinate components c^mu = v^a L_a^mu of a direction."""
+    def coord_components(self, V) -> list:
+        """Coordinate components c^mu = v^a L_a^mu of a direction.
+
+        Floats for an array direction in the identity tetrad, scalar fields
+        otherwise.
+        """
         v = self.frame_components(V)
         if self.tetrad.is_identity:
             return v
-        return [sum((f_product(v[a], self.tetrad.entry(a, mu)) for a in range(4)), Constant(0.0))
+        return [sum((_times(v[a], self.tetrad.entry(a, mu)) for a in range(4)), Constant(0.0))
                 for mu in range(4)]
 
     def omega_for(self, V) -> FieldExpr:
         """Connection bivector omega_V = v^a omega_a on a direction V."""
-        return sum((f_product(va, self.omega(a)) for a, va in enumerate(self.frame_components(V))),
+        return sum((_times(va, self.omega(a)) for a, va in enumerate(self.frame_components(V))),
                    Constant(0.0))
 
     def omega_coord_at(self, xdot: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -322,6 +330,15 @@ class SpacetimeSetup:
             if np.any(v[:, a]):
                 acc = acc + v[:, a, None] * evaluate(self.omega(a), x)
         return acc
+
+
+def _times(c, e: FieldExpr) -> FieldExpr:
+    """c e for a direction component c: a float scales, a scalar field multiplies.
+
+    A float is not wrapped in a ``Constant``: ``f_product`` would fold that
+    scalar ``Constant`` to the same ``f_scale`` after interning it.
+    """
+    return f_scale(c, e) if isinstance(c, float) else f_product(c, e)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +374,7 @@ def directional_derivative(F: Field, V, setup: SpacetimeSetup) -> Field:
     the setup's tetrad converts it to chart coordinate directions.
     """
     comps = setup.coord_components(V)
-    return Field(F.kind, sum((f_product(c, F.expr.partial(mu)) for mu, c in enumerate(comps)),
+    return Field(F.kind, sum((_times(c, F.expr.partial(mu)) for mu, c in enumerate(comps)),
                              Constant(0.0)))
 
 
@@ -433,13 +450,12 @@ def dirac_operator_left(P: Field, setup: SpacetimeSetup) -> Field:
 # The right-hand side of each transport law is linear in y, y' = y @ A(omega),
 # with A[j, k] = sum_i omega_i op[i, j*DIM + k] read off the Cayley tensor C
 # (e_i e_j = sum_k C[i, j, k] e_k):  omega y is C contracted on its first
-# index, y omega on its second.
-_C = STA.tables.cayley
-_CT = _C.transpose(1, 0, 2)
+# index (the kernel's ``left_op``), y omega on its second (``right_op``).
+_T = STA.tables
 _TRANSPORT_OPS = {
-    Kind.CLIFFORD: -0.5 * (_C - _CT).reshape(DIM, DIM * DIM),
-    Kind.LEFT: -0.5 * _C.reshape(DIM, DIM * DIM),
-    Kind.RIGHT: 0.5 * _CT.reshape(DIM, DIM * DIM),
+    Kind.CLIFFORD: -0.5 * (_T.left_op - _T.right_op),
+    Kind.LEFT: -0.5 * _T.left_op,
+    Kind.RIGHT: 0.5 * _T.right_op,
 }
 
 
@@ -484,10 +500,13 @@ def parallel_transport(a0, kind: Kind, curve: Curve, setup: SpacetimeSetup,
 # ---------------------------------------------------------------------------
 
 
-def validate_rotor(u: FieldExpr, chart: Chart, tol: float = ROTOR_TOL, n: int = 4):
-    """Raise ``NotRotor`` unless u is even and reverse(u) u = 1, within tol, on chart.grid(n)."""
-    xs = chart.grid(n)
-    # a rotor that overflows on the grid fails through its NaN, not a warning
+def validate_rotor(u: FieldExpr, xs: np.ndarray, tol: float = ROTOR_TOL):
+    """Raise ``NotRotor`` unless u is even and reverse(u) u = 1, within tol, at the points xs.
+
+    Only the points xs are checked: transport evaluates the frame's
+    connection along curves, off any grid.
+    """
+    # a rotor that overflows at xs fails through its NaN, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         vals = evaluate(u, xs)
         uu = gp_batch(vals * STA.tables.reverse_signs, vals)
@@ -532,7 +551,7 @@ class FrameChange:
 
 
 def change_spin_frame(u: FieldExpr, setup: SpacetimeSetup, *, clifford=(), left=(),
-                      right=(), representatives=(), grid_n: int = 3) -> FrameChange:
+                      right=(), representatives=()) -> FrameChange:
     """Move to the spin frame related to the current one by the rotor field u.
 
     Returns the new setup (connection coefficients recomputed against the

@@ -31,10 +31,11 @@ This is where data from outside the program enters, so the fields it
 builds are checked here, once, and the builders downstream check nothing:
 a table connection must be antisymmetric (``NotAntisymmetric``), a frame
 expression a rotor field (``NotRotor``), the potential finite and grade 1
-(``ConfigError``), and the unknown finite and even at every point of the
-run grid (``NotEven``), the points the dirac-triad suite evaluates.  Each
+(``ConfigError``), and the unknown finite and even (``NotEven``), each at
+every point of the run grid, the points the field suites evaluate.  Each
 check samples under ``np.errstate``, so a field that overflows fails the
-check instead of warning.
+check instead of warning.  The transport suite evaluates the connection
+along curves between the grid points, which no check samples.
 
 Field expressions EXPR form a closed constructor set, each with an exact
 derivative: zero, constant, polynomial (degree <= 3), rotor-wave, sum,
@@ -282,7 +283,8 @@ class Scenario:
                 raise UnknownSuite(f"unknown suite {s!r}")
         self.suites = list(dict.fromkeys(suites))
 
-        self.setup, self.frame_rotor = self._build_setup(cfg)
+        xs = self.chart.grid(self.grid)
+        self.setup, self.frame_rotor = self._build_setup(cfg, xs)
 
         params_cfg = _object(cfg.get("params", {"mass": 1.0, "charge": 0.0}), "params")
         mass = _number(params_cfg.get("mass", 1.0), "params.mass")
@@ -293,15 +295,15 @@ class Scenario:
         pot = CliffordField(parse_expr(pot_cfg, "params.potential"))
         self.params = DiracParams(mass, charge, pot)
         try:
-            self.params.validate_grade1(self.setup)
+            self.params.validate_grade1(xs)
         except ValueError as exc:
             _fail(f"params.potential: {exc}")
 
         self.unknown = self._build_unknown(
             _object(cfg.get("unknown", {"type": "plane-wave"}), "unknown"))
-        require_even(self.unknown, self.chart.grid(self.grid), label="unknown")
+        require_even(self.unknown, xs, label="unknown")
 
-    def _build_setup(self, cfg):
+    def _build_setup(self, cfg, xs):
         conn_cfg = _object(cfg.get("connection", {"type": "zero"}), "connection")
         ctype = conn_cfg.get("type")
         if ctype == "zero":
@@ -320,7 +322,7 @@ class Scenario:
                 gamma[a][b][c] = e
                 gamma[a][c][b] = f_scale(-1.0, e)
             conn = ConnectionField(gamma)
-            conn.validate_antisymmetry(self.chart)
+            conn.validate_antisymmetry(xs)
         else:
             _fail(f"connection.type must be 'zero' or 'table', got {ctype!r}")
 
@@ -331,7 +333,7 @@ class Scenario:
             return base, None
         if ftype == "rotor":
             rot = parse_expr(frame_cfg.get("expr"), "frame.expr")
-            validate_rotor(rot, self.chart)
+            validate_rotor(rot, xs)
             return change_spin_frame(rot, base).setup, rot
         _fail(f"frame.type must be 'fiducial' or 'rotor', got {ftype!r}")
 

@@ -244,9 +244,16 @@ def suite_algebra(scn) -> dict:
 
 def suite_derivatives(scn) -> dict:
     rng = _rng(scn, "derivatives")
-    xs = scn.chart.grid(scn.grid)
     setups = [scn.setup] + [random_setup(scn, rng) for _ in range(2)]
-    worst: dict = {}
+    # every residual is built first, then folded in one plan per setup, so
+    # the nodes a setup's residuals share (its connection, above all) are
+    # evaluated once per chunk; one plan over all residuals in build order
+    # held about twice as many values live at its peak
+    by_setup: dict = {}  # setup -> its residuals, setups in first-use order
+
+    def add(setup, residuals):
+        by_setup.setdefault(setup, []).extend(residuals)
+
     for i in range(50):
         setup = setups[i % len(setups)]
         V = rng.normal(size=4)
@@ -269,29 +276,33 @@ def suite_derivatives(scn) -> dict:
                           cov_deriv_clifford(A, np.eye(4)[a], setup) * psi
                           + A * effective_deriv(psi, a, setup)),
         }
-        residuals = [(f"leibniz-{k}", (lhs.expr, rhs.expr)) for k, (lhs, rhs) in laws.items()]
-        fold_sups(worst, residuals, xs)
+        add(setup, [(f"leibniz-{k}", (lhs.expr, rhs.expr)) for k, (lhs, rhs) in laws.items()])
 
     for _ in range(10):
         setup = setups[int(rng.integers(0, len(setups)))]
         P = LeftSpinorField(f_product(random_field_expr(rng), Constant(IDEMPOTENT_E)))
         dP = cov_deriv_left(P, rng.normal(size=4), setup)
         proj = f_product(dP.expr, Constant(IDEMPOTENT_E))
-        fold_sups(worst, [("ideal-preservation", (proj, dP.expr))], xs)
+        add(setup, [("ideal-preservation", (proj, dP.expr))])
 
     rotor_setup = change_spin_frame(random_rotor_expr(rng), setups[1]).setup
     for setup in (setups[0], setups[1], rotor_setup):
         psi = CliffordField(random_field_expr(rng, even=True))
-        fold_sups(worst, [("effective-two-routes",
-                           (effective_deriv(psi, a, setup).expr,
-                            effective_deriv_via_connection(psi, a, setup).expr))
-                          for a in range(4)], xs)
+        add(setup, [("effective-two-routes",
+                     (effective_deriv(psi, a, setup).expr,
+                      effective_deriv_via_connection(psi, a, setup).expr))
+                    for a in range(4)])
 
     for setup in (setups[1], setups[2]):
-        fold_sups(worst, [("unit-section-law",
-                           (cov_deriv_right(unit_right(), np.eye(4)[a], setup).expr,
-                            f_scale(-0.5, setup.omega(a))))
-                          for a in range(4)], xs)
+        add(setup, [("unit-section-law",
+                     (cov_deriv_right(unit_right(), np.eye(4)[a], setup).expr,
+                      f_scale(-0.5, setup.omega(a))))
+                    for a in range(4)])
+
+    xs = scn.chart.grid(scn.grid)
+    worst: dict = {}
+    for residuals in by_setup.values():
+        fold_sups(worst, residuals, xs)
     return worst
 
 

@@ -134,6 +134,22 @@ def test_gp_batch_matches_oracle(shape_a, shape_b, complex_a, complex_b):
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("complex_factor, complex_other", [
+    (False, False), (True, False), (False, True), (True, True)])
+def test_fixed_factor_products_equal_the_cayley_contractions_bit_for_bit(complex_factor,
+                                                                         complex_other):
+    cayley = Signature(1, 3).tables.cayley
+    rng = np.random.default_rng(23)
+    f = _random_rows(rng, (), 16, complex_factor)
+    for other in (_random_rows(rng, (), 16, complex_other),
+                  _random_rows(rng, (37,), 16, complex_other)):
+        np.testing.assert_array_equal(gp_batch(f, other),
+                                      other @ np.tensordot(f, cayley, axes=([0], [0])))
+    rows = _random_rows(rng, (37,), 16, complex_other)
+    np.testing.assert_array_equal(gp_batch(rows, f),
+                                  rows @ np.tensordot(cayley, f, axes=([1], [0])))
+
+
 def test_gp_batch_other_signature_tables():
     sig = Signature(3, 0)
     rng = np.random.default_rng(19)

@@ -162,6 +162,10 @@ def _unknown_expr(expr):
     return _set(None, unknown={"type": "expr", "expr": expr})
 
 
+# exp(e01 s) with s = 1000 sin(3 pi x0): a rotor, 1 where s vanishes and cosh(1000) at x0 = 1/2
+_COSH_OVERFLOW = {"kind": "exp-bivector", "bivector": {"e01": 1}, "scalar": {
+    "kind": "scalar-sine", "amplitude": 1000, "wave": [3 * np.pi, 0, 0, 0]}}
+
 BAD_CONFIGS = {
     "grid-string": _set(None, grid="abc"),
     "grid-bool": _set(None, grid=True),
@@ -194,6 +198,11 @@ BAD_CONFIGS = {
     "frame-rotor-overflows": _set(None, frame={"type": "rotor", "expr": {
         "kind": "exp-bivector", "bivector": {"e12": 1},
         "scalar": {"kind": "scalar-linear", "slope": [1e308, 0, 0, 0], "offset": 1e308}}}),
+    # finite at x0 = 0, 1/3, 2/3 and 1, overflowing at x0 = 1/2 of the run grid
+    "connection-entry-overflows-between-thirds": _set(None, connection={
+        "type": "table", "entries": [{"a": 0, "b": 1, "c": 2, "expr": _COSH_OVERFLOW}]}),
+    "frame-rotor-overflows-between-thirds": _set(None, frame={
+        "type": "rotor", "expr": _COSH_OVERFLOW}),
     # the potential and the unknown are checked when the scenario is built, whatever suites run
     "potential-overflows": _set("params", potential={"kind": "polynomial", "terms": [
         {"blade": "e0", "coef": 1e308, "powers": [1, 0, 0, 0]},

@@ -173,9 +173,9 @@ def test_non_finite_fields_fail_the_guards():
     with pytest.raises(NotEven, match="not finite"):
         require_even(CliffordField(f_product(nan, Constant(IDEMPOTENT_F))), XS)
     with pytest.raises(ValueError, match="not finite"):
-        DiracParams(1.0, 0.0, CliffordField(nan)).validate_grade1(FLAT)
+        DiracParams(1.0, 0.0, CliffordField(nan)).validate_grade1(XS)
     with pytest.raises(ValueError, match="grade 1"):
-        DiracParams(1.0, 0.0, CliffordField(Constant(E(1) * E(2)))).validate_grade1(FLAT)
+        DiracParams(1.0, 0.0, CliffordField(Constant(E(1) * E(2)))).validate_grade1(XS)
 
 
 # -- the triad of translations ---------------------------------------------------
@@ -311,7 +311,7 @@ def test_lorentz_local_rotor():
 def test_lorentz_frame_rotor_is_checked_by_validate_rotor():
     # the frame change takes its rotor on trust; the scenario checks it once
     with pytest.raises(NotRotor):
-        validate_rotor(Constant(E(1)), CHART)
+        validate_rotor(Constant(E(1)), XS)
 
 
 # -- bilinears ------------------------------------------------------------------------

@@ -478,15 +478,19 @@ def _watch_evaluation(monkeypatch):
     """Record every node ``_eval`` and every plan memo after each step, with its peak size."""
     from sta import fields
 
-    seen = {"nodes": [], "memos": {}, "peak": 0, "live": []}
+    seen = {"nodes": [], "memos": {}, "peak": 0, "live": [], "rows": [], "runs": []}
     real = fields._Plan.run
 
     def watched(plan, xs):
         seen["memos"][id(plan.memo)] = plan.memo
+        run = {"rows": len(xs), "peak": 0}
+        seen["runs"].append(run)
         for node in real(plan, xs):
             seen["peak"] = max(seen["peak"], len(plan.memo))
+            run["peak"] = max(run["peak"], len(plan.memo))
             seen["live"].append(set(plan.memo))
             yield node
+        run["left"] = len(plan.memo)
 
     monkeypatch.setattr(fields._Plan, "run", watched)
     pending = [fields.FieldExpr]
@@ -496,6 +500,7 @@ def _watch_evaluation(monkeypatch):
         if "_eval" in cls.__dict__:
             def node_eval(self, xs, *vals, _eval=cls.__dict__["_eval"]):
                 seen["nodes"].append(self)
+                seen["rows"].append(len(xs))
                 return _eval(self, xs, *vals)
 
             monkeypatch.setattr(cls, "_eval", node_eval)
@@ -614,3 +619,57 @@ def test_two_calls_into_one_dict_equal_the_worst_of_both():
     both = fold_sups(fold_sups({}, calls[0], xs), calls[1], xs)
     assert both == {k: worst_of(first[k], second[k]) for k in first}
     assert first["x"] != second["x"] and first["z"] != second["z"]
+
+
+# -- chunks: fold_sups runs its plan over 512-row chunks -------------------------
+
+
+def _chunked_points():
+    """1,100 points: two full chunks of 512 rows and a partial one of 76."""
+    return np.random.default_rng(29).uniform(0.0, 1.0, size=(1100, 4))
+
+
+def test_chunked_sups_equal_whole_grid_evaluation_bit_for_bit():
+    pairs, _ = _leibniz_pairs()
+    xs = _chunked_points()
+    want = {name: float(np.max(np.abs(evaluate(l, xs) - evaluate(r, xs))))
+            for name, (l, r) in pairs}
+    assert fold_sups({}, pairs, xs) == want
+
+
+def test_chunks_reuse_one_plan_and_hold_at_most_512_rows(monkeypatch):
+    from collections import Counter
+
+    pairs, _ = _leibniz_pairs()
+    seen = _watch_evaluation(monkeypatch)
+    fold_sups({}, pairs, _chunked_points())
+    assert len(seen["memos"]) == 1  # one plan, built once
+    assert [run["rows"] for run in seen["runs"]] == [512, 512, 76]
+    assert max(seen["rows"]) == 512  # no _eval receives more
+    assert set(Counter(seen["nodes"]).values()) == {3}  # each node once per chunk
+    # every chunk starts from the full use counts: same peak, and no value left behind
+    assert len({run["peak"] for run in seen["runs"]}) == 1
+    assert [run["left"] for run in seen["runs"]] == [0, 0, 0]
+
+
+def test_a_nan_only_in_the_last_partial_chunk_stays_nan_under_its_name():
+    xs = _chunked_points()
+    xs[1090, 0] = np.nan
+    late = Polynomial([(0b0001, 0.5, (1, 0, 0, 0))])  # NaN only at the row whose x0 is NaN
+    fine = Polynomial([(0b0010, 0.7, (0, 1, 0, 0)), (0, -0.3, (0, 0, 2, 0))])
+    sups = fold_sups({}, [("late", (fine, None)), ("late", (late, fine)), ("fine", (fine, None))],
+                     xs)
+    assert np.isnan(sups["late"])
+    assert sups["fine"] == float(np.max(np.abs(evaluate(fine, xs))))
+
+
+def test_non_simple_bivector_exp_per_chunk_stays_within_its_bound():
+    B = E(1) * E(2) + 0.7 * (E(0) * E(3)) + 0.3 * (E(0) * E(1))  # B^2 is not a scalar
+    xs = _chunked_points()
+    xs = xs[np.argsort(xs[:, 0])]  # |s| grows from chunk to chunk, and each sizes its series
+    node = BivectorExp(B, ScalarLinear([6.0, 0.0, 0.0, 0.0]))
+    chunks = []
+    fold_sups({}, [("exp", (node,), lambda v: chunks.append(v) or v)], xs)
+    whole = evaluate(node, xs)
+    got = np.concatenate(chunks)
+    assert np.max(np.abs(got - whole)) <= 1e-13 * max(1.0, float(np.max(np.abs(whole))))

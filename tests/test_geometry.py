@@ -12,6 +12,7 @@ from sta.fields import (
     GradeSelect,
     Kind,
     LeftSpinorField,
+    Polynomial,
     RightSpinorField,
     evaluate,
     evaluate_many,
@@ -83,7 +84,7 @@ def test_antisymmetry_validation():
     gamma[0][1][2] = Constant(Multivector.scalar(1.0))
     gamma[0][2][1] = Constant(Multivector.scalar(1.0))  # wrong sign
     with pytest.raises(NotAntisymmetric):
-        ConnectionField(gamma).validate_antisymmetry(CHART)
+        ConnectionField(gamma).validate_antisymmetry(CHART.grid(4))
 
 
 def test_non_finite_connection_and_rotor_fail_validation():
@@ -92,9 +93,9 @@ def test_non_finite_connection_and_rotor_fail_validation():
     gamma[0][1][2] = nan
     gamma[0][2][1] = f_scale(-1.0, nan)
     with pytest.raises(NotAntisymmetric):
-        ConnectionField(gamma).validate_antisymmetry(CHART)
+        ConnectionField(gamma).validate_antisymmetry(CHART.grid(4))
     with pytest.raises(NotRotor):
-        validate_rotor(nan, CHART)
+        validate_rotor(nan, CHART.grid(4))
 
 
 def test_connection_recovered_from_omega():
@@ -325,6 +326,25 @@ def test_transport_matches_per_stage_reference(frame):
         assert out.coeffs == pytest.approx(ref, rel=1e-12)
 
 
+def test_array_directions_intern_no_scalar_constant_and_rebuild_to_the_same_nodes():
+    from sta.fields import _NODES
+
+    torsion = [[[None] * 4 for _ in range(4)] for _ in range(4)]
+    torsion[0][1][2] = Constant(Multivector.scalar(0.8))
+    torsion[0][2][1] = Constant(Multivector.scalar(-0.8))
+    A = CliffordField(Polynomial([(0b0011, 0.7, (1, 0, 2, 0)), (0b0101, -0.3, (0, 1, 0, 1))]))
+    V = np.random.default_rng(71).normal(size=4)
+    for setup in (SpacetimeSetup(CHART, ConnectionField(torsion)), rc_setup(72)):
+        before = dict(_NODES)
+        first = (directional_derivative(A, V, setup).expr, cov_deriv_clifford(A, V, setup).expr)
+        added = [node for key, node in _NODES.items() if key not in before]
+        assert added and not [n for n in added if isinstance(n, Constant) and n.is_scalar]
+        built = dict(_NODES)
+        again = (directional_derivative(A, V, setup).expr, cov_deriv_clifford(A, V, setup).expr)
+        assert again[0] is first[0] and again[1] is first[1]
+        assert _NODES == built
+
+
 def test_batched_omega_matches_row_by_row():
     setup = change_spin_frame(random_rotor_expr(np.random.default_rng(56)), rc_setup(57)).setup
     rng = np.random.default_rng(58)
@@ -405,7 +425,7 @@ def test_frame_change_two_routes_and_orthonormality():
             unit = np.zeros(16)
             unit[0] = 2.0 if a == b == 0 else (-2.0 if a == b else 0.0)
             assert np.max(np.abs(anti - unit)) < 1e-11
-    fc.setup.connection.validate_antisymmetry(CHART, tol=1e-10)
+    fc.setup.connection.validate_antisymmetry(CHART.grid(4), tol=1e-10)
     for a in range(4):
         lowered = Field(Kind.CLIFFORD, f_scale(float(ETA[a]), fc.legs[a].expr))
         wB = transformed_connection_form(u, setup, lowered)
@@ -436,9 +456,9 @@ def test_frame_change_naturality_all_kinds():
 def test_rotor_validation():
     not_rotor = Constant(E(1))
     with pytest.raises(NotRotor):
-        validate_rotor(not_rotor, CHART)
+        validate_rotor(not_rotor, CHART.grid(4))
     with pytest.raises(NotRotor):
-        validate_rotor(Constant(2.0 * Multivector.scalar(1.0)), CHART)
+        validate_rotor(Constant(2.0 * Multivector.scalar(1.0)), CHART.grid(4))
 
 
 # -- pairings -------------------------------------------------------------------

@@ -37,3 +37,28 @@ def test_expected_value_turns_a_residual_row_into_a_diagnostic():
             assert c.value == abs(plain[c.name].value - 1.0) and c.passed == (c.value <= 0.5)
         else:
             assert (c.value, c.law, c.diagnostic) == (plain[c.name].value, plain[c.name].law, False)
+
+
+def test_derivative_suite_folds_one_plan_per_setup(monkeypatch):
+    from sta import fields
+
+    scn = Scenario(dict(load_config("torsion-toy"), grid=2))
+    plans, evaluated = [], []
+    build, run = fields._Plan.__init__, fields._Plan.run
+
+    def counted_build(plan, roots):
+        plans.append(plan)
+        build(plan, roots)
+
+    def counted_run(plan, xs):
+        for node in run(plan, xs):
+            evaluated.append(node)
+            yield node
+
+    monkeypatch.setattr(fields._Plan, "__init__", counted_build)
+    monkeypatch.setattr(fields._Plan, "run", counted_run)
+    assert all(c.passed for c in run_suite("derivatives", scn))
+    # the scenario's setup, two random setups and one changed spin frame
+    assert len(plans) <= 4
+    # measured; a plan per residual scope evaluates shared connection nodes again (7,564)
+    assert len(evaluated) == 3591
