@@ -47,7 +47,6 @@ from .errors import (
     CurveOutOfChart,
     InconsistentParity,
     KindMismatch,
-    NotAntisymmetric,
     NotEven,
     NotInIdeal,
     NotRotor,

@@ -31,19 +31,18 @@ With the conventions used here c evaluates to -i; sources that write +i in
 the ideal/column equations orient the spin plane the opposite way.
 
 The operators are defined on every section of their bundle, so no builder
-here samples its argument: that the unknown is even and finite is a
-property of the field under test, checked once where a scenario is built,
-and Psi f lies in the ideal because it is built that way.  Library callers
-check their own inputs with ``geometry.require_even``,
-``geometry.validate_rotor``, ``ConnectionField.validate_antisymmetry`` and
-``DiracParams.validate_grade1``.
+here samples its argument: that the unknown is finite and even, and the
+potential finite and grade 1, are properties of the fields under test,
+checked once where a scenario is built (``sta.scenario``), and Psi f lies
+in the ideal because it is built that way.  A library caller that builds
+its own fields vouches for them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import E0, E21, GRADES, E_lower, Multivector, reverse
+from .algebra import E0, E21, E_lower, Multivector, reverse
 from .errors import KindMismatch, NotRotor
 from .fields import (
     BivectorExp,
@@ -106,16 +105,6 @@ class DiracParams:
 
     def with_potential(self, potential: Field) -> "DiracParams":
         return DiracParams(self.mass, self.charge, potential)
-
-    def validate_grade1(self, xs: np.ndarray, tol: float = 1e-10):
-        """Raise ``ValueError`` unless the potential is finite and grade 1 at the points xs."""
-        # a potential that overflows at xs fails through its non-finite value, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = self.potential.eval(xs)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("potential is not finite at every checked point")
-        if float(np.max(np.abs(vals[:, GRADES != 1]))) > tol:
-            raise ValueError("potential is not pointwise grade 1")
 
 
 def residual_representative(psi: Field, params: DiracParams, setup: SpacetimeSetup) -> Field:

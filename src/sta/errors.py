@@ -21,10 +21,6 @@ class NotEven(StaError):
     """Operand has a nonzero odd-grade part where an even one is required."""
 
 
-class NotAntisymmetric(StaError):
-    """Connection coefficients violate antisymmetry in the last index pair."""
-
-
 class NotRotor(StaError):
     """Field fails the rotor condition reverse(u)*u = 1."""
 

@@ -680,6 +680,8 @@ class BivectorExp(FieldExpr):
         self.B = _coerce(B)
         if self.B.grades_present(tol=0.0) - {2}:
             raise ValueError("BivectorExp expects a pure grade-2 bivector")
+        if not s.is_scalar:
+            raise ValueError("BivectorExp expects a scalar expression s")
         self.s = s
         kind, beta2 = bivector_square_class(self.B)
         self._kind = kind

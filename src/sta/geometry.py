@@ -29,14 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import DIM, GRADES, STA, E, Multivector, gp_batch
-from .errors import (
-    CurveOutOfChart,
-    KindMismatch,
-    NotAntisymmetric,
-    NotEven,
-    NotRotor,
-)
+from .algebra import DIM, STA, E, Multivector
+from .errors import CurveOutOfChart, KindMismatch
 from .fields import (
     BladeCoeff,
     CliffordField,
@@ -48,13 +42,11 @@ from .fields import (
     LeftSpinorField,
     RightSpinorField,
     evaluate,
-    evaluate_many,
     f_commutator_half,
     f_product,
     f_reverse,
     f_scale,
     f_sum,
-    worst_of,
 )
 
 __all__ = [
@@ -81,22 +73,21 @@ __all__ = [
 ]
 
 ETA = np.array([1.0, -1.0, -1.0, -1.0])
-ROTOR_TOL = 1e-9
+# the (a, b, c) of the coefficients a connection is given by
+_CONNECTION_KEYS = frozenset((a, b, c) for a in range(4) for b in range(4)
+                             for c in range(b + 1, 4))
 
 
 class Chart:
-    """A single coordinate box with a finite-difference cross-check step."""
+    """A single coordinate box."""
 
-    def __init__(self, lo, hi, fd_step: float = 1e-3):
+    def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
         if self.lo.shape != (4,) or self.hi.shape != (4,):
             raise ValueError("chart bounds must have 4 entries")
         if not np.all(self.lo < self.hi):
             raise ValueError("chart requires lo < hi on every axis")
-        if fd_step <= 0:
-            raise ValueError("fd_step must be positive")
-        self.fd_step = float(fd_step)
 
     def grid(self, n: int) -> np.ndarray:
         """Tensor grid with n points per axis, flattened to (n^4, 4)."""
@@ -158,54 +149,27 @@ class ConnectionField:
     The coefficients are defined against the setup's frame legs by
     D_{e_a} e_b = Gamma_ab^c e_c; metric compatibility is exactly the
     antisymmetry in (b, c), which is what allows the bivector form
-    omega_a = -1/2 Gamma_abc e^b ^ e^c to exist.
+    omega_a = -1/2 Gamma_abc e^b ^ e^c to exist.  So only the coefficients
+    with b < c are given, as a map {(a, b, c): expr}; the others follow
+    from the antisymmetry and a missing one is zero.
     """
 
-    def __init__(self, gamma_exprs):
-        # gamma_exprs: nested [a][b][c] of FieldExpr or None (zero)
-        self.gamma = gamma_exprs
+    def __init__(self, entries: dict | None = None):
+        entries = dict(entries or {})
+        for key in entries:
+            if key not in _CONNECTION_KEYS:
+                raise ValueError(f"connection key {key!r} is not (a, b, c) with b < c, "
+                                 f"each in 0..3")
+        self.entries = entries
         self._omega: list[FieldExpr] | None = None
 
     @classmethod
     def zero(cls) -> "ConnectionField":
-        return cls([[[None] * 4 for _ in range(4)] for _ in range(4)])
-
-    def entry(self, a: int, b: int, c: int) -> FieldExpr | None:
-        return self.gamma[a][b][c]
+        return cls()
 
     @property
     def is_zero(self) -> bool:
-        return all(
-            self.gamma[a][b][c] is None
-            for a in range(4)
-            for b in range(4)
-            for c in range(4)
-        )
-
-    def validate_antisymmetry(self, xs: np.ndarray, tol: float = 1e-9):
-        """Raise ``NotAntisymmetric`` unless |Gamma_abc + Gamma_acb| <= tol at the points xs.
-
-        Only the points xs are checked: transport evaluates the connection
-        along curves, off any grid, so an entry that overflows only there
-        passes.
-        """
-        entries = [g for ab in self.gamma for abc in ab for g in abc if g is not None]
-        worst = 0.0
-        # an entry that overflows at xs fails through its NaN sup, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = dict(zip(entries, evaluate_many(entries, xs)))
-            for a in range(4):
-                for b in range(4):
-                    for c in range(b, 4):
-                        gbc = self.gamma[a][b][c]
-                        gcb = self.gamma[a][c][b]
-                        vbc = vals[gbc][:, 0] if gbc is not None else 0.0
-                        vcb = vals[gcb][:, 0] if gcb is not None else 0.0
-                        worst = worst_of(worst, float(np.max(np.abs(vbc + vcb))))
-        if not worst <= tol:  # a NaN fails
-            raise NotAntisymmetric(
-                f"Gamma_abc + Gamma_acb reaches {worst:.3e} at the checked points"
-            )
+        return not self.entries
 
     def omega(self, a: int) -> FieldExpr:
         """Spin-connection bivector omega_a = -1/2 Gamma_abc e^b ^ e^c."""
@@ -215,7 +179,7 @@ class ConnectionField:
                 acc: FieldExpr = Constant(Multivector.zero())
                 for b in range(4):
                     for c in range(b + 1, 4):
-                        g = self.gamma[aa][b][c]
+                        g = self.entries.get((aa, b, c))
                         if g is None:
                             continue
                         acc = f_sum(
@@ -402,19 +366,6 @@ def cov_deriv_right(F: Field, V, setup: SpacetimeSetup) -> Field:
     return RightSpinorField(f_sum(dF, f_scale(-0.5, f_product(F.expr, w))))
 
 
-def require_even(F: Field, xs: np.ndarray, tol: float = 1e-10, label: str = "field"):
-    """Raise ``NotEven`` unless F is finite and even, up to ``tol`` relative, at the points xs."""
-    # a field that overflows at xs fails through its non-finite value, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = F.eval(xs)
-    if not np.all(np.isfinite(vals)):
-        raise NotEven(f"{label} is not finite at every checked point")
-    odd = vals[:, GRADES % 2 == 1]
-    scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
-    if float(np.max(np.abs(odd), initial=0.0)) > tol * scale:
-        raise NotEven(f"{label} has a nonzero odd part")
-
-
 def effective_deriv(psi: Field, a: int, setup: SpacetimeSetup) -> Field:
     """Effective derivative of a representative: d_{e_a} psi + omega_a psi / 2."""
     if psi.kind is not Kind.CLIFFORD:
@@ -500,26 +451,6 @@ def parallel_transport(a0, kind: Kind, curve: Curve, setup: SpacetimeSetup,
 # ---------------------------------------------------------------------------
 
 
-def validate_rotor(u: FieldExpr, xs: np.ndarray, tol: float = ROTOR_TOL):
-    """Raise ``NotRotor`` unless u is even and reverse(u) u = 1, within tol, at the points xs.
-
-    Only the points xs are checked: transport evaluates the frame's
-    connection along curves, off any grid.
-    """
-    # a rotor that overflows at xs fails through its NaN, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = evaluate(u, xs)
-        uu = gp_batch(vals * STA.tables.reverse_signs, vals)
-    odd = vals[:, GRADES % 2 == 1]
-    if not float(np.max(np.abs(odd))) <= tol:  # a NaN fails
-        raise NotRotor("rotor field has odd-grade components")
-    unit = np.zeros(DIM)
-    unit[0] = 1.0
-    defect = float(np.max(np.abs(uu - unit)))
-    if not defect <= tol:
-        raise NotRotor(f"reverse(u)*u deviates from 1 by {defect:.3e}")
-
-
 def transformed_frame_legs(u: FieldExpr) -> list[Field]:
     """New frame legs u e_a u~ as fields in the current trivialization."""
     ur = f_reverse(u)
@@ -559,21 +490,20 @@ def change_spin_frame(u: FieldExpr, setup: SpacetimeSetup, *, clifford=(), left=
     trivialization:  Clifford components conjugate, left components pick up
     u~ on the left, right components pick up u on the right, and a
     representative of a spinor field transforms like the spinor itself.
-    The caller vouches that u is a rotor field; ``validate_rotor`` checks it.
+    The caller vouches that u is a real rotor field.
     """
     legs = transformed_frame_legs(u)
     lowered = [Field(Kind.CLIFFORD, f_scale(float(ETA[a]), legs[a].expr)) for a in range(4)]
 
     # Gamma'_abc = <(D_{e'_a} e'_b) e'_c>_0 with lowered legs in every slot,
     # all in the current trivialization; the scalars carry over to the new
-    # trivialization unchanged.
-    gamma = [[[None] * 4 for _ in range(4)] for _ in range(4)]
+    # trivialization unchanged.  Only b < c is built: the rest is antisymmetry.
+    gamma = {}
     for a in range(4):
-        for b in range(4):
+        for b in range(3):
             nab = cov_deriv_clifford(lowered[b], lowered[a], setup).expr
-            for c in range(4):
-                expr = GradeSelect(f_product(nab, lowered[c].expr), {0})
-                gamma[a][b][c] = expr
+            for c in range(b + 1, 4):
+                gamma[a, b, c] = GradeSelect(f_product(nab, lowered[c].expr), {0})
 
     # e'_a = lam_a^b e_b over the current frame fixes the new tetrad L' = lam L.
     # legs[] holds the upper-index legs e'^a = eta^aa e'_a, hence the eta_aa.

@@ -6,7 +6,7 @@ brackets; see the README for the full schema):
   name              string, the report file name stem: one file-name
                     component (no "/", "\\" or NUL, not "." or "..") that
                     the file system can encode
-  chart             {"lo": [4 floats], "hi": [4 floats], "fd_step": float}
+  chart             {"lo": [4 floats], "hi": [4 floats]}
   frame             {"type": "fiducial"} or {"type": "rotor", "expr": EXPR}
   connection        {"type": "zero"} or {"type": "table", "entries": [...]}
   params            {"mass": m, "charge": q, "potential": EXPR or {"kind":"zero"}}
@@ -28,14 +28,20 @@ are not numbers); grid, transport_steps, seed, polynomial powers and
 connection indices are integers.  Any violation is a ``ConfigError``.
 
 This is where data from outside the program enters, so the fields it
-builds are checked here, once, and the builders downstream check nothing:
-a table connection must be antisymmetric (``NotAntisymmetric``), a frame
-expression a rotor field (``NotRotor``), the potential finite and grade 1
-(``ConfigError``), and the unknown finite and even (``NotEven``), each at
-every point of the run grid, the points the field suites evaluate.  Each
-check samples under ``np.errstate``, so a field that overflows fails the
-check instead of warning.  The transport suite evaluates the connection
-along curves between the grid points, which no check samples.
+builds are checked here, once, and the builders downstream check nothing.
+A table connection gives only its coefficients with b < c, so it is
+antisymmetric by construction.  While the configuration is parsed, each
+field it configures is recorded with its config path and its condition:
+every connection entry a finite real scalar, the frame expression a finite
+real rotor (no odd part, |reverse(u) u - 1| <= 1e-9), the potential finite
+and grade 1 (within 1e-10), and the unknown finite and even (within
+1e-10 max(1, sup|psi|)).  Once everything has parsed, one ``fold_sups``
+call measures every condition's defect at every point of the run grid,
+the points the field suites evaluate, under one numpy error state, so a
+field that overflows fails its check instead of warning.  The first field
+that fails raises one ``ConfigError`` naming its config path and the
+measured defect.  The transport suite evaluates the connection along
+curves between the grid points, which no check samples.
 
 Field expressions EXPR form a closed constructor set, each with an exact
 derivative: zero, constant, polynomial (degree <= 3), rotor-wave, sum,
@@ -51,10 +57,11 @@ import math
 import os
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import CMultivector, Multivector, exp_bivector
+from .algebra import GRADES, STA, CMultivector, Multivector, exp_bivector, gp_batch
 from .errors import ConfigError, StaError, UnknownSuite
 from .fields import (
     BivectorExp,
@@ -67,18 +74,11 @@ from .fields import (
     ScalarLinear,
     ScalarSine,
     f_product,
-    f_scale,
     f_sum,
+    fold_sups,
     rotor_wave,
 )
-from .geometry import (
-    Chart,
-    ConnectionField,
-    SpacetimeSetup,
-    change_spin_frame,
-    require_even,
-    validate_rotor,
-)
+from .geometry import Chart, ConnectionField, SpacetimeSetup, change_spin_frame
 from .dirac import DiracParams, make_plane_wave
 from .suites import SUITES
 
@@ -122,6 +122,38 @@ def _coef(v, where: str):
     if isinstance(v, list) and len(v) == 2:
         return complex(_number(v[0], where), _number(v[1], where))
     return _number(v, where)
+
+
+# Each defect map takes one chunk of a field's values and returns an array
+# whose largest |entry| is the field's defect there; ``v - v`` is NaN where
+# a value is not finite and 0 elsewhere, so a non-finite field fails.
+
+def _scalar_defect(v):
+    return np.hstack([v[:, 1:], v.imag, v - v])
+
+
+def _rotor_defect(v):
+    uu = gp_batch(v * STA.tables.reverse_signs, v)
+    return np.hstack([v[:, GRADES % 2 == 1], v.imag, uu - Multivector.scalar(1.0).coeffs])
+
+
+def _grade1_defect(v):
+    return np.hstack([v[:, GRADES != 1], v - v])
+
+
+def _even_defect(v):
+    return np.hstack([v[:, GRADES % 2 == 1], v - v])
+
+
+class _FieldCheck(NamedTuple):
+    """A configured field and the condition it must meet on the run grid."""
+
+    where: str                  # its config path
+    expr: FieldExpr
+    must: str                   # the condition, for the message
+    defect: Callable            # values -> array; the sup of its |entries| is the defect
+    tol: float                  # bound on the defect
+    relative: bool = False      # the bound is tol * max(1, sup|value|)
 
 
 def parse_multivector(obj, where: str):
@@ -241,9 +273,8 @@ class Scenario:
         chart_cfg = _object(cfg.get("chart", {"lo": [0, 0, 0, 0], "hi": [1, 1, 1, 1]}), "chart")
         lo = _vec4(chart_cfg.get("lo"), "chart.lo")
         hi = _vec4(chart_cfg.get("hi"), "chart.hi")
-        fd = _number(chart_cfg.get("fd_step", 1e-3), "chart.fd_step")
         try:
-            self.chart = Chart(lo, hi, fd)
+            self.chart = Chart(lo, hi)
         except ValueError as exc:
             _fail(f"chart: {exc}")
 
@@ -283,8 +314,8 @@ class Scenario:
                 raise UnknownSuite(f"unknown suite {s!r}")
         self.suites = list(dict.fromkeys(suites))
 
-        xs = self.chart.grid(self.grid)
-        self.setup, self.frame_rotor = self._build_setup(cfg, xs)
+        self._checks: list[_FieldCheck] = []
+        self.setup, self.frame_rotor = self._build_setup(cfg)
 
         params_cfg = _object(cfg.get("params", {"mass": 1.0, "charge": 0.0}), "params")
         mass = _number(params_cfg.get("mass", 1.0), "params.mass")
@@ -292,37 +323,51 @@ class Scenario:
         if mass < 0:
             _fail("params.mass must be a nonnegative number")
         pot_cfg = params_cfg.get("potential", {"kind": "zero"})
-        pot = CliffordField(parse_expr(pot_cfg, "params.potential"))
-        self.params = DiracParams(mass, charge, pot)
-        try:
-            self.params.validate_grade1(xs)
-        except ValueError as exc:
-            _fail(f"params.potential: {exc}")
+        pot = parse_expr(pot_cfg, "params.potential")
+        self._checks.append(_FieldCheck("params.potential", pot, "finite and grade 1",
+                                        _grade1_defect, 1e-10))
+        self.params = DiracParams(mass, charge, CliffordField(pot))
 
         self.unknown = self._build_unknown(
             _object(cfg.get("unknown", {"type": "plane-wave"}), "unknown"))
-        require_even(self.unknown, xs, label="unknown")
+        self._check_fields(self.chart.grid(self.grid))
 
-    def _build_setup(self, cfg, xs):
+    def _check_fields(self, xs):
+        """Raise ``ConfigError`` for the first recorded field that fails its condition on xs."""
+        residuals = []
+        for i, chk in enumerate(self._checks):
+            residuals.append(((i, "defect"), (chk.expr,), chk.defect))
+            if chk.relative:
+                residuals.append(((i, "size"), (chk.expr, None)))
+        # a field that overflows fails through its NaN defect, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            worst = fold_sups({}, residuals, xs)
+        for i, chk in enumerate(self._checks):
+            defect = worst[i, "defect"]
+            bound = chk.tol * max(1.0, worst[i, "size"]) if chk.relative else chk.tol
+            if not defect <= bound:  # a NaN fails
+                _fail(f"{chk.where} must be {chk.must} at every point of the run grid, "
+                      f"but its defect reaches {defect:.3e} (bound {bound:.3e})")
+
+    def _build_setup(self, cfg):
         conn_cfg = _object(cfg.get("connection", {"type": "zero"}), "connection")
         ctype = conn_cfg.get("type")
         if ctype == "zero":
             conn = ConnectionField.zero()
         elif ctype == "table":
-            gamma = [[[None] * 4 for _ in range(4)] for _ in range(4)]
+            gamma = {}
             for i, ent in enumerate(_list(conn_cfg.get("entries", []), "connection.entries")):
                 we = f"connection.entries[{i}]"
                 ent = _object(ent, we)
                 a, b, c = (_number(ent.get(k), f"{we}.{k}", integer=True) for k in "abc")
                 if not all(0 <= i_ < 4 for i_ in (a, b, c)) or b >= c:
                     _fail(f"{we}: indices must satisfy 0 <= a < 4 and b < c")
-                if gamma[a][b][c] is not None:
+                if (a, b, c) in gamma:
                     _fail(f"{we}: duplicate entry for ({a},{b},{c})")
-                e = parse_expr(ent.get("expr"), f"{we}.expr")
-                gamma[a][b][c] = e
-                gamma[a][c][b] = f_scale(-1.0, e)
+                gamma[a, b, c] = parse_expr(ent.get("expr"), f"{we}.expr")
+                self._checks.append(_FieldCheck(f"{we}.expr", gamma[a, b, c],
+                                                "a finite real scalar", _scalar_defect, 1e-10))
             conn = ConnectionField(gamma)
-            conn.validate_antisymmetry(xs)
         else:
             _fail(f"connection.type must be 'zero' or 'table', got {ctype!r}")
 
@@ -333,7 +378,8 @@ class Scenario:
             return base, None
         if ftype == "rotor":
             rot = parse_expr(frame_cfg.get("expr"), "frame.expr")
-            validate_rotor(rot, xs)
+            self._checks.append(_FieldCheck("frame.expr", rot, "a finite real rotor",
+                                            _rotor_defect, 1e-9))
             return change_spin_frame(rot, base).setup, rot
         _fail(f"frame.type must be 'fiducial' or 'rotor', got {ftype!r}")
 
@@ -348,14 +394,19 @@ class Scenario:
                     _fail("unknown.boost must be a constant real rotor")
                 boost = b.value
             try:
-                return make_plane_wave(self.params.mass, boost)
+                psi = make_plane_wave(self.params.mass, boost)
             except StaError as exc:
                 _fail(f"unknown.boost: {exc}")
-        if utype == "constant-one":
-            return CliffordField(Constant(Multivector.scalar(1.0)))
-        if utype == "expr":
-            return CliffordField(parse_expr(cfg.get("expr"), "unknown.expr"))
-        _fail(f"unknown.type must be 'plane-wave', 'constant-one' or 'expr'")
+        elif utype == "constant-one":
+            psi = CliffordField(Constant(Multivector.scalar(1.0)))
+        elif utype == "expr":
+            psi = CliffordField(parse_expr(cfg.get("expr"), "unknown.expr"))
+        else:
+            _fail(f"unknown.type must be 'plane-wave', 'constant-one' or 'expr'")
+        self._checks.append(_FieldCheck("unknown.expr" if utype == "expr" else "unknown",
+                                        psi.expr, "finite and even", _even_defect, 1e-10,
+                                        relative=True))
+        return psi
 
     def tol(self, name: str, default: float) -> float:
         return self.tolerances.get(name, default)

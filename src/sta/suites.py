@@ -149,14 +149,8 @@ def random_field_expr(rng, even=False, scale=0.4):
 
 
 def random_connection(rng, scale=0.3) -> ConnectionField:
-    gamma = [[[None] * 4 for _ in range(4)] for _ in range(4)]
-    for a in range(4):
-        for b in range(4):
-            for c in range(b + 1, 4):
-                e = random_scalar_expr(rng, scale)
-                gamma[a][b][c] = e
-                gamma[a][c][b] = f_scale(-1.0, e)
-    return ConnectionField(gamma)
+    return ConnectionField({(a, b, c): random_scalar_expr(rng, scale)
+                            for a in range(4) for b in range(4) for c in range(b + 1, 4)})
 
 
 def random_setup(scn, rng, scale=0.3) -> SpacetimeSetup:

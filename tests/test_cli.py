@@ -170,7 +170,6 @@ BAD_CONFIGS = {
     "grid-string": _set(None, grid="abc"),
     "grid-bool": _set(None, grid=True),
     "seed-float": _set(None, seed=1.5),
-    "fd-step-string": _set("chart", fd_step="x"),
     "chart-bound-nan": _set("chart", lo=[float("nan"), 0, 0, 0]),
     "expected-string": _set(None, expected={"x": "abc"}),
     "connection-not-object": _set(None, connection="zero"),
@@ -211,6 +210,20 @@ BAD_CONFIGS = {
         "kind": "exp-bivector", "bivector": {"e01": 1}, "scalar": {
             "kind": "scalar-sine", "amplitude": 1000, "wave": [6.283185307179586, 0, 0, 0]}}),
     "unknown-odd": _unknown_expr({"kind": "constant", "blades": {"e1": 1}}),
+    # every configured field is checked by one fold over the run grid
+    "connection-entry-not-scalar": _set(None, connection={"type": "table", "entries": [
+        {"a": 0, "b": 1, "c": 2, "expr": {"kind": "constant", "blades": {"e1": 0.8}}}]}),
+    "connection-entry-complex": _set(None, connection={"type": "table", "entries": [
+        {"a": 0, "b": 1, "c": 2, "expr": {"kind": "constant", "blades": {"1": [0.8, 0.3]}}}]}),
+    "frame-rotor-complex": _set(None, frame={"type": "rotor", "expr": {  # reverse(u) u = 1
+        "kind": "constant", "blades": {"1": 1.25, "e12": [0, 0.75]}}}),
+    "frame-rotor-not-unit": _set(None, frame={"type": "rotor", "expr": {
+        "kind": "constant", "blades": {"1": 1.0, "e12": 0.5}}}),
+    "potential-not-grade-1": _set("params", potential={
+        "kind": "constant", "blades": {"e0": 1.0, "e12": 0.5}}),
+    "exp-bivector-scalar-not-scalar": _set(None, frame={"type": "rotor", "expr": {
+        "kind": "exp-bivector", "bivector": {"e12": 1}, "scalar": {"kind": "polynomial", "terms": [
+            {"blade": "e1", "coef": 0.5, "powers": [1, 0, 0, 0]}]}}}),
 }
 
 
@@ -226,6 +239,28 @@ def test_exit_code_two_on_malformed_numbers_and_sections(tmp_path, case):
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("configuration error: "), r.stderr
     assert not list(tmp_path.glob("*.report.json"))
+
+
+def test_scenario_checks_every_field_with_one_fold(monkeypatch):
+    import sta.fields
+    import sta.scenario
+
+    folds = []
+
+    def counted(worst, residuals, xs):
+        folds.append([name for name, *_ in residuals])
+        return sta.fields.fold_sups(worst, residuals, xs)
+
+    def refused(*args):
+        raise AssertionError("evaluate_many called while the scenario is built")
+
+    monkeypatch.setattr(sta.scenario, "fold_sups", counted)
+    monkeypatch.setattr(sta.fields, "evaluate_many", refused)
+    cfg = load_config("torsion-toy")
+    cfg["frame"] = load_config("lorentz-local-rotor")["frame"]
+    Scenario(small(cfg))
+    # four entries, the frame, the potential, and the unknown with its size
+    assert len(folds) == 1 and len(folds[0]) == 8
 
 
 def test_tolerance_for_a_check_of_an_unselected_suite_runs(tmp_path):

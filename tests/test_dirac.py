@@ -17,7 +17,7 @@ from sta.dirac import (
     residual_representative,
     scalar_gradient,
 )
-from sta.errors import KindMismatch, NotEven, NotInIdeal, NotRotor
+from sta.errors import ConfigError, KindMismatch, NotInIdeal, NotRotor
 from sta.fields import (
     CliffordField,
     Constant,
@@ -35,9 +35,8 @@ from sta.geometry import (
     SpacetimeSetup,
     change_spin_frame,
     effective_deriv,
-    require_even,
-    validate_rotor,
 )
+from sta.scenario import Scenario, load_config
 from sta.spinors import IDEMPOTENT_F, build_gamma_rep, column_from_ideal, columns_from_coeffs
 from sta.suites import random_connection, random_field_expr, random_potential, random_rotor_expr
 
@@ -152,10 +151,9 @@ def test_residual_linearity():
 
 
 def test_residual_parity_and_kind_guards():
-    # parity is the caller's check, made once on the unknown; the builders check kinds only
+    # parity is checked once, on the scenario's unknown (test_non_finite_fields_fail_the_guards);
+    # the builders check kinds only
     params = DiracParams(1.0, 0.0)
-    with pytest.raises(NotEven):
-        require_even(CliffordField(Constant(E(1))), XS)
     with pytest.raises(KindMismatch):
         residual_left_form(CliffordField(Constant(Multivector.scalar(1.0))), params, FLAT)
     # Psi f lies in the ideal by construction; a value outside it is refused by the column map
@@ -167,15 +165,34 @@ def test_residual_parity_and_kind_guards():
 
 
 def test_non_finite_fields_fail_the_guards():
-    nan = Constant(Multivector.scalar(float("nan")))
-    with pytest.raises(NotEven, match="not finite"):
-        require_even(CliffordField(nan), XS)
-    with pytest.raises(NotEven, match="not finite"):
-        require_even(CliffordField(f_product(nan, Constant(IDEMPOTENT_F))), XS)
-    with pytest.raises(ValueError, match="not finite"):
-        DiracParams(1.0, 0.0, CliffordField(nan)).validate_grade1(XS)
-    with pytest.raises(ValueError, match="grade 1"):
-        DiracParams(1.0, 0.0, CliffordField(Constant(E(1) * E(2)))).validate_grade1(XS)
+    # the scenario checks its potential and unknown once, on the run grid
+    def error(**sections):
+        cfg = dict(load_config("minkowski-plane-wave"), suites=["algebra"], grid=3, **sections)
+        with pytest.raises(ConfigError) as exc:
+            Scenario(cfg)
+        return str(exc.value)
+
+    big = {"kind": "polynomial", "terms": [{"blade": "e0", "coef": 1e308, "powers": [1, 0, 0, 0]},
+                                           {"blade": "e0", "coef": 1e308}]}
+    params = {"mass": 1.0, "charge": 0.0}
+    assert error(params=dict(params, potential=big)).startswith(
+        "params.potential must be finite and grade 1 at every point of the run grid, "
+        "but its defect reaches nan")
+    spin_plane = {"kind": "constant", "blades": {"e12": 1e-9}}
+    assert error(params=dict(params, potential=spin_plane)).endswith(
+        "reaches 1.000e-09 (bound 1.000e-10)")
+    # even, but overflowing: exp(e01 s) with s = 1e308 x0
+    assert error(unknown={"type": "expr", "expr": {
+        "kind": "exp-bivector", "bivector": {"e01": 1},
+        "scalar": {"kind": "scalar-linear", "slope": [1e308, 0, 0, 0]}}}).startswith(
+        "unknown.expr must be finite and even at every point of the run grid, "
+        "but its defect reaches nan")
+    # the odd bound is relative: 1e-10 max(1, sup|psi|)
+    def unknown(odd):
+        return {"type": "expr", "expr": {"kind": "constant", "blades": {"1": 1e6, "e1": odd}}}
+
+    Scenario(dict(load_config("minkowski-plane-wave"), grid=3, unknown=unknown(1e-5)))
+    assert error(unknown=unknown(1e-3)).endswith("reaches 1.000e-03 (bound 1.000e-04)")
 
 
 # -- the triad of translations ---------------------------------------------------
@@ -309,9 +326,14 @@ def test_lorentz_local_rotor():
 
 
 def test_lorentz_frame_rotor_is_checked_by_validate_rotor():
-    # the frame change takes its rotor on trust; the scenario checks it once
-    with pytest.raises(NotRotor):
-        validate_rotor(Constant(E(1)), XS)
+    # the frame change takes its rotor on trust; the scenario checks it once, on the run grid
+    cfg = dict(load_config("torsion-toy"), suites=["algebra"], grid=3,
+               frame={"type": "rotor", "expr": {"kind": "constant", "blades": {"e1": 1}}})
+    with pytest.raises(ConfigError) as exc:
+        Scenario(cfg)
+    # e1 is odd, and e1~ e1 = -1 misses 1 by 2
+    assert str(exc.value) == ("frame.expr must be a finite real rotor at every point of the run "
+                              "grid, but its defect reaches 2.000e+00 (bound 1.000e-09)")
 
 
 # -- bilinears ------------------------------------------------------------------------
@@ -352,5 +374,11 @@ def test_bilinear_grade_purity_and_quadratic_relations():
 
 
 def test_bilinears_odd_input_is_refused_by_require_even():
-    with pytest.raises(NotEven):
-        require_even(CliffordField(Constant(E(1))), XS)
+    # the bilinears take an even unknown on trust; the scenario refuses an odd one
+    cfg = dict(load_config("minkowski-plane-wave"), suites=["algebra"], grid=3,
+               unknown={"type": "expr", "expr": {"kind": "constant", "blades": {"e1": 1}}})
+    with pytest.raises(ConfigError) as exc:
+        Scenario(cfg)
+    assert str(exc.value).startswith(
+        "unknown.expr must be finite and even at every point of the run grid, "
+        "but its defect reaches 1.000e+00")

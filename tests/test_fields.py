@@ -34,7 +34,7 @@ from sta.fields import (
 )
 from sta.geometry import Chart, fd_directional
 
-CHART = Chart([0, 0, 0, 0], [1, 1, 1, 1], fd_step=1e-3)
+CHART = Chart([0, 0, 0, 0], [1, 1, 1, 1])
 
 
 def sample_exprs():
@@ -88,6 +88,13 @@ def test_polynomial_degree_cap():
 def test_bivector_exp_requires_grade_two():
     with pytest.raises(ValueError):
         BivectorExp(E(0), ScalarLinear([1, 0, 0, 0]))
+
+
+def test_bivector_exp_requires_a_scalar_argument():
+    # _eval reads only the scalar slot of s, while _partial differentiates all of s
+    with pytest.raises(ValueError, match="scalar expression"):
+        BivectorExp(E(1) * E(2), Polynomial([(0b0010, 0.5, (1, 0, 0, 0))]))
+    BivectorExp(E(1) * E(2), Polynomial([(0, 0.5, (1, 0, 0, 0))]))
 
 
 def test_bivector_exp_series_matches_matrix_route():

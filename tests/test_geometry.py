@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from sta.algebra import E, Multivector, gp_batch
-from sta.errors import CurveOutOfChart, KindMismatch, NotAntisymmetric, NotEven, NotRotor
+from sta.algebra import GRADES, E, Multivector, gp_batch
+from sta.errors import ConfigError, CurveOutOfChart, KindMismatch
 from sta.fields import (
     CliffordField,
     Constant,
@@ -37,12 +37,11 @@ from sta.geometry import (
     effective_deriv_via_connection,
     pair_to_clifford,
     parallel_transport,
-    require_even,
     transformed_connection_form,
     unit_left,
     unit_right,
-    validate_rotor,
 )
+from sta.scenario import Scenario, load_config
 from sta.spinors import IDEMPOTENT_E
 from sta.suites import random_connection, random_field_expr, random_rotor_expr
 
@@ -70,32 +69,42 @@ def test_flat_connection_has_zero_omega():
 
 def test_single_coefficient_spin_connection():
     kappa = 0.8
-    gamma = [[[None] * 4 for _ in range(4)] for _ in range(4)]
-    gamma[0][1][2] = Constant(Multivector.scalar(kappa))
-    gamma[0][2][1] = Constant(Multivector.scalar(-kappa))
-    setup = SpacetimeSetup(CHART, ConnectionField(gamma))
+    setup = SpacetimeSetup(CHART, ConnectionField({(0, 1, 2): Constant(Multivector.scalar(kappa))}))
     w0 = evaluate(setup.omega(0), CHART.grid(2))[0]
     want = (-kappa) * (E(1) * E(2))
     assert np.allclose(w0, want.coeffs)
 
 
 def test_antisymmetry_validation():
-    gamma = [[[None] * 4 for _ in range(4)] for _ in range(4)]
-    gamma[0][1][2] = Constant(Multivector.scalar(1.0))
-    gamma[0][2][1] = Constant(Multivector.scalar(1.0))  # wrong sign
-    with pytest.raises(NotAntisymmetric):
-        ConnectionField(gamma).validate_antisymmetry(CHART.grid(4))
+    # only Gamma_abc with b < c is given; the c < b mirror follows, so it cannot be wrong
+    one = Constant(Multivector.scalar(1.0))
+    for key in ((0, 2, 1), (0, 1, 1), (4, 0, 1), (0, 1, 4), (0, 1)):
+        with pytest.raises(ValueError, match="connection key"):
+            ConnectionField({key: one})
+    assert ConnectionField().is_zero and ConnectionField.zero().is_zero
+    assert not ConnectionField({(3, 0, 1): one}).is_zero
+
+
+def scenario_error(**sections) -> str:
+    """The ``ConfigError`` message of the minkowski scenario with ``sections`` replaced."""
+    cfg = dict(load_config("minkowski-plane-wave"), suites=["algebra"], grid=3, **sections)
+    with pytest.raises(ConfigError) as exc:
+        Scenario(cfg)
+    return str(exc.value)
+
+
+_OVERFLOW = {"kind": "scalar-linear", "slope": [1e308, 0, 0, 0], "offset": 1e308}
 
 
 def test_non_finite_connection_and_rotor_fail_validation():
-    nan = Constant(Multivector.scalar(float("nan")))
-    gamma = [[[None] * 4 for _ in range(4)] for _ in range(4)]
-    gamma[0][1][2] = nan
-    gamma[0][2][1] = f_scale(-1.0, nan)
-    with pytest.raises(NotAntisymmetric):
-        ConnectionField(gamma).validate_antisymmetry(CHART.grid(4))
-    with pytest.raises(NotRotor):
-        validate_rotor(nan, CHART.grid(4))
+    msg = scenario_error(connection={"type": "table", "entries": [
+        {"a": 0, "b": 1, "c": 2, "expr": _OVERFLOW}]})
+    assert msg.startswith("connection.entries[0].expr must be a finite real scalar at every "
+                          "point of the run grid, but its defect reaches nan"), msg
+    msg = scenario_error(frame={"type": "rotor", "expr": {
+        "kind": "exp-bivector", "bivector": {"e12": 1}, "scalar": _OVERFLOW}})
+    assert msg.startswith("frame.expr must be a finite real rotor"), msg
+    assert "reaches nan" in msg
 
 
 def test_connection_recovered_from_omega():
@@ -107,9 +116,9 @@ def test_connection_recovered_from_omega():
             nab = cov_deriv_clifford(setup.leg_lower(b), np.eye(4)[a], setup)
             acc = Constant(Multivector.zero())
             for c in range(4):
-                g = setup.connection.entry(a, b, c)
+                g = setup.connection.entries.get((a, min(b, c), max(b, c)))
                 if g is not None:
-                    acc = acc + f_product(g, Constant(E(c)))
+                    acc = acc + f_product(g, Constant((1.0 if b < c else -1.0) * E(c)))
             assert sup_diff(nab, CliffordField(acc), xs) < 1e-12
 
 
@@ -179,8 +188,8 @@ def test_effective_derivative_two_routes_and_parity():
             d1 = effective_deriv(psi, a, setup)
             d2 = effective_deriv_via_connection(psi, a, setup)
             assert sup_diff(d1, d2, xs) < 1e-11
-    with pytest.raises(NotEven):
-        require_even(CliffordField(Constant(E(1))), xs)
+            # an even field has an even effective derivative
+            assert np.max(np.abs(evaluate(d1.expr, xs)[:, GRADES % 2 == 1])) < 1e-12
 
 
 def test_effective_one_sided_leibniz():
@@ -329,9 +338,7 @@ def test_transport_matches_per_stage_reference(frame):
 def test_array_directions_intern_no_scalar_constant_and_rebuild_to_the_same_nodes():
     from sta.fields import _NODES
 
-    torsion = [[[None] * 4 for _ in range(4)] for _ in range(4)]
-    torsion[0][1][2] = Constant(Multivector.scalar(0.8))
-    torsion[0][2][1] = Constant(Multivector.scalar(-0.8))
+    torsion = {(0, 1, 2): Constant(Multivector.scalar(0.8))}
     A = CliffordField(Polynomial([(0b0011, 0.7, (1, 0, 2, 0)), (0b0101, -0.3, (0, 1, 0, 1))]))
     V = np.random.default_rng(71).normal(size=4)
     for setup in (SpacetimeSetup(CHART, ConnectionField(torsion)), rc_setup(72)):
@@ -425,7 +432,20 @@ def test_frame_change_two_routes_and_orthonormality():
             unit = np.zeros(16)
             unit[0] = 2.0 if a == b == 0 else (-2.0 if a == b else 0.0)
             assert np.max(np.abs(anti - unit)) < 1e-11
-    fc.setup.connection.validate_antisymmetry(CHART.grid(4), tol=1e-10)
+    # the frame change builds Gamma'_abc for b < c only; the full table is antisymmetric
+    lowered = [Field(Kind.CLIFFORD, f_scale(float(ETA[a]), fc.legs[a].expr)) for a in range(4)]
+    full = {}
+    for a in range(4):
+        for b in range(4):
+            nab = cov_deriv_clifford(lowered[b], lowered[a], setup).expr
+            for c in range(4):
+                full[a, b, c] = GradeSelect(f_product(nab, lowered[c].expr), {0})
+    entries = fc.setup.connection.entries
+    assert sorted(entries) == [k for k in sorted(full) if k[1] < k[2]]
+    assert all(full[k] is g for k, g in entries.items())
+    worst = fold_sups({}, [(k, (full[k], f_scale(-1.0, full[k[0], k[2], k[1]]))) for k in full],
+                      CHART.grid(4))
+    assert max(worst.values()) < 1e-10
     for a in range(4):
         lowered = Field(Kind.CLIFFORD, f_scale(float(ETA[a]), fc.legs[a].expr))
         wB = transformed_connection_form(u, setup, lowered)
@@ -454,11 +474,12 @@ def test_frame_change_naturality_all_kinds():
 
 
 def test_rotor_validation():
-    not_rotor = Constant(E(1))
-    with pytest.raises(NotRotor):
-        validate_rotor(not_rotor, CHART.grid(4))
-    with pytest.raises(NotRotor):
-        validate_rotor(Constant(2.0 * Multivector.scalar(1.0)), CHART.grid(4))
+    # e1 is odd with reverse(e1) e1 = -1; the scalar 2 is even with reverse(2) 2 = 4
+    for blades, defect in (({"e1": 1}, "2.000e+00"), ({"1": 2}, "3.000e+00")):
+        msg = scenario_error(frame={"type": "rotor", "expr": {"kind": "constant",
+                                                              "blades": blades}})
+        assert msg == ("frame.expr must be a finite real rotor at every point of the run "
+                       f"grid, but its defect reaches {defect} (bound 1.000e-09)")
 
 
 # -- pairings -------------------------------------------------------------------
