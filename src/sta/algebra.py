@@ -13,6 +13,13 @@ of the transpositions needed to interleave the two generator lists times a
 metric factor for every repeated generator (``e_a e_a = eta_aa``).  All
 products below go through tables precomputed once per signature.
 
+``gp_batch`` is the one product kernel.  Its optional support masks (bit
+``i`` set when blade ``i`` of an operand may be nonzero; ``FULL`` sets all
+16) say which columns can hold anything but zeros: with both masks full it
+runs the whole 16x16 product, and otherwise it multiplies only the
+supported columns through the Cayley table restricted to the two supports
+and the blades their product reaches (``product_support``).
+
 The table machinery is signature generic (any p+q <= 8); the rest of the
 package instantiates it at (1,3), where the metric is diag(+1,-1,-1,-1).
 """
@@ -32,6 +39,8 @@ __all__ = [
     "Multivector",
     "CMultivector",
     "blade_mul",
+    "FULL",
+    "product_support",
     "gp",
     "grade_proj",
     "even_part",
@@ -142,7 +151,52 @@ DIM = _T.dim
 GRADES = _T.grades
 
 
-def gp_batch(a: np.ndarray, b: np.ndarray, tables: _Tables = _T) -> np.ndarray:
+FULL = (1 << DIM) - 1  # the support mask of every blade
+
+
+def _blades(mask: int) -> tuple[int, ...]:
+    """The blade indices set in ``mask``, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@lru_cache(maxsize=None)
+def product_support(sa: int, sb: int) -> int:
+    """The blades a product can reach from operands supported on ``sa`` and ``sb``.
+
+    Blade ``i`` times blade ``j`` is blade ``i ^ j`` up to sign, so this is
+    the mask of every ``i ^ j`` with ``i`` in ``sa`` and ``j`` in ``sb``.
+    """
+    blades = _blades(sb)
+    return sum({1 << (i ^ j) for i in _blades(sa) for j in blades})
+
+
+@lru_cache(maxsize=1024)  # at most 32 KB an entry; a run uses a few hundred pairs
+def _restricted(sa: int, sb: int, tables: _Tables):
+    """The product over the supports ``sa``, ``sb``, as gathers and one operator.
+
+    Returns ``(ia, ib, ko, over_a, op, shape)``.  ``ia``, ``ib`` and ``ko``
+    index the columns of each factor and of the result (a full slice when
+    that is every blade).  ``over_a`` is set when the product contracts over
+    the ``a`` factor, the one with fewer blades (on a tie ``b``, as the full
+    product does).  ``op`` is the Cayley table restricted to those blades
+    and flattened, so that the other factor's gathered columns times ``op``
+    give each row's matrix of that contraction, of ``shape`` (contracted
+    blades, result blades).  Cached per mask pair: ``lru_cache`` is safe
+    under threads, and the entries belong to no node.
+    """
+    blades = [_blades(s) for s in (sa, sb, product_support(sa, sb))]
+    table = tables.cayley.take(blades[0], 0).take(blades[1], 1).take(blades[2], 2)
+    over_a = len(blades[0]) < len(blades[1])
+    if over_a:  # R[i, k] = sum_j cayley[i, j, k] b[j], from b @ op
+        table = table.transpose(1, 0, 2)
+    n, s, k = table.shape
+    index = [slice(None) if len(b) == tables.dim else np.array(b, dtype=np.intp)
+             for b in blades]
+    return (*index, over_a, np.ascontiguousarray(table).reshape(n, s * k), (s, k))
+
+
+def gp_batch(a: np.ndarray, b: np.ndarray, sa: int = FULL, sb: int = FULL,
+             tables: _Tables = _T) -> np.ndarray:
     """Geometric product of coefficient arrays with shape (..., dim).
 
     A 1-D operand is a fixed factor: its multiplication matrix comes from one
@@ -154,15 +208,36 @@ def gp_batch(a: np.ndarray, b: np.ndarray, tables: _Tables = _T) -> np.ndarray:
     contractions bit for bit.  Otherwise each point builds its own ``L``
     from a single matrix product and ``out[k] = sum_j b[j] L[j, k]`` is a
     stacked vector-matrix product, with leading axes broadcast.
+
+    ``sa`` and ``sb`` are the supports of stacked operands: every column
+    outside them must be zero.  Unless both are ``FULL``, the product reads
+    only the supported columns: the factor with more blades times the
+    Cayley table restricted to the two supports and the blades their
+    product reaches gives each point's matrix, one ``einsum`` contracts it
+    with the factor with fewer blades, and the result is scattered into
+    zeros.  Fixed factors ignore the masks.
     """
     dim = tables.dim
     if a.ndim == 1:
         return b @ (a @ tables.left_op).reshape(dim, dim)
     if b.ndim == 1:
         return a @ (b @ tables.right_op).reshape(dim, dim)
-    left = a @ tables.left_op
-    left = left.reshape(a.shape[:-1] + (dim, dim))
-    return np.matmul(b[..., None, :], left)[..., 0, :]
+    if sa == sb == FULL:
+        left = a @ tables.left_op
+        left = left.reshape(a.shape[:-1] + (dim, dim))
+        return np.matmul(b[..., None, :], left)[..., 0, :]
+    ia, ib, ko, over_a, op, shape = _restricted(sa, sb, tables)
+    x, y = a[..., ia], b[..., ib]
+    if over_a:
+        x, y = y, x  # x goes through op, y is contracted
+    m = x @ op
+    # einsum, not a stacked matmul: over 1 to 4 blades it measured 1.2-2.5x faster
+    out = np.einsum("...j,...jk->...k", y, m.reshape(m.shape[:-1] + shape))
+    if isinstance(ko, slice):
+        return out
+    full = np.zeros(out.shape[:-1] + (dim,), dtype=out.dtype)
+    full[..., ko] = out
+    return full
 
 
 class _MVBase:

@@ -25,6 +25,18 @@ geometric ``Product``, ``Reverse``, ``GradeSelect``, ``BladeCoeff`` and
 ``BivectorExp``.  Build them with the folding constructors ``f_sum``,
 ``f_scale``, ``f_product`` and ``f_reverse``.
 
+Each node fixes its static facts once, when it is built: ``is_complex`` and
+``support``, the 16-bit mask of the blades its value can hold nonzero.  A
+``Constant`` is supported on its nonzero coefficients, a ``Polynomial`` on
+its terms' blades, the scalar leaves and ``BladeCoeff`` on blade 0, a
+``Linear`` on the union of its terms' supports, a ``Product`` on every
+``i ^ j`` for ``i``, ``j`` in its factors' supports, a ``Reverse`` on its
+argument's, a ``GradeSelect`` on its argument's within the kept grades,
+and a ``BivectorExp`` on blade 0 and B's blades (for a non-simple B, every
+blade a power of B reaches).  ``is_scalar`` is ``support <= 1``, and a
+``Product`` hands its factors' supports to ``gp_batch``, which multiplies
+only those blades.
+
 Nodes are hash-consed: every constructor call looks its structure up in one
 process-wide table first, so two structurally equal nodes are the same
 object.  A tree rebuilt from the same parts (a covariant derivative built
@@ -68,6 +80,7 @@ from .algebra import (
     _MVBase,
     bivector_square_class,
     gp_batch,
+    product_support,
 )
 from .algebra import _exp_series, _T
 from .errors import KindMismatch
@@ -232,6 +245,11 @@ def worst_of(*values):
 _NODES: dict = {}  # (class, structural key) -> the one node of that structure
 
 
+def _mask(flags: np.ndarray) -> int:
+    """The support mask of the blades where ``flags`` (16 entries) is nonzero."""
+    return sum(1 << i for i in np.flatnonzero(flags).tolist())
+
+
 class _Interned(type):
     """Node construction: return the node of equal structure if one exists.
 
@@ -250,13 +268,21 @@ class _Interned(type):
 
 
 class FieldExpr(metaclass=_Interned):
-    """Base node: an exact map from coordinates to blade coefficients."""
+    """Base node: an exact map from coordinates to blade coefficients.
 
-    __slots__ = ("_partials",)
+    Each node fixes its static facts when it is built: ``support``, the mask
+    of the blades (bit ``i`` for blade ``i``) its value can hold nonzero,
+    every other column being exactly 0 wherever the inputs are finite, and
+    ``is_complex``, whether the value can be complex.
+    """
+
+    __slots__ = ("_partials", "support", "is_complex")
     _key = None  # staticmethod(constructor args) -> hashable structure, on interned nodes
 
-    def __init__(self):
+    def __init__(self, support: int, is_complex: bool = False):
         self._partials: dict[int, FieldExpr] = {}
+        self.support = support
+        self.is_complex = is_complex
 
     def partial(self, mu: int) -> "FieldExpr":
         """Exact partial derivative along coordinate ``mu``; memoized."""
@@ -277,13 +303,9 @@ class FieldExpr(metaclass=_Interned):
         return ()
 
     @property
-    def is_complex(self) -> bool:
-        return False
-
-    @property
     def is_scalar(self) -> bool:
         """True when the value is pointwise pure grade 0."""
-        return False
+        return self.support <= 1
 
     # sugar used pervasively by the operator layer
     def __add__(self, other):
@@ -297,9 +319,9 @@ class FieldExpr(metaclass=_Interned):
 
 
 class Constant(FieldExpr):
-    """Coordinate-independent value; its zero and scalar flags are fixed at construction."""
+    """Coordinate-independent value, supported on its nonzero coefficients."""
 
-    __slots__ = ("value", "_all_zero", "_scalar")
+    __slots__ = ("value",)
 
     @staticmethod
     def _key(value):
@@ -307,11 +329,9 @@ class Constant(FieldExpr):
         return c.dtype.str, c.tobytes()
 
     def __init__(self, value):
-        super().__init__()
-        self.value = _coerce(value)
-        c = self.value.coeffs
-        self._all_zero = not np.any(c)
-        self._scalar = not np.any(c[1:])
+        value = _coerce(value)
+        super().__init__(_mask(value.coeffs), isinstance(value, CMultivector))
+        self.value = value
 
     def _eval(self, xs):
         return np.broadcast_to(self.value.coeffs, (len(xs), DIM))
@@ -319,20 +339,12 @@ class Constant(FieldExpr):
     def _partial(self, mu):
         return _ZERO
 
-    @property
-    def is_complex(self):
-        return isinstance(self.value, CMultivector)
-
-    @property
-    def is_scalar(self):
-        return self._scalar
-
 
 _ZERO = Constant(Multivector.zero())
 
 
 def _is_zero(e: FieldExpr) -> bool:
-    return isinstance(e, Constant) and e._all_zero
+    return isinstance(e, Constant) and not e.support
 
 
 class Polynomial(FieldExpr):
@@ -345,7 +357,6 @@ class Polynomial(FieldExpr):
     MAX_DEGREE = 3
 
     def __init__(self, terms):
-        super().__init__()
         norm = []
         for mask, coef, powers in terms:
             powers = tuple(int(p) for p in powers)
@@ -354,6 +365,8 @@ class Polynomial(FieldExpr):
             if sum(powers) > self.MAX_DEGREE:
                 raise ValueError("polynomial degree above 3")
             norm.append((int(mask), complex(coef) if isinstance(coef, complex) else float(coef), powers))
+        super().__init__(sum({1 << mask for mask, _, _ in norm}),
+                         any(isinstance(c, complex) for _, c, _ in norm))
         self.terms = tuple(norm)
 
     def _eval(self, xs):
@@ -378,14 +391,6 @@ class Polynomial(FieldExpr):
             dterms.append((mask, coef * p, tuple(dp)))
         return Polynomial(dterms) if dterms else _ZERO
 
-    @property
-    def is_complex(self):
-        return any(isinstance(c, complex) for _, c, _ in self.terms)
-
-    @property
-    def is_scalar(self):
-        return all(mask == 0 for mask, _, _ in self.terms)
-
 
 class ScalarLinear(FieldExpr):
     """slope . x + offset, as a grade-0 field."""
@@ -393,7 +398,7 @@ class ScalarLinear(FieldExpr):
     __slots__ = ("slope", "offset")
 
     def __init__(self, slope, offset=0.0):
-        super().__init__()
+        super().__init__(1)
         self.slope = np.asarray(slope, dtype=float)
         self.offset = float(offset)
 
@@ -406,10 +411,6 @@ class ScalarLinear(FieldExpr):
         s = self.slope[mu]
         return Constant(Multivector.scalar(s)) if s else _ZERO
 
-    @property
-    def is_scalar(self):
-        return True
-
 
 class ScalarSine(FieldExpr):
     """amplitude * sin(wave . x + phase), as a grade-0 field."""
@@ -417,7 +418,7 @@ class ScalarSine(FieldExpr):
     __slots__ = ("amplitude", "wave", "phase")
 
     def __init__(self, amplitude, wave, phase=0.0):
-        super().__init__()
+        super().__init__(1)
         self.amplitude = float(amplitude)
         self.wave = np.asarray(wave, dtype=float)
         self.phase = float(phase)
@@ -433,10 +434,6 @@ class ScalarSine(FieldExpr):
             return _ZERO
         return ScalarSine(self.amplitude * k, self.wave, self.phase + 0.5 * np.pi)
 
-    @property
-    def is_scalar(self):
-        return True
-
 
 class ScalarGaussian(FieldExpr):
     """amplitude * exp(-sum_mu widths_mu (x_mu - center_mu)^2), grade 0."""
@@ -444,7 +441,7 @@ class ScalarGaussian(FieldExpr):
     __slots__ = ("amplitude", "widths", "center")
 
     def __init__(self, amplitude, widths, center):
-        super().__init__()
+        super().__init__(1)
         self.amplitude = float(amplitude)
         self.widths = np.asarray(widths, dtype=float)
         self.center = np.asarray(center, dtype=float)
@@ -464,10 +461,6 @@ class ScalarGaussian(FieldExpr):
         lin = ScalarLinear(slope, 2.0 * w * self.center[mu])
         return Product(lin, self)
 
-    @property
-    def is_scalar(self):
-        return True
-
 
 class Linear(FieldExpr):
     """sum_i c_i e_i: expressions e_i with constant scalar coefficients c_i.
@@ -483,8 +476,13 @@ class Linear(FieldExpr):
         return tuple((type(c), c, e) for c, e in terms)
 
     def __init__(self, terms):
-        super().__init__()
-        self.terms = tuple(terms)
+        terms = tuple(terms)
+        support = 0
+        for _, e in terms:
+            support |= e.support
+        super().__init__(support, any(isinstance(c, complex) or e.is_complex
+                                      for c, e in terms))
+        self.terms = terms
 
     def _eval(self, xs, *vals):
         terms = [(c, v) for (c, _), v in zip(self.terms, vals)]
@@ -501,21 +499,16 @@ class Linear(FieldExpr):
     def _partial(self, mu):
         return sum((f_scale(c, e.partial(mu)) for c, e in self.terms), _ZERO)
 
-    @property
-    def is_complex(self):
-        return any(isinstance(c, complex) or e.is_complex for c, e in self.terms)
-
-    @property
-    def is_scalar(self):
-        return all(e.is_scalar for _, e in self.terms)
-
 
 class Product(FieldExpr):
     """Pointwise geometric product (Leibniz derivative).
 
-    A scalar factor broadcasts over the other side; every other product goes
-    through ``gp_batch``.  A constant factor enters as its 16 coefficients,
-    which ``gp_batch`` applies as one fixed 16x16 matrix.
+    Its support is every ``i ^ j`` for blades ``i``, ``j`` of the factors'
+    supports.  A scalar factor broadcasts over the other side; every other
+    product goes through ``gp_batch`` with the factors' supports, so it
+    multiplies only the blades that can be nonzero.  A constant factor
+    enters as its 16 coefficients, which ``gp_batch`` applies as one fixed
+    16x16 matrix.
     """
 
     __slots__ = ("left", "right")
@@ -525,7 +518,8 @@ class Product(FieldExpr):
         return left, right
 
     def __init__(self, left, right):
-        super().__init__()
+        super().__init__(product_support(left.support, right.support),
+                         left.is_complex or right.is_complex)
         self.left = left
         self.right = right
 
@@ -537,7 +531,7 @@ class Product(FieldExpr):
             return rv * lv[..., :1]
         if self.right.is_scalar:
             return lv * rv[..., :1]
-        return gp_batch(lv, rv)
+        return gp_batch(lv, rv, self.left.support, self.right.support)
 
     @property
     def children(self):
@@ -549,14 +543,6 @@ class Product(FieldExpr):
             f_product(self.left, self.right.partial(mu)),
         )
 
-    @property
-    def is_complex(self):
-        return self.left.is_complex or self.right.is_complex
-
-    @property
-    def is_scalar(self):
-        return self.left.is_scalar and self.right.is_scalar
-
 
 class Reverse(FieldExpr):
     __slots__ = ("arg",)
@@ -566,7 +552,7 @@ class Reverse(FieldExpr):
         return arg
 
     def __init__(self, arg):
-        super().__init__()
+        super().__init__(arg.support, arg.is_complex)
         self.arg = arg
 
     def _eval(self, xs, v):
@@ -579,14 +565,6 @@ class Reverse(FieldExpr):
     def _partial(self, mu):
         return f_reverse(self.arg.partial(mu))
 
-    @property
-    def is_complex(self):
-        return self.arg.is_complex
-
-    @property
-    def is_scalar(self):
-        return self.arg.is_scalar
-
 
 class GradeSelect(FieldExpr):
     __slots__ = ("arg", "grades", "_mask")
@@ -596,10 +574,12 @@ class GradeSelect(FieldExpr):
         return arg, frozenset(grades)
 
     def __init__(self, arg, grades):
-        super().__init__()
+        grades = frozenset(grades)
+        kept = np.isin(GRADES, list(grades))
+        super().__init__(arg.support & _mask(kept), arg.is_complex)
         self.arg = arg
-        self.grades = frozenset(grades)
-        self._mask = np.isin(GRADES, list(self.grades)).astype(float)
+        self.grades = grades
+        self._mask = kept.astype(float)
 
     def _eval(self, xs, v):
         return v * self._mask
@@ -610,14 +590,6 @@ class GradeSelect(FieldExpr):
 
     def _partial(self, mu):
         return GradeSelect(self.arg.partial(mu), self.grades)
-
-    @property
-    def is_complex(self):
-        return self.arg.is_complex
-
-    @property
-    def is_scalar(self):
-        return self.grades == frozenset({0}) or self.arg.is_scalar
 
 
 class BladeCoeff(FieldExpr):
@@ -630,7 +602,7 @@ class BladeCoeff(FieldExpr):
         return arg, int(mask)
 
     def __init__(self, arg, mask):
-        super().__init__()
+        super().__init__(1, arg.is_complex)
         self.arg = arg
         self.mask = int(mask)
 
@@ -645,14 +617,6 @@ class BladeCoeff(FieldExpr):
 
     def _partial(self, mu):
         return BladeCoeff(self.arg.partial(mu), self.mask)
-
-    @property
-    def is_complex(self):
-        return self.arg.is_complex
-
-    @property
-    def is_scalar(self):
-        return True
 
 
 class BivectorExp(FieldExpr):
@@ -676,14 +640,19 @@ class BivectorExp(FieldExpr):
         return c.dtype.str, c.tobytes(), s
 
     def __init__(self, B, s):
-        super().__init__()
-        self.B = _coerce(B)
-        if self.B.grades_present(tol=0.0) - {2}:
+        B = _coerce(B)
+        if B.grades_present(tol=0.0) - {2}:
             raise ValueError("BivectorExp expects a pure grade-2 bivector")
         if not s.is_scalar:
             raise ValueError("BivectorExp expects a scalar expression s")
+        kind, beta2 = bivector_square_class(B)
+        blades = _mask(B.coeffs)
+        support = 1 | blades  # the closed forms are f(s) + g(s) B
+        while kind == "general" and product_support(support, blades) & ~support:
+            support |= product_support(support, blades)  # the series: every power of B
+        super().__init__(support, isinstance(B, CMultivector) or s.is_complex)
+        self.B = B
         self.s = s
-        kind, beta2 = bivector_square_class(self.B)
         self._kind = kind
         self._beta = np.sqrt(beta2) if beta2 else 0.0
 
@@ -721,10 +690,6 @@ class BivectorExp(FieldExpr):
         if _is_zero(ds):
             return _ZERO
         return f_product(f_product(ds, Constant(self.B)), self)
-
-    @property
-    def is_complex(self):
-        return isinstance(self.B, CMultivector) or self.s.is_complex
 
 
 def rotor_wave(front, B, wave) -> FieldExpr:

@@ -177,10 +177,10 @@ def test_repeated_children_reach_eval_once_per_appearance():
     assert isinstance(double, Linear) and double.children == (a, a)
     assert left.children == right.children == (a,)
     got = evaluate_many([square, double, left, right, a], xs)
-    assert np.array_equal(got[0], gp_batch(va, va))
+    assert np.array_equal(got[0], gp_batch(va, va, a.support, a.support))
     assert np.array_equal(got[1], va + va)
-    assert np.array_equal(got[2], gp_batch(c.value.coeffs, va))
-    assert np.array_equal(got[3], gp_batch(va, c.value.coeffs))
+    assert np.array_equal(got[2], gp_batch(c.value.coeffs, va, c.support, a.support))
+    assert np.array_equal(got[3], gp_batch(va, c.value.coeffs, a.support, c.support))
     assert np.array_equal(got[4], va)
     assert np.array_equal(evaluate(square, xs), got[0])
 
@@ -466,10 +466,10 @@ def test_leibniz_iteration_multiplies_each_distinct_product_once(monkeypatch):
         finally:
             evaluating.pop()
 
-    def observed_kernel(a, b):
+    def observed_kernel(a, b, *masks):
         if np.ndim(a) == 2 and np.ndim(b) == 2:  # neither factor a constant
             general.append(number(evaluating[-1]))
-        return kernel(a, b)
+        return kernel(a, b, *masks)
 
     monkeypatch.setattr(Product, "_eval", observed_eval)
     monkeypatch.setattr(fields, "gp_batch", observed_kernel)

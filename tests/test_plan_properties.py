@@ -4,16 +4,19 @@ A recipe is a list of leaves and a list of operations, each of which reads
 earlier nodes by index, so the DAGs share subtrees.  For every recipe the
 plan (``evaluate_many``) must equal a recursive reference evaluator bit for
 bit, the exact partial derivatives must agree with central differences, and
-building the recipe again must give the same node objects.
+building the recipe again must give the same node objects.  Every node's
+value must vanish outside its static ``support``, and a product over the
+factors' supports must agree with the full 16x16 kernel.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sta.algebra import DIM, GRADES, CMultivector, Multivector, gp_batch
+from sta.algebra import DIM, FULL, GRADES, CMultivector, Multivector, gp_batch
 from sta.fields import (
     Constant,
+    GradeSelect,
     Linear,
     Polynomial,
     Product,
@@ -26,6 +29,7 @@ from sta.fields import (
     f_reverse,
     f_scale,
     f_sum,
+    fold_sups,
 )
 from sta.geometry import Chart, fd_directional
 
@@ -51,7 +55,7 @@ def reference(node, xs):
             return rv * lv[..., :1]
         if node.right.is_scalar:
             return lv * rv[..., :1]
-        return gp_batch(lv, rv)
+        return gp_batch(lv, rv, node.left.support, node.right.support)
     if isinstance(node, Reverse):
         return reference(node.arg, xs) * REVERSE_SIGNS
     assert not node.children, type(node).__name__
@@ -137,3 +141,82 @@ def test_exact_partials_agree_with_central_differences(leaves, ops):
 def test_building_the_same_dag_twice_gives_the_same_nodes(leaves, ops):
     first, again = build(leaves, ops), build(leaves, ops)
     assert all(a is b for a, b in zip(first, again))
+
+
+def _columns(mask):
+    return np.array([mask >> i & 1 for i in range(DIM)], dtype=bool)
+
+
+def _close_to_full_kernel(a, b, sa, sb):
+    """``gp_batch`` over the supports ``sa``, ``sb`` against the full kernel.
+
+    Within 1e-14 * max(1, max|value|), and bit for bit when the factor the
+    masked product contracts over (the one with fewer blades) has one blade.
+    """
+    masked, full = gp_batch(a, b, sa, sb), gp_batch(a, b)
+    assert masked.dtype == full.dtype and masked.shape == full.shape
+    if min(bin(sa).count("1"), bin(sb).count("1")) == 1:
+        assert np.array_equal(masked, full)
+    scale = max(1.0, float(np.max(np.abs(full), initial=0.0)))
+    assert np.max(np.abs(masked - full), initial=0.0) <= 1e-14 * scale
+
+
+@settings(max_examples=40)
+@given(st.lists(_leaves, min_size=1, max_size=4), _ops)
+def test_values_vanish_outside_the_support_and_masked_products_match(leaves, ops):
+    for node in build(leaves, ops):
+        value = reference(node, XS)
+        assert not np.any(value[:, ~_columns(node.support)]), type(node).__name__
+        if isinstance(node, Product) and not (node.left.is_scalar or node.right.is_scalar):
+            lv, rv = (reference(e, XS) for e in (node.left, node.right))
+            _close_to_full_kernel(lv, rv, node.left.support, node.right.support)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, FULL), st.integers(0, FULL), st.booleans(), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_masked_kernel_matches_the_full_kernel_on_any_supports(sa, sb, cplx_a, cplx_b, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=(9, DIM)) * _columns(s) for s in (sa, sb))
+    if cplx_a:
+        a = a + 1j * a[::-1]
+    if cplx_b:
+        b = b + 1j * b[::-1]
+    _close_to_full_kernel(a, b, sa, sb)
+    _close_to_full_kernel(a[:1], b, sa, sb)  # a broadcast row
+    for one in (1 << 3, 1 << 14):  # one blade: bit for bit
+        _close_to_full_kernel(a, b * _columns(one), sa, one)
+        _close_to_full_kernel(a * _columns(one), b, one, sb)
+
+
+def test_supports_edge_cases():
+    vector = Polynomial([(1 << mu, 0.5 + mu, tuple(np.eye(4, dtype=int)[mu])) for mu in range(4)])
+    even = Polynomial([(0b0011, 0.7, (1, 0, 0, 0)), (0b1111, -0.2, (0, 0, 1, 0))])
+    cplx = Polynomial([(0b0101, 0.3 + 0.4j, (0, 1, 0, 0)), (0b0110, 1.1, (0, 0, 0, 1))])
+    assert even.support == 1 << 0b0011 | 1 << 0b1111
+    # e_mu e01 and e_mu e0123: e1, e0, e012, e013 and e123, e023, e013, e012
+    assert Product(vector, even).support == sum(1 << m for m in (0b0001, 0b0010, 0b0111, 0b1011,
+                                                                 0b1101, 0b1110))
+
+    # an empty support: zeros of the product's dtype and shape
+    absent = GradeSelect(vector, {2})
+    assert absent.support == 0 and absent.is_scalar
+    for other in (even, cplx):
+        want = complex if other.is_complex else float
+        got = evaluate(Product(absent, other), XS)
+        assert got.shape == (len(XS), DIM) and got.dtype == want and not np.any(got)
+        a = np.zeros((len(XS), DIM))
+        got = gp_batch(a, evaluate(other, XS), 0, other.support)
+        assert got.shape == (len(XS), DIM) and got.dtype == want and not np.any(got)
+
+    # a real factor times a complex one
+    prod = Product(vector, cplx)
+    value = evaluate(prod, XS)
+    assert prod.is_complex and value.dtype == complex
+    assert not np.any(value[:, ~_columns(prod.support)])
+    _close_to_full_kernel(evaluate(vector, XS), evaluate(cplx, XS), vector.support, cplx.support)
+
+    # a NaN in a supported column reaches the reducer's worst as NaN
+    poisoned = Polynomial([(1 << 2, float("nan"), (0, 0, 0, 0)), (1 << 1, 1.0, (1, 0, 0, 0))])
+    worst = fold_sups({}, [("nan", (Product(poisoned, even), None))], XS)
+    assert np.isnan(worst["nan"])
