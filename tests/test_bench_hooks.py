@@ -1,16 +1,20 @@
 """The benchmark's hooks into the package still resolve.
 
-``bench/tracer.py`` wraps package functions by name and ``bench/run.py``
+``bench/tracer.py`` wraps package functions by name, counts transport steps
+by binding the arguments of ``parallel_transport``, and ``bench/run.py``
 gates each report on a fixed table of check names.  Both are loaded here
 read-only (no bytecode is written next to them), so a refactor that renames
-a traced function or a check fails Tier-1 instead of the benchmark.
+a traced function, a counted argument or a check fails Tier-1 instead of the
+benchmark.
 """
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
+from sta.geometry import parallel_transport
 from sta.suites import SUITES
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -39,3 +43,17 @@ def test_the_gate_expects_every_catalog_check_in_order(monkeypatch):
     run = _load("run", monkeypatch)
     catalog = [(name, tuple(row.name for row in rows)) for name, (_, _, rows) in SUITES.items()]
     assert list(run.SUITE_CHECKS.items()) == catalog
+
+
+def test_transport_binds_the_arguments_the_tracer_counts_steps_by():
+    # the tracer binds each call's arguments, applies the defaults and reads
+    # ``setup`` and ``steps``; every calling form in ``sta.suites`` must bind
+    signature = inspect.signature(parallel_transport)
+    default = signature.parameters["steps"].default
+    for args, kwargs, steps in ((("a0", "kind", "curve", "setup", 7), {}, 7),
+                                (("a0", "kind", "curve", "setup"), {"steps": 7}, 7),
+                                (("a0", "kind", "curve", "setup"), {}, default)):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        assert bound.arguments["setup"] == "setup"
+        assert bound.arguments["steps"] == steps

@@ -1,9 +1,12 @@
 """Connections, covariant derivatives, transport and changes of spin frame."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sta.algebra import GRADES, E, Multivector, gp_batch
+from sta.algebra import GRADES, CMultivector, E, Multivector, gp_batch
 from sta.errors import ConfigError, CurveOutOfChart, KindMismatch
 from sta.fields import (
     CliffordField,
@@ -22,6 +25,7 @@ from sta.fields import (
     fold_sups,
 )
 from sta.geometry import (
+    _BLOCK_STEPS,
     ETA,
     Chart,
     ConnectionField,
@@ -320,19 +324,48 @@ def test_transport_matches_per_stage_reference(frame):
         setup = change_spin_frame(random_rotor_expr(np.random.default_rng(54)), setup).setup
         assert not setup.tetrad.is_identity
     curve = Curve(np.array([[0.2, 0.3, 0.1, 0.2], [0.5, 0.2, 0.6, 0.4], [-0.2, 0.1, 0.1, 0.2]]))
-    a0 = Multivector(np.random.default_rng(55).normal(size=16))
-    omegas = {}  # one-row omega per stage time, shared by the three kinds
+    rng = np.random.default_rng(55)
+    a0 = Multivector(rng.normal(size=16))
+    c0 = CMultivector(rng.normal(size=16) + 1j * rng.normal(size=16))
+    omegas = {}  # one-row omega per stage time, shared by every run below
 
     def omega_at(t):
         if t not in omegas:
             omegas[t] = setup.omega_coord_at(curve.velocity([t]), curve.point([t]))[0]
         return omegas[t]
 
-    for kind in (Kind.CLIFFORD, Kind.LEFT, Kind.RIGHT):
-        out = parallel_transport(a0, kind, curve, setup, 8)
-        ref = rk4_reference(a0, kind, omega_at, 8)
-        assert np.max(np.abs(out.coeffs - a0.coeffs)) > 1e-3  # the connection acts
+    # one step, a short block, exactly one block, and a short block after full ones
+    for steps, kind, v0 in itertools.product((1, 8, _BLOCK_STEPS, 2 * _BLOCK_STEPS + 13),
+                                             (Kind.CLIFFORD, Kind.LEFT, Kind.RIGHT), (a0, c0)):
+        out = parallel_transport(v0, kind, curve, setup, steps)
+        ref = rk4_reference(v0, kind, omega_at, steps)
+        assert type(out) is type(v0) and out.coeffs.dtype == v0.coeffs.dtype
+        assert np.max(np.abs(out.coeffs - v0.coeffs)) > 1e-3  # the connection acts
         assert out.coeffs == pytest.approx(ref, rel=1e-12)
+
+
+def test_transport_memory_stays_at_the_omega_evaluation():
+    # the propagators are built a block of steps at a time, so a long
+    # transport peaks where evaluating omega at its stage points does;
+    # building every step's matrices at once costs about 6x that here
+    setup = rc_setup(53, scale=0.8)
+    curve = Curve(np.array([[0.2, 0.3, 0.1, 0.2], [0.5, 0.2, 0.6, 0.4], [-0.2, 0.1, 0.1, 0.2]]))
+    a0 = Multivector(np.random.default_rng(55).normal(size=16))
+    steps = 4096
+    ts = np.arange(2 * steps + 1) * (0.5 / steps)
+    parallel_transport(a0, Kind.CLIFFORD, curve, setup, 8)  # node tables and caches built
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    omega_peak = peak(lambda: setup.omega_coord_at(curve.velocity(ts), curve.point(ts)))
+    transport_peak = peak(lambda: parallel_transport(a0, Kind.CLIFFORD, curve, setup, steps))
+    assert transport_peak <= 1.5 * omega_peak
 
 
 def test_array_directions_intern_no_scalar_constant_and_rebuild_to_the_same_nodes():
@@ -386,6 +419,17 @@ def test_transport_rejects_out_of_chart():
     with pytest.raises(CurveOutOfChart):
         parallel_transport(Multivector.scalar(1.0), Kind.CLIFFORD,
                            Curve.line([0.5] * 4, [1.5] * 4), setup, 8)
+
+
+@pytest.mark.parametrize("connected", [False, True])
+def test_transport_rejects_stage_points_out_of_chart(connected):
+    # x0(t) = 1 - 1e-5 - t (t - 1/63) is inside at t = j/63 for every j, but
+    # reaches 1.00005 near t = 1/126, at the stage points of 64 steps
+    setup = rc_setup(59) if connected else SpacetimeSetup(CHART)
+    curve = Curve(np.array([[1 - 1e-5, 0.5, 0.5, 0.5], [1 / 63, 0, 0, 0], [-1.0, 0, 0, 0]]))
+    assert CHART.contains(curve.point(np.linspace(0.0, 1.0, 64)))
+    with pytest.raises(CurveOutOfChart):
+        parallel_transport(Multivector.scalar(1.0), Kind.CLIFFORD, curve, setup, 64)
 
 
 # -- change of spin frame -------------------------------------------------------
