@@ -16,8 +16,6 @@ Layers, bottom up:
 from .algebra import (
     CMultivector,
     Multivector,
-    Signature,
-    STA,
     blade_mul,
     commutator_half,
     complexify,

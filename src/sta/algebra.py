@@ -1,17 +1,18 @@
-"""Real and complexified Clifford algebra over a fixed blade basis.
+"""The real and complexified spacetime algebra Cl(1,3) over a fixed blade basis.
 
-Basis blades are indexed by bit masks over the generators: bit ``a`` set
-means generator ``a`` participates in the blade, and generators inside a
-blade are kept in ascending order.  For the working signature (1,3) this
-gives the 16 blades
+Basis blades are indexed by bit masks over the generators e0..e3: bit ``a``
+set means generator ``a`` participates in the blade, and generators inside
+a blade are kept in ascending order.  This gives the 16 blades
 
     1, e0..e3, e01..e23, e012..e123, e0123
 
 with ``grade(mask) = popcount(mask)``.  The product of two basis blades is
 again a basis blade up to sign: the masks xor, and the sign is the parity
 of the transpositions needed to interleave the two generator lists times a
-metric factor for every repeated generator (``e_a e_a = eta_aa``).  All
-products below go through tables precomputed once per signature.
+metric factor for every repeated generator (``e_a e_a = eta_aa``, with
+``METRIC`` = diag(+1,-1,-1,-1)).  The tables built from it once, at import,
+are module constants: ``GRADES``, ``REVERSE_SIGNS``, the Cayley tensor
+``CAYLEY`` and its fixed-factor operators ``LEFT_OP`` and ``RIGHT_OP``.
 
 ``gp_batch`` is the one product kernel.  Its optional support masks (bit
 ``i`` set when blade ``i`` of an operand may be nonzero; ``FULL`` sets all
@@ -20,13 +21,12 @@ runs the whole 16x16 product, and otherwise it multiplies only the
 supported columns through the Cayley table restricted to the two supports
 and the blades their product reaches (``product_support``).
 
-The table machinery is signature generic (any p+q <= 8); the rest of the
-package instantiates it at (1,3), where the metric is diag(+1,-1,-1,-1).
+``_exp_rows`` is the one bivector exponential: ``exp_bivector`` is its
+value at s = 1, and ``fields.BivectorExp`` its value at every point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,8 +34,13 @@ import numpy as np
 from .errors import SeriesNotConverged
 
 __all__ = [
-    "Signature",
-    "STA",
+    "METRIC",
+    "DIM",
+    "GRADES",
+    "REVERSE_SIGNS",
+    "CAYLEY",
+    "LEFT_OP",
+    "RIGHT_OP",
     "Multivector",
     "CMultivector",
     "blade_mul",
@@ -61,8 +66,13 @@ def _popcount(n: int) -> int:
     return bin(n).count("1")
 
 
-def _blade_product(i: int, j: int, metric: tuple[int, ...]) -> tuple[float, int]:
-    """Sign and result mask for the product of basis blades ``i * j``.
+METRIC = (1, -1, -1, -1)  # e_a e_a = eta_aa for the generators e0..e3
+DIM = 1 << len(METRIC)
+FULL = (1 << DIM) - 1  # the support mask of every blade
+
+
+def _blade_product(i: int, j: int) -> float:
+    """Sign of the product of basis blades ``i * j``, which is blade ``i ^ j``.
 
     The sign is (-1)^inversions * prod(eta_aa for a in i & j), where an
     inversion is a pair (a in i, b in j) with a > b: those are exactly the
@@ -71,87 +81,29 @@ def _blade_product(i: int, j: int, metric: tuple[int, ...]) -> tuple[float, int]
     contract through the metric.
     """
     inversions = 0
-    for b in range(len(metric)):
+    for b in range(len(METRIC)):
         if j >> b & 1:
             inversions += _popcount(i >> (b + 1))
     sign = -1.0 if inversions & 1 else 1.0
     common = i & j
-    for a in range(len(metric)):
+    for a in range(len(METRIC)):
         if common >> a & 1:
-            sign *= metric[a]
-    return sign, i ^ j
+            sign *= METRIC[a]
+    return sign
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Quadratic-form signature (p pluses, q minuses) and its blade tables."""
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0 or self.p + self.q > 8:
-            raise ValueError(f"unsupported signature ({self.p},{self.q})")
-
-    @property
-    def n_gen(self) -> int:
-        return self.p + self.q
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_gen
-
-    @property
-    def metric(self) -> tuple[int, ...]:
-        return tuple(1 if a < self.p else -1 for a in range(self.n_gen))
-
-    @property
-    def tables(self) -> "_Tables":
-        return _build_tables(self.p, self.q)
-
-
-class _Tables:
-    """Precomputed multiplication/grade/reversion structure for a signature."""
-
-    def __init__(self, sig: Signature):
-        dim = sig.dim
-        metric = sig.metric
-        signs = np.zeros((dim, dim))
-        index = np.zeros((dim, dim), dtype=np.int64)
-        cayley = np.zeros((dim, dim, dim))
-        for i in range(dim):
-            for j in range(dim):
-                s, k = _blade_product(i, j, metric)
-                signs[i, j] = s
-                index[i, j] = k
-                cayley[i, j, k] = s
-        self.signs = signs
-        self.index = index
-        self.cayley = cayley
-        # the multiplication operators of a fixed factor: a @ left_op gives
-        # L[j, k] = sum_i a[i] cayley[i, j, k], and b @ right_op gives
-        # R[i, k] = sum_j cayley[i, j, k] b[j], each flattened to dim * dim
-        self.left_op = cayley.reshape(dim, dim * dim)
-        self.right_op = cayley.transpose(1, 0, 2).reshape(dim, dim * dim)
-        self.grades = np.array([_popcount(m) for m in range(dim)])
-        self.reverse_signs = np.array(
-            [(-1.0) ** (g * (g - 1) // 2) for g in self.grades]
-        )
-        self.dim = dim
-
-
-@lru_cache(maxsize=None)
-def _build_tables(p: int, q: int) -> _Tables:
-    return _Tables(Signature(p, q))
-
-
-STA = Signature(1, 3)
-_T = STA.tables
-DIM = _T.dim
-GRADES = _T.grades
-
-
-FULL = (1 << DIM) - 1  # the support mask of every blade
+GRADES = np.array([_popcount(m) for m in range(DIM)])
+REVERSE_SIGNS = np.array([(-1.0) ** (g * (g - 1) // 2) for g in GRADES])
+#: e_i e_j = sum_k CAYLEY[i, j, k] e_k; one nonzero entry, at k = i ^ j
+CAYLEY = np.zeros((DIM, DIM, DIM))
+for _i in range(DIM):
+    for _j in range(DIM):
+        CAYLEY[_i, _j, _i ^ _j] = _blade_product(_i, _j)
+# the multiplication operators of a fixed factor: a @ LEFT_OP gives
+# L[j, k] = sum_i a[i] CAYLEY[i, j, k], and b @ RIGHT_OP gives
+# R[i, k] = sum_j CAYLEY[i, j, k] b[j], each flattened to DIM * DIM
+LEFT_OP = CAYLEY.reshape(DIM, DIM * DIM)
+RIGHT_OP = CAYLEY.transpose(1, 0, 2).reshape(DIM, DIM * DIM)
 
 
 def _blades(mask: int) -> tuple[int, ...]:
@@ -171,7 +123,7 @@ def product_support(sa: int, sb: int) -> int:
 
 
 @lru_cache(maxsize=1024)  # at most 32 KB an entry; a run uses a few hundred pairs
-def _restricted(sa: int, sb: int, tables: _Tables):
+def _restricted(sa: int, sb: int):
     """The product over the supports ``sa``, ``sb``, as gathers and one operator.
 
     Returns ``(ia, ib, ko, over_a, op, shape)``.  ``ia``, ``ib`` and ``ko``
@@ -185,25 +137,24 @@ def _restricted(sa: int, sb: int, tables: _Tables):
     under threads, and the entries belong to no node.
     """
     blades = [_blades(s) for s in (sa, sb, product_support(sa, sb))]
-    table = tables.cayley.take(blades[0], 0).take(blades[1], 1).take(blades[2], 2)
+    table = CAYLEY.take(blades[0], 0).take(blades[1], 1).take(blades[2], 2)
     over_a = len(blades[0]) < len(blades[1])
-    if over_a:  # R[i, k] = sum_j cayley[i, j, k] b[j], from b @ op
+    if over_a:  # R[i, k] = sum_j CAYLEY[i, j, k] b[j], from b @ op
         table = table.transpose(1, 0, 2)
     n, s, k = table.shape
-    index = [slice(None) if len(b) == tables.dim else np.array(b, dtype=np.intp)
+    index = [slice(None) if len(b) == DIM else np.array(b, dtype=np.intp)
              for b in blades]
     return (*index, over_a, np.ascontiguousarray(table).reshape(n, s * k), (s, k))
 
 
-def gp_batch(a: np.ndarray, b: np.ndarray, sa: int = FULL, sb: int = FULL,
-             tables: _Tables = _T) -> np.ndarray:
-    """Geometric product of coefficient arrays with shape (..., dim).
+def gp_batch(a: np.ndarray, b: np.ndarray, sa: int = FULL, sb: int = FULL) -> np.ndarray:
+    """Geometric product of coefficient arrays with shape (..., DIM).
 
     A 1-D operand is a fixed factor: its multiplication matrix comes from one
-    vector-matrix product with the precomputed ``left_op`` or ``right_op``,
+    vector-matrix product with the precomputed ``LEFT_OP`` or ``RIGHT_OP``,
     and the other operand goes through one matrix product, ``b @ L`` with
-    ``L[j, k] = sum_i a[i] cayley[i, j, k]`` or ``a @ R`` with
-    ``R[i, k] = sum_j cayley[i, j, k] b[j]``.  Every entry of ``L`` and
+    ``L[j, k] = sum_i a[i] CAYLEY[i, j, k]`` or ``a @ R`` with
+    ``R[i, k] = sum_j CAYLEY[i, j, k] b[j]``.  Every entry of ``L`` and
     ``R`` has exactly one nonzero term, so they equal the Cayley-tensor
     contractions bit for bit.  Otherwise each point builds its own ``L``
     from a single matrix product and ``out[k] = sum_j b[j] L[j, k]`` is a
@@ -217,16 +168,15 @@ def gp_batch(a: np.ndarray, b: np.ndarray, sa: int = FULL, sb: int = FULL,
     with the factor with fewer blades, and the result is scattered into
     zeros.  Fixed factors ignore the masks.
     """
-    dim = tables.dim
     if a.ndim == 1:
-        return b @ (a @ tables.left_op).reshape(dim, dim)
+        return b @ (a @ LEFT_OP).reshape(DIM, DIM)
     if b.ndim == 1:
-        return a @ (b @ tables.right_op).reshape(dim, dim)
+        return a @ (b @ RIGHT_OP).reshape(DIM, DIM)
     if sa == sb == FULL:
-        left = a @ tables.left_op
-        left = left.reshape(a.shape[:-1] + (dim, dim))
+        left = a @ LEFT_OP
+        left = left.reshape(a.shape[:-1] + (DIM, DIM))
         return np.matmul(b[..., None, :], left)[..., 0, :]
-    ia, ib, ko, over_a, op, shape = _restricted(sa, sb, tables)
+    ia, ib, ko, over_a, op, shape = _restricted(sa, sb)
     x, y = a[..., ia], b[..., ib]
     if over_a:
         x, y = y, x  # x goes through op, y is contracted
@@ -235,7 +185,7 @@ def gp_batch(a: np.ndarray, b: np.ndarray, sa: int = FULL, sb: int = FULL,
     out = np.einsum("...j,...jk->...k", y, m.reshape(m.shape[:-1] + shape))
     if isinstance(ko, slice):
         return out
-    full = np.zeros(out.shape[:-1] + (dim,), dtype=out.dtype)
+    full = np.zeros(out.shape[:-1] + (DIM,), dtype=out.dtype)
     full[..., ko] = out
     return full
 
@@ -309,7 +259,7 @@ class _MVBase:
         return _wrap(np.where(GRADES % 2 == 1, self.coeffs, 0))
 
     def reverse(self):
-        return _wrap(_T.reverse_signs * self.coeffs)
+        return _wrap(REVERSE_SIGNS * self.coeffs)
 
     def grades_present(self, tol: float = 0.0) -> set[int]:
         return {int(g) for g, c in zip(GRADES, self.coeffs) if abs(c) > tol}
@@ -374,7 +324,7 @@ def _coerce(x):
 def blade_name(mask: int) -> str:
     if mask == 0:
         return "1"
-    return "e" + "".join(str(a) for a in range(STA.n_gen) if mask >> a & 1)
+    return "e" + "".join(str(a) for a in range(len(METRIC)) if mask >> a & 1)
 
 
 # Canonical basis vectors.  E(a) is the upper-index generator e^a; lowering
@@ -384,7 +334,7 @@ def E(a: int) -> Multivector:
 
 
 def E_lower(a: int) -> Multivector:
-    return Multivector.from_blade(1 << a, STA.metric[a])
+    return Multivector.from_blade(1 << a, METRIC[a])
 
 
 #: e^2 e^1, the spin-plane bivector of the Dirac theory (stored as -e12).
@@ -393,12 +343,11 @@ E21 = E(2) * E(1)
 E0 = E(0)
 
 
-def blade_mul(i: int, j: int, sig: Signature = STA) -> tuple[float, int]:
+def blade_mul(i: int, j: int) -> tuple[float, int]:
     """Sign and canonical blade of the product of basis blades ``i * j``."""
-    t = sig.tables
-    if not (0 <= i < t.dim and 0 <= j < t.dim):
-        raise ValueError("blade index out of range for signature")
-    return float(t.signs[i, j]), int(t.index[i, j])
+    if not (0 <= i < DIM and 0 <= j < DIM):
+        raise ValueError("blade index out of range")
+    return float(CAYLEY[i, j, i ^ j]), i ^ j
 
 
 def gp(a, b):
@@ -459,8 +408,41 @@ def bivector_square_class(B) -> tuple[str, float]:
     return "null", 0.0
 
 
+def _exp_rows(B, kind: str, beta: float, sv: np.ndarray) -> np.ndarray:
+    """exp(B s) at each scalar of ``sv``: one row of DIM coefficients per entry.
+
+    ``kind`` is ``bivector_square_class(B)``'s and ``beta`` the square root
+    of its magnitude.  A simple B (B squared a scalar) takes the circular,
+    hyperbolic or null closed form f(s) + g(s) B; any other B sums the power
+    series, sized by max|s|, with its convergence guard.  The rows are
+    complex when B or ``sv`` is.
+    """
+    dtype = complex if isinstance(B, CMultivector) or np.iscomplexobj(sv) else float
+    out = np.zeros((len(sv), DIM), dtype=dtype)
+    if kind == "elliptic":
+        arg = beta * sv
+        out[:, 0] = np.cos(arg)
+        out += (np.sin(arg) / beta)[:, None] * B.coeffs
+    elif kind == "hyperbolic":
+        arg = beta * sv
+        out[:, 0] = np.cosh(arg)
+        out += (np.sinh(arg) / beta)[:, None] * B.coeffs
+    elif kind == "null":
+        out[:, 0] = 1.0
+        out += sv[:, None] * B.coeffs
+    else:
+        acc = np.zeros((len(sv), DIM), dtype=complex)
+        p = np.ones(len(sv))
+        for n, term in enumerate(_exp_series(B, float(np.max(np.abs(sv))))):
+            if n:
+                p = p * sv
+            acc += p[:, None] * term.coeffs
+        out = acc if dtype is complex else np.real(acc)
+    return out
+
+
 def exp_bivector(B):
-    """Exponential of a grade-2 element.
+    """Exponential of a grade-2 element: ``_exp_rows`` at s = 1.
 
     Simple bivectors square to a scalar, so the series collapses to the
     circular/hyperbolic closed form; anything else falls back to the power
@@ -470,18 +452,7 @@ def exp_bivector(B):
     if B.grades_present(tol=0.0) - {2}:
         raise ValueError("exp_bivector expects a pure grade-2 argument")
     kind, beta2 = bivector_square_class(B)
-    if kind == "elliptic":
-        beta = np.sqrt(beta2)
-        return float(np.cos(beta)) + B * float(np.sin(beta) / beta)
-    if kind == "hyperbolic":
-        beta = np.sqrt(beta2)
-        return float(np.cosh(beta)) + B * float(np.sinh(beta) / beta)
-    if kind == "null":
-        return 1.0 + B
-    acc = type(B).zero()
-    for t in _exp_series(B):
-        acc = acc + t
-    return acc
+    return _wrap(_exp_rows(B, kind, np.sqrt(beta2), np.ones(1))[0])
 
 
 def complexify(a: Multivector) -> CMultivector:

@@ -3,8 +3,8 @@
 Every field expression is a tree over a small set of constructors, and each
 constructor carries an exact partial derivative in every coordinate
 direction, so differential identities can be checked without numerical
-differentiation (finite differences exist only as an independent
-cross-check).  Evaluation is batched: points of shape (N, 4) give blade
+differentiation (the tests cross-check them against central finite
+differences).  Evaluation is batched: points of shape (N, 4) give blade
 coefficients of shape (N, 16).  One plan is the only evaluator: it walks the
 union DAG of its roots in post-order, without recursion, evaluates each node
 once by handing its ``_eval`` the values of its ``children`` (in order, with
@@ -74,15 +74,16 @@ import numpy as np
 from .algebra import (
     DIM,
     GRADES,
+    REVERSE_SIGNS,
     CMultivector,
     Multivector,
     _coerce,
+    _exp_rows,
     _MVBase,
     bivector_square_class,
     gp_batch,
     product_support,
 )
-from .algebra import _exp_series, _T
 from .errors import KindMismatch
 
 __all__ = [
@@ -556,7 +557,7 @@ class Reverse(FieldExpr):
         self.arg = arg
 
     def _eval(self, xs, v):
-        return v * _T.reverse_signs
+        return v * REVERSE_SIGNS
 
     @property
     def children(self):
@@ -622,10 +623,11 @@ class BladeCoeff(FieldExpr):
 class BivectorExp(FieldExpr):
     """exp(B * s(x)) for a constant bivector B and a scalar expression s.
 
-    Simple B (B squared a scalar) evaluates through the circular or
-    hyperbolic closed form; otherwise a truncated power series in B is used
-    with the same convergence guard as :func:`sta.algebra.exp_bivector`,
-    sized by max|s| over the points it is given.  On a chunk of those points
+    It evaluates through the one exponential that
+    :func:`sta.algebra.exp_bivector` uses too: simple B (B squared a
+    scalar) takes the circular, hyperbolic or null closed form; otherwise a
+    truncated power series in B is used with its convergence guard, sized
+    by max|s| over the points it is given.  On a chunk of those points
     (``fold_sups`` evaluates 512 rows at a time) the series can stop
     earlier; each of the at most 48 terms it leaves out is below 1e-15 at
     the chunk's points, so a chunk's value agrees with the whole grid's
@@ -654,32 +656,10 @@ class BivectorExp(FieldExpr):
         self.B = B
         self.s = s
         self._kind = kind
-        self._beta = np.sqrt(beta2) if beta2 else 0.0
+        self._beta = np.sqrt(beta2)
 
     def _eval(self, xs, s):
-        sv = s[:, 0]
-        dtype = complex if (self.is_complex or np.iscomplexobj(sv)) else float
-        out = np.zeros((len(xs), DIM), dtype=dtype)
-        if self._kind == "elliptic":
-            arg = self._beta * sv
-            out[:, 0] = np.cos(arg)
-            out += (np.sin(arg) / self._beta)[:, None] * self.B.coeffs
-        elif self._kind == "hyperbolic":
-            arg = self._beta * sv
-            out[:, 0] = np.cosh(arg)
-            out += (np.sinh(arg) / self._beta)[:, None] * self.B.coeffs
-        elif self._kind == "null":
-            out[:, 0] = 1.0
-            out += sv[:, None] * self.B.coeffs
-        else:
-            acc = np.zeros((len(xs), DIM), dtype=complex)
-            p = np.ones(len(xs))
-            for n, term in enumerate(_exp_series(self.B, float(np.max(np.abs(sv))))):
-                if n:
-                    p = p * sv
-                acc += p[:, None] * term.coeffs
-            out = acc if dtype is complex else np.real(acc)
-        return out
+        return _exp_rows(self.B, self._kind, self._beta, s[:, 0])
 
     @property
     def children(self):

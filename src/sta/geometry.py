@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import DIM, STA, E, Multivector
+from .algebra import DIM, LEFT_OP, METRIC, RIGHT_OP, E, Multivector
 from .errors import CurveOutOfChart, KindMismatch
 from .fields import (
     BladeCoeff,
@@ -72,7 +72,7 @@ __all__ = [
     "FrameChange",
 ]
 
-ETA = np.array([1.0, -1.0, -1.0, -1.0])
+ETA = np.array(METRIC, dtype=float)
 # the (a, b, c) of the coefficients a connection is given by
 _CONNECTION_KEYS = frozenset((a, b, c) for a in range(4) for b in range(4)
                              for c in range(b + 1, 4))
@@ -91,24 +91,14 @@ class Chart:
 
     def grid(self, n: int) -> np.ndarray:
         """Tensor grid with n points per axis, flattened to (n^4, 4)."""
-        return _tensor_grid(self.lo, self.hi, n)
+        axes = [np.linspace(self.lo[mu], self.hi[mu], n) for mu in range(4)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
 
     def contains(self, xs: np.ndarray, slack: float = 1e-12) -> bool:
         return bool(
             np.all(xs >= self.lo - slack) and np.all(xs <= self.hi + slack)
         )
-
-    def interior_grid(self, n: int, margin: float) -> np.ndarray:
-        """Grid shrunk away from the boundary (room for FD stencils)."""
-        span = self.hi - self.lo
-        return _tensor_grid(self.lo + margin * span, self.hi - margin * span, n)
-
-
-def _tensor_grid(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """The n^4 points of the box [lo, hi], n per axis, as an (n^4, 4) array."""
-    axes = [np.linspace(lo[mu], hi[mu], n) for mu in range(4)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 class Curve:
@@ -236,10 +226,6 @@ class SpacetimeSetup:
         self.chart = chart
         self.connection = connection if connection is not None else ConnectionField.zero()
         self.tetrad = tetrad if tetrad is not None else Tetrad()
-
-    def leg_lower(self, a: int) -> Field:
-        """The lowered frame leg e_a as a field in the setup's own trivialization."""
-        return CliffordField(Constant(float(ETA[a]) * E(a)))
 
     def omega(self, a: int) -> FieldExpr:
         return self.connection.omega(a)
@@ -396,12 +382,11 @@ def dirac_operator_left(P: Field, setup: SpacetimeSetup) -> Field:
 # The right-hand side of each transport law is linear in y, y' = y @ A(omega),
 # with A[j, k] = sum_i omega_i op[i, j*DIM + k] read off the Cayley tensor C
 # (e_i e_j = sum_k C[i, j, k] e_k):  omega y is C contracted on its first
-# index (the kernel's ``left_op``), y omega on its second (``right_op``).
-_T = STA.tables
+# index (the kernel's ``LEFT_OP``), y omega on its second (``RIGHT_OP``).
 _TRANSPORT_OPS = {
-    Kind.CLIFFORD: -0.5 * (_T.left_op - _T.right_op),
-    Kind.LEFT: -0.5 * _T.left_op,
-    Kind.RIGHT: 0.5 * _T.right_op,
+    Kind.CLIFFORD: -0.5 * (LEFT_OP - RIGHT_OP),
+    Kind.LEFT: -0.5 * LEFT_OP,
+    Kind.RIGHT: 0.5 * RIGHT_OP,
 }
 # Steps whose propagators are built together.  The (B, 16, 16) stacks then
 # stay small whatever the step count; built for every step at once, they
@@ -537,15 +522,3 @@ def change_spin_frame(u: FieldExpr, setup: SpacetimeSetup, *, clifford=(), left=
         right=[Field(F.kind, f_product(F.expr, u)) for F in right],
         representatives=[Field(F.kind, f_product(ur, F.expr)) for F in representatives],
     )
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference cross-check
-# ---------------------------------------------------------------------------
-
-
-def fd_directional(expr: FieldExpr, xs: np.ndarray, mu: int, h: float) -> np.ndarray:
-    """Central difference of a field expression along coordinate mu."""
-    dx = np.zeros(4)
-    dx[mu] = h
-    return (evaluate(expr, xs + dx) - evaluate(expr, xs - dx)) / (2.0 * h)

@@ -16,8 +16,8 @@ brackets; see the README for the full schema):
                     name runs once [all seven]
   tolerances        {check-name: positive float} overrides; each key names a
                     check of any suite in the catalog [{}]
-  grid              points per axis for residual grids [9]
-  transport_steps   integrator step count [256]
+  grid              points per axis for residual grids, 2..64 [9]
+  transport_steps   integrator step count, 1..65536 [256]
   seed              integer for the randomized property checks [0]
   expected          {check-name: value} turns residual checks into
                     expected-value diagnostics; each key names one of the
@@ -61,7 +61,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import GRADES, STA, CMultivector, Multivector, exp_bivector, gp_batch
+from .algebra import (DIM, GRADES, REVERSE_SIGNS, CMultivector, Multivector, blade_name,
+                      exp_bivector, gp_batch)
 from .errors import ConfigError, StaError, UnknownSuite
 from .fields import (
     BivectorExp,
@@ -82,10 +83,12 @@ from .geometry import Chart, ConnectionField, SpacetimeSetup, change_spin_frame
 from .dirac import DiracParams, make_plane_wave
 from .suites import SUITES
 
-_BLADE_BY_NAME = {"1": 0, "s": 0}
-for _mask in range(1, 16):
-    _name = "e" + "".join(str(a) for a in range(4) if _mask >> a & 1)
-    _BLADE_BY_NAME[_name] = _mask
+_BLADE_BY_NAME = {"s": 0, **{blade_name(mask): mask for mask in range(DIM)}}
+# Caps on the sizes that set a run's arrays, checked before any is built: a
+# grid has at most GRID_MAX^4 points (16.8 M, 0.5 GB of coordinates), and a
+# transport evaluates omega at 2 * steps + 1 points per curve.
+GRID_MAX = 64
+TRANSPORT_STEPS_MAX = 65536
 
 
 def _fail(msg: str):
@@ -133,7 +136,7 @@ def _scalar_defect(v):
 
 
 def _rotor_defect(v):
-    uu = gp_batch(v * STA.tables.reverse_signs, v)
+    uu = gp_batch(v * REVERSE_SIGNS, v)
     return np.hstack([v[:, GRADES % 2 == 1], v.imag, uu - Multivector.scalar(1.0).coeffs])
 
 
@@ -279,12 +282,13 @@ class Scenario:
             _fail(f"chart: {exc}")
 
         self.grid = _number(cfg.get("grid", 9), "grid", integer=True)
-        if self.grid < 2:
-            _fail("grid must be at least 2")
+        if not 2 <= self.grid <= GRID_MAX:
+            _fail(f"grid must be between 2 and {GRID_MAX}, got {self.grid}")
         self.transport_steps = _number(cfg.get("transport_steps", 256), "transport_steps",
                                        integer=True)
-        if self.transport_steps < 1:
-            _fail("transport_steps must be >= 1")
+        if not 1 <= self.transport_steps <= TRANSPORT_STEPS_MAX:
+            _fail(f"transport_steps must be between 1 and {TRANSPORT_STEPS_MAX}, "
+                  f"got {self.transport_steps}")
         self.seed = _number(cfg.get("seed", 0), "seed", integer=True)
         if self.seed < 0:
             _fail("seed must be nonnegative")

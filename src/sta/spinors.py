@@ -145,7 +145,7 @@ class GammaRep:
 
     def rho(self, a) -> np.ndarray:
         """Matrix image of a (real or complex) multivector."""
-        return np.tensordot(np.asarray(a.coeffs, dtype=complex), self.blade_mats, axes=1)
+        return self.rho_batch(a.coeffs)
 
     def rho_batch(self, coeffs: np.ndarray) -> np.ndarray:
         """Matrix images of an (N, 16) coefficient array, shape (N, 4, 4)."""

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sta.algebra import (
+    CAYLEY,
     CMultivector,
     Multivector,
-    Signature,
     blade_mul,
     commutator_half,
     complexify,
@@ -25,6 +25,7 @@ from sta.algebra import (
     E21,
 )
 from sta.errors import SeriesNotConverged
+from sta.fields import BivectorExp, ScalarLinear, evaluate
 
 METRIC = (1, -1, -1, -1)
 
@@ -70,12 +71,14 @@ def test_blade_mul_pinned_examples():
     assert blade_mul(0b1111, 0b1111) == (-1.0, 0)     # pseudoscalar squares to -1
 
 
-def test_signature_generic_tables():
-    sig = Signature(3, 0)
-    s, k = sig.tables.signs[1, 1], sig.tables.index[1, 1]
-    assert (s, k) == (1.0, 0)
-    with pytest.raises(ValueError):
-        Signature(5, 5)
+def test_cayley_slices_hold_one_sign_at_the_xor_blade():
+    """The table the kernel multiplies by: e_i e_j = +-e_(i^j), as blade_mul says."""
+    for i in range(16):
+        for j in range(16):
+            (k,) = np.flatnonzero(CAYLEY[i, j])
+            assert k == i ^ j
+            assert CAYLEY[i, j, k] in (1.0, -1.0)
+            assert blade_mul(i, j) == (CAYLEY[i, j, k], k)
 
 
 def test_gp_examples():
@@ -138,7 +141,7 @@ def test_gp_batch_matches_oracle(shape_a, shape_b, complex_a, complex_b):
     (False, False), (True, False), (False, True), (True, True)])
 def test_fixed_factor_products_equal_the_cayley_contractions_bit_for_bit(complex_factor,
                                                                          complex_other):
-    cayley = Signature(1, 3).tables.cayley
+    cayley = CAYLEY
     rng = np.random.default_rng(23)
     f = _random_rows(rng, (), 16, complex_factor)
     for other in (_random_rows(rng, (), 16, complex_other),
@@ -148,16 +151,6 @@ def test_fixed_factor_products_equal_the_cayley_contractions_bit_for_bit(complex
     rows = _random_rows(rng, (37,), 16, complex_other)
     np.testing.assert_array_equal(gp_batch(rows, f),
                                   rows @ np.tensordot(cayley, f, axes=([1], [0])))
-
-
-def test_gp_batch_other_signature_tables():
-    sig = Signature(3, 0)
-    rng = np.random.default_rng(19)
-    a = _random_rows(rng, (23,), sig.dim, False)
-    b = _random_rows(rng, (23,), sig.dim, True)
-    got = gp_batch(a, b, tables=sig.tables)
-    assert got.shape == (23, 8)
-    assert got == pytest.approx(oracle_gp_batch(a, b, sig.metric), rel=1e-12, abs=1e-12)
 
 
 def test_grade_projection_examples():
@@ -249,6 +242,24 @@ def test_exp_bivector_rejects_and_diverges():
         exp_bivector(E(0))
     with pytest.raises(SeriesNotConverged):
         exp_bivector(60.0 * (E(0) * E(1)) + 59.0 * (E(2) * E(3)))
+
+
+@pytest.mark.parametrize("B", [
+    0.6 * E21,                                           # elliptic
+    0.8 * (E(1) * E(0)),                                 # hyperbolic
+    E(0) * E(1) + E(1) * E(2),                           # null: squares to 0
+    0.4 * (E(0) * E(1)) + 0.3 * (E(2) * E(3)),           # general: the series
+    Multivector.zero(),                                  # null at zero
+    complexify(0.5 * E21 + 0.2 * (E(0) * E(3))) * (1 + 0.5j),  # complex
+], ids=["elliptic", "hyperbolic", "null", "general", "zero", "complex"])
+def test_exp_bivector_is_the_field_exponential_at_s_one(B):
+    """One exponential: exp_bivector(B) is BivectorExp(B, s) where s = 1, bit for bit."""
+    xs = np.zeros((3, 4))
+    field = evaluate(BivectorExp(B, ScalarLinear([0, 0, 0, 0], 1.0)), xs)
+    got = exp_bivector(B).coeffs
+    assert got.dtype == field.dtype
+    for row in field:
+        np.testing.assert_array_equal(got, row)
 
 
 def test_exp_inverse_random_simple():

@@ -296,6 +296,37 @@ def test_exit_code_two_on_scenario_name_that_is_not_a_file_name(tmp_path, name):
     assert not list(tmp_path.rglob("*.report.json"))
 
 
+def test_exit_code_two_on_oversized_grid(tmp_path):
+    # 100000^4 points: numpy refuses to broadcast the mesh, so nothing is allocated
+    code, lines = _main("run", "gauge-sine", "--suite", "algebra", "--grid", "100000",
+                        "--report-dir", str(tmp_path))
+    assert code == 2
+    assert lines == ["configuration error: grid must be between 2 and 64, got 100000"]
+    assert not list(tmp_path.glob("*.report.json"))
+
+
+def test_exit_code_two_on_oversized_transport_steps(tmp_path):
+    cfg = load_config("torsion-toy")
+    cfg["transport_steps"] = 10**30  # too large for the stage points' np.arange
+    path = tmp_path / "steps.json"
+    path.write_text(json.dumps(cfg))
+    code, lines = _main("run", str(path), "--suite", "transport", "--grid", "2",
+                        "--report-dir", str(tmp_path))
+    assert code == 2
+    assert lines == [f"configuration error: transport_steps must be between 1 and 65536, "
+                     f"got {10**30}"]
+    assert not list(tmp_path.glob("*.report.json"))
+
+
+def test_size_caps_are_inclusive():
+    # no grid of 65 points per axis: without its cap that would build 17.9 M points
+    cfg = small(load_config("torsion-toy"), grid=2)
+    Scenario({**cfg, "transport_steps": 65536})  # parsed; no transport runs
+    for key, value in (("transport_steps", 65537), ("transport_steps", 0), ("grid", 1)):
+        with pytest.raises(ConfigError, match=f"{key} must be between"):
+            Scenario({**cfg, key: value})
+
+
 def test_exit_code_two_on_report_dir_that_cannot_be_created(tmp_path, monkeypatch):
     (tmp_path / "afile").write_text("")
     ran = []

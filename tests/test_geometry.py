@@ -49,6 +49,8 @@ from sta.scenario import Scenario, load_config
 from sta.spinors import IDEMPOTENT_E
 from sta.suites import random_connection, random_field_expr, random_rotor_expr
 
+from finite_differences import fd_directional, interior_grid
+
 CHART = Chart([0, 0, 0, 0], [1, 1, 1, 1])
 RNG = np.random.default_rng(123)
 
@@ -117,7 +119,8 @@ def test_connection_recovered_from_omega():
     xs = CHART.grid(3)
     for a in range(4):
         for b in range(4):
-            nab = cov_deriv_clifford(setup.leg_lower(b), np.eye(4)[a], setup)
+            leg = CliffordField(Constant(float(ETA[b]) * E(b)))  # the lowered leg e_b
+            nab = cov_deriv_clifford(leg, np.eye(4)[a], setup)
             acc = Constant(Multivector.zero())
             for c in range(4):
                 g = setup.connection.entries.get((a, min(b, c), max(b, c)))
@@ -223,13 +226,12 @@ def test_dirac_operator_flat_cases():
 def test_dirac_operator_matches_finite_differences():
     """Analytic Dirac operator of a traveling rotor vs O(h^2) differences."""
     from sta.fields import rotor_wave
-    from sta.geometry import fd_directional
 
     setup = SpacetimeSetup(CHART)
     expr = rotor_wave(Multivector.scalar(1.0), -1.2 * (E(2) * E(1)), [0.8, 0.3, 0, 0.2])
     P = LeftSpinorField(expr)
     analytic = dirac_operator_left(P, setup).expr
-    xs = CHART.interior_grid(3, 0.2)
+    xs = interior_grid(CHART, 3, 0.2)
 
     def fd_value(h):
         acc = np.zeros((len(xs), 16))
@@ -533,10 +535,9 @@ def test_unit_section_pairings():
     xs = CHART.grid(2)
     one = pair_to_clifford(unit_left(), unit_right())
     assert np.allclose(one.eval(xs)[0], Multivector.scalar(1.0).coeffs)
-    setup = SpacetimeSetup(CHART)
     for a in range(4):
         # 1r e_a 1l is the constant generator: a frame scalar
-        mid = unit_right() * setup.leg_lower(a)
+        mid = unit_right() * CliffordField(Constant(float(ETA[a]) * E(a)))
         out = mid * unit_left()
         assert out.kind is Kind.FRAME_SCALAR
         assert np.allclose(out.eval(xs)[0], (float(ETA[a]) * E(a)).coeffs)

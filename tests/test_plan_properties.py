@@ -31,9 +31,11 @@ from sta.fields import (
     f_sum,
     fold_sups,
 )
-from sta.geometry import Chart, fd_directional
+from sta.geometry import Chart
 
-XS = Chart([0, 0, 0, 0], [1, 1, 1, 1]).interior_grid(2, 0.2)
+from finite_differences import fd_directional, interior_grid
+
+XS = interior_grid(Chart([0, 0, 0, 0], [1, 1, 1, 1]), 2, 0.2)
 REVERSE_SIGNS = np.where(GRADES % 4 < 2, 1.0, -1.0)  # (-1)^(g(g-1)/2)
 
 
