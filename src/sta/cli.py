@@ -10,11 +10,19 @@ created, a report file name longer than the report directory allows, or a
 report that cannot be written).  A standard output that its reader closes
 early leaves the status as it is: the report file is written before the
 summary.
+
+The cyclic garbage collector: while a command runs, the heap that existed
+before it (numpy's and ``sta``'s import-time objects) is frozen, so the
+collector scans only what the run creates; ``main`` unfreezes it on every
+exit path.  At interpreter exit the heap is frozen again, before the
+finalization collections would walk all of it once more.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import sys
 import time
@@ -24,6 +32,10 @@ from .errors import ConfigError, StaError
 from .report import Report
 from .scenario import Scenario, builtin_scenario_names, load_config
 from .suites import SUITES, run_suite
+
+# atexit handlers run before the finalization collections, which then find
+# every object frozen and scan nothing
+atexit.register(gc.freeze)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -119,9 +131,17 @@ def run_command(args) -> int:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "list-suites":
-        return list_suites()
-    return run_command(args)
+    # a caller that froze its heap itself keeps it frozen, and as it was
+    frozen = gc.get_freeze_count()
+    if not frozen:
+        gc.freeze()
+    try:
+        if args.command == "list-suites":
+            return list_suites()
+        return run_command(args)
+    finally:
+        if not frozen:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -486,10 +486,8 @@ class Linear(FieldExpr):
         self.terms = terms
 
     def _eval(self, xs, *vals):
-        terms = [(c, v) for (c, _), v in zip(self.terms, vals)]
-        cplx = any(isinstance(c, complex) or np.iscomplexobj(v) for c, v in terms)
-        out = np.zeros((len(xs), DIM), dtype=complex if cplx else float)
-        for c, v in terms:
+        out = np.zeros((len(xs), DIM), dtype=complex if self.is_complex else float)
+        for (c, _), v in zip(self.terms, vals):
             out += v if c == 1 else c * v
         return out
 

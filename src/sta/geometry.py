@@ -88,6 +88,11 @@ class Chart:
             raise ValueError("chart bounds must have 4 entries")
         if not np.all(self.lo < self.hi):
             raise ValueError("chart requires lo < hi on every axis")
+        with np.errstate(over="ignore"):
+            span = self.hi - self.lo
+        if not np.all(np.isfinite(span)):
+            raise ValueError("chart requires a finite span hi - lo on every axis, "
+                             f"but it is {span.tolist()}")
 
     def grid(self, n: int) -> np.ndarray:
         """Tensor grid with n points per axis, flattened to (n^4, 4)."""

@@ -1,6 +1,8 @@
+import gc
 import os
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 
 # CLI tests run ``python -m sta.cli`` as a child process with a temporary
@@ -16,3 +18,18 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 # not a failure: the timing bounds live in test_acceptance.py.
 settings.register_profile("sta", derandomize=True, deadline=None)
 settings.load_profile("sta")
+
+
+@pytest.fixture(autouse=True)
+def _heap_freeze_state_is_kept():
+    """Fail a test that leaves the collector's frozen heap changed.
+
+    ``sta.cli.main`` freezes the heap while a command runs and must restore
+    it on every exit path; a test that runs it in process must not hand a
+    frozen heap to the tests after it.
+    """
+    before = gc.get_freeze_count()
+    yield
+    after = gc.get_freeze_count()
+    if after != before:
+        pytest.fail(f"the test left gc.get_freeze_count() at {after}, not {before}")

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import gc
 import io
 import json
 import operator
@@ -9,6 +10,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from sta import cli
 from sta.cli import main
 from sta.errors import ConfigError, UnknownSuite
+from sta.geometry import Chart
 from sta.report import Check, Report
 from sta.scenario import Scenario, builtin_scenario_names, load_config, parse_expr
 
@@ -363,6 +367,92 @@ def test_exit_code_two_when_the_report_cannot_be_written(tmp_path):
                         "--report-dir", str(tmp_path))
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("configuration error: cannot write the report")
+
+
+def test_exit_code_two_on_chart_whose_span_overflows(tmp_path):
+    # each bound is finite, but hi - lo is not: the grid would be NaN
+    cfg = load_config("minkowski-plane-wave")
+    cfg["chart"] = {"lo": [-1e308, 0, 0, 0], "hi": [1e308, 1, 1, 1]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, lines = _main("run", str(path), "--suite", "algebra", "--grid", "2",
+                            "--report-dir", str(tmp_path))
+    assert code == 2 and not caught, [str(w.message) for w in caught]
+    assert lines == ["configuration error: chart: chart requires a finite span hi - lo on "
+                     "every axis, but it is [inf, 1.0, 1.0, 1.0]"]
+    assert not list(tmp_path.glob("*.report.json"))
+    wide = Chart([-8e307] * 4, [8e307] * 4)  # a span of 1.6e308 still fits
+    assert np.all(np.isfinite(wide.grid(3)))
+
+
+def _freeze_cases(tmp_path):
+    """(exit status, argv) of each way ``main`` returns."""
+    tight = load_config("gauge-sine")
+    tight["tolerances"] = {"associativity": 1e-20}  # its value is about 2e-14
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps(tight))
+    out = str(tmp_path / "out")
+    return [(0, ("run", "gauge-sine", "--suite", "algebra", "--grid", "2", "--report-dir", out)),
+            (1, ("run", str(path), "--suite", "algebra", "--grid", "2", "--report-dir", out)),
+            (2, ("run", "gauge-sine", "--suite", "no-such-suite", "--report-dir", out)),
+            (0, ("list-suites",))]
+
+
+def test_main_leaves_the_heap_unfrozen(tmp_path):
+    assert gc.get_freeze_count() == 0
+    for status, argv in _freeze_cases(tmp_path):
+        code, _ = _main(*argv)
+        assert code == status, argv
+        assert gc.get_freeze_count() == 0, argv
+
+
+def test_main_keeps_a_heap_its_caller_froze_frozen(tmp_path):
+    cases = _freeze_cases(tmp_path)
+    marker = []  # a tracked object, frozen by the caller below
+    gc.freeze()
+    try:
+        for status, argv in cases:
+            code, _ = _main(*argv)
+            assert code == status, argv
+            assert gc.get_freeze_count() > 0, argv
+            # frozen objects are in no generation that get_objects lists
+            assert not any(o is marker for o in gc.get_objects()), argv
+    finally:
+        gc.unfreeze()
+
+
+def test_main_unfreezes_the_heap_when_a_suite_raises(tmp_path, monkeypatch):
+    def raising(name, scn):
+        raise ZeroDivisionError(name)
+
+    monkeypatch.setattr(cli, "run_suite", raising)
+    with pytest.raises(ZeroDivisionError):
+        _main("run", "gauge-sine", "--suite", "algebra", "--grid", "2",
+              "--report-dir", str(tmp_path))
+    assert gc.get_freeze_count() == 0
+    with pytest.raises(SystemExit):  # an argument error, before anything is frozen
+        _main("run")
+    assert gc.get_freeze_count() == 0
+
+
+def test_the_heap_is_frozen_at_interpreter_exit(tmp_path):
+    # atexit handlers run last in, first out: this one runs after sta's
+    script = textwrap.dedent("""
+        import atexit, gc
+        atexit.register(lambda: print("at exit:", gc.get_freeze_count()))
+        import sta.cli
+        status = sta.cli.main(["list-suites"])
+        print("after main:", gc.get_freeze_count())
+        raise SystemExit(status)
+    """)
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       cwd=tmp_path, timeout=120)
+    assert r.returncode == 0 and r.stderr == "", r.stderr
+    after, at_exit = r.stdout.splitlines()[-2:]
+    assert after == "after main: 0"
+    assert at_exit.startswith("at exit: ") and int(at_exit.split()[-1]) > 1000, at_exit
 
 
 def _paths(obj, prefix=()):

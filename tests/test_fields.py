@@ -355,12 +355,14 @@ def test_complex_zero_constant_folds():
         assert isinstance(folded, Constant) and not np.any(folded.value.coeffs)
 
 
-def test_concurrent_builders_get_one_node():
+def _built_once_under_threads(workers, rounds, build_one):
+    """Run ``build_one(i)`` for every round in ``workers`` threads at once.
+
+    Each round must give every thread the same object.
+    """
     import sys
     import threading
 
-    workers, rounds = 8, 200
-    base = np.random.default_rng(0).normal(size=16)  # values no other test builds
     got = [[] for _ in range(workers)]
     errors = []
     barrier = threading.Barrier(workers)
@@ -369,8 +371,7 @@ def test_concurrent_builders_get_one_node():
         try:
             barrier.wait()
             for i in range(rounds):
-                c = Constant(Multivector(base + i))
-                out.append(Product(c, Reverse(c)))
+                out.append(build_one(i))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -388,6 +389,28 @@ def test_concurrent_builders_get_one_node():
     assert not errors and all(len(g) == rounds for g in got)
     for i in range(rounds):
         assert all(g[i] is got[0][i] for g in got)
+
+
+def test_concurrent_builders_get_one_node():
+    base = np.random.default_rng(0).normal(size=16)  # values no other test builds
+
+    def build_one(i):
+        c = Constant(Multivector(base + i))
+        return Product(c, Reverse(c))
+
+    _built_once_under_threads(8, 200, build_one)
+
+
+def test_two_threads_building_the_same_sum_of_products_get_one_object():
+    # leaves are not interned, so the threads share these
+    pairs = [(Polynomial([(1, float(i), (1, 0, 0, 0))]), Polynomial([(2, 1.0, (0, 1, 0, 0))]))
+             for i in range(300)]
+
+    def build_one(i):
+        a, b = pairs[i]
+        return f_sum(f_product(a, b), f_product(b, a))
+
+    _built_once_under_threads(2, len(pairs), build_one)
 
 
 def _structure_numbers():

@@ -5,8 +5,9 @@ earlier nodes by index, so the DAGs share subtrees.  For every recipe the
 plan (``evaluate_many``) must equal a recursive reference evaluator bit for
 bit, the exact partial derivatives must agree with central differences, and
 building the recipe again must give the same node objects.  Every node's
-value must vanish outside its static ``support``, and a product over the
-factors' supports must agree with the full 16x16 kernel.
+value must vanish outside its static ``support``, be complex exactly when
+its static ``is_complex`` is set, and a product over the factors' supports
+must agree with the full 16x16 kernel.
 """
 
 import numpy as np
@@ -69,6 +70,7 @@ _vec4 = st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=4, max_si
 _blades = st.lists(st.integers(0, DIM - 1), min_size=1, max_size=3, unique=True)
 
 _coefs = st.lists(_coef, min_size=3, max_size=3)
+_scales = st.one_of(_coef, st.builds(complex, _coef, _coef))
 
 
 def _constant(blades, re, im=None):
@@ -87,7 +89,7 @@ _leaves = st.one_of(
                                          enumerate(cs)]),  # every blade, so every grade
               st.lists(_coef, min_size=DIM, max_size=DIM), st.integers(0, 3)),
     st.builds(lambda terms: Polynomial(terms),
-              st.lists(st.tuples(st.integers(0, DIM - 1), _coef,
+              st.lists(st.tuples(st.integers(0, DIM - 1), _scales,  # real or complex
                                  st.builds(lambda mu, p: tuple(np.eye(4, dtype=int)[mu] * p),
                                            st.integers(0, 3), st.integers(0, 3))),
                        min_size=1, max_size=3)),
@@ -95,7 +97,6 @@ _leaves = st.one_of(
     st.builds(ScalarSine, _coef, _vec4, _coef),
 )
 
-_scales = st.one_of(_coef, st.builds(complex, _coef, _coef))
 _ops = st.lists(st.tuples(st.sampled_from(["sum", "scale", "product", "reverse"]),
                           st.integers(0, 63), st.integers(0, 63), _scales),
                 min_size=1, max_size=8)
@@ -143,6 +144,14 @@ def test_exact_partials_agree_with_central_differences(leaves, ops):
 def test_building_the_same_dag_twice_gives_the_same_nodes(leaves, ops):
     first, again = build(leaves, ops), build(leaves, ops)
     assert all(a is b for a, b in zip(first, again))
+
+
+@settings(max_examples=60)
+@given(st.lists(_leaves, min_size=1, max_size=4), _ops)
+def test_values_are_complex_exactly_when_the_node_says_so(leaves, ops):
+    nodes = build(leaves, ops)
+    for node, value in zip(nodes, evaluate_many(nodes, XS)):
+        assert np.iscomplexobj(value) == node.is_complex, type(node).__name__
 
 
 def _columns(mask):
