@@ -53,10 +53,10 @@ from .fields import (
     FieldExpr,
     FrameScalarField,
     Kind,
+    f_combine,
     f_product,
     f_reverse,
     f_scale,
-    f_sum,
     rotor_wave,
 )
 from .geometry import (
@@ -112,10 +112,11 @@ def residual_representative(psi: Field, params: DiracParams, setup: SpacetimeSet
     if psi.kind is not Kind.CLIFFORD:
         raise KindMismatch("residual_representative expects a Clifford field")
     ds = frame_sum([effective_deriv(psi, a, setup).expr for a in range(4)])
-    expr = f_product(ds, Constant(E21))
-    expr = f_sum(expr, f_scale(-params.charge, f_product(params.potential.expr, psi.expr)))
-    expr = f_sum(expr, f_scale(-params.mass, f_product(psi.expr, Constant(E0))))
-    return CliffordField(expr)
+    return CliffordField(f_combine([
+        (1.0, f_product(ds, Constant(E21))),
+        (-params.charge, f_product(params.potential.expr, psi.expr)),
+        (-params.mass, f_product(psi.expr, Constant(E0))),
+    ]))
 
 
 def residual_left_form(Psi: Field, params: DiracParams, setup: SpacetimeSetup) -> Field:

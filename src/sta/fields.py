@@ -22,8 +22,20 @@ The node set: leaves (``Constant``, ``Polynomial`` and the scalar
 ``ScalarLinear``, ``ScalarSine``, ``ScalarGaussian``), one linear node
 (``Linear``: a combination of terms with constant scalar coefficients), the
 geometric ``Product``, ``Reverse``, ``GradeSelect``, ``BladeCoeff`` and
-``BivectorExp``.  Build them with the folding constructors ``f_sum``,
-``f_scale``, ``f_product`` and ``f_reverse``.
+``BivectorExp``.  Build them with the folding constructors ``f_combine``,
+``f_sum``, ``f_scale``, ``f_product`` and ``f_reverse``.
+
+Sums have one builder, ``f_combine([(c, e), ...])``, the n-ary sum of
+c e over its pairs; ``f_sum(*exprs)`` is its unit-coefficient form and
+``f_scale(c, e)`` its one-pair case.  It folds left by the binary rules: a
+zero term is skipped, two constants fold while the running sum is one
+``Constant``, otherwise the term lists are concatenated (each inner
+coefficient k of a scaled ``Linear`` becomes c * k), and a lone term of
+coefficient 1 is returned bare.  It interns only the result, so a sum of n
+terms is the node a chain of n binary sums returns, without the chain's
+intermediate nodes.  A sum nested in another is built first, as its own
+node, and enters the outer sum as such: flattening across it could fold
+its constants in another order.
 
 Each node fixes its static facts once, when it is built: ``is_complex`` and
 ``support``, the 16-bit mask of the blades its value can hold nonzero.  A
@@ -313,7 +325,7 @@ class FieldExpr(metaclass=_Interned):
         return f_sum(self, other)
 
     def __sub__(self, other):
-        return f_sum(self, f_scale(-1.0, other))
+        return f_combine([(1.0, self), (-1.0, other)])
 
     def __neg__(self):
         return f_scale(-1.0, self)
@@ -466,8 +478,8 @@ class ScalarGaussian(FieldExpr):
 class Linear(FieldExpr):
     """sum_i c_i e_i: expressions e_i with constant scalar coefficients c_i.
 
-    ``terms`` is a tuple of (coef, expr); ``f_sum`` and ``f_scale`` keep it
-    flat, so a chain of sums and scalings is one node.
+    ``terms`` is a tuple of (coef, expr); ``f_combine`` keeps it flat, so a
+    sum of sums and scalings is one node.
     """
 
     __slots__ = ("terms",)
@@ -496,7 +508,7 @@ class Linear(FieldExpr):
         return tuple(e for _, e in self.terms)
 
     def _partial(self, mu):
-        return sum((f_scale(c, e.partial(mu)) for c, e in self.terms), _ZERO)
+        return f_combine([(c, e.partial(mu)) for c, e in self.terms])
 
 
 class Product(FieldExpr):
@@ -681,25 +693,88 @@ def _terms(e: FieldExpr) -> tuple:
     return e.terms if isinstance(e, Linear) else ((1.0, e),)
 
 
-def f_sum(a: FieldExpr, b: FieldExpr) -> FieldExpr:
-    if _is_zero(a):
-        return b
-    if _is_zero(b):
-        return a
-    if isinstance(a, Constant) and isinstance(b, Constant):
-        return Constant(a.value + b.value)
-    return Linear(_terms(a) + _terms(b))
+def _fold(parts) -> FieldExpr:
+    """The left fold of the binary sum over ``parts``; only the result is interned.
+
+    A part is a summand: None (zero), a node, the value of a ``Constant``
+    not yet interned, or a tuple of ``Linear`` terms not yet interned.  The
+    running sum takes the same forms, and is a list of terms once two parts
+    have been concatenated.  Each step is the binary rule: a zero running
+    sum gives way to the part, a zero part is skipped, two constants add,
+    and otherwise the term lists are concatenated.
+    """
+    acc = None
+    for part in parts:
+        if _zero_part(acc):
+            acc = part
+        elif _zero_part(part):
+            continue
+        elif (a := _part_value(acc)) is not None and (b := _part_value(part)) is not None:
+            acc = a + b
+        else:
+            if not isinstance(acc, list):
+                acc = list(_part_terms(acc))
+            acc.extend(_part_terms(part))
+    if acc is None:
+        return _ZERO
+    if isinstance(acc, _MVBase):
+        return Constant(acc)
+    return acc if isinstance(acc, FieldExpr) else Linear(acc)
+
+
+def _part_value(part):
+    """The value of a part that is a constant, else None."""
+    if isinstance(part, Constant):
+        return part.value
+    return part if isinstance(part, _MVBase) else None
+
+
+def _zero_part(part) -> bool:
+    if part is None:
+        return True
+    if isinstance(part, _MVBase):
+        return not part.coeffs.any()
+    return isinstance(part, Constant) and not part.support
+
+
+def _part_terms(part) -> tuple:
+    """The ``Linear`` terms of a nonzero part of a sum."""
+    if isinstance(part, tuple):
+        return part
+    return ((1.0, Constant(part)),) if isinstance(part, _MVBase) else _terms(part)
+
+
+def _scaled(c, e: FieldExpr):
+    """c e as a part of a sum: the node ``f_scale`` returns, or its parts before interning."""
+    if c == 0 or _is_zero(e):
+        return None
+    if c == 1:
+        return e
+    if isinstance(e, Constant):
+        return c * e.value
+    terms = tuple((c * k, x) for k, x in _terms(e))
+    if len(terms) == 1 and terms[0][0] == 1:  # a lone unit term, bare
+        return terms[0][1]
+    return terms
+
+
+def f_combine(pairs) -> FieldExpr:
+    """sum_i c_i e_i over the pairs (c_i, e_i), folded left from zero.
+
+    The node is the one ``f_sum(acc, f_scale(c, e))`` over the pairs would
+    return, and the only node this interns besides the ``Constant`` terms
+    of the result.
+    """
+    return _fold(_scaled(c, e) for c, e in pairs)
+
+
+def f_sum(*exprs: FieldExpr) -> FieldExpr:
+    """exprs[0] + exprs[1] + ..., folded left; the node the chain of binary sums returns."""
+    return _fold(exprs)
 
 
 def f_scale(c, a: FieldExpr) -> FieldExpr:
-    if c == 0 or _is_zero(a):
-        return _ZERO
-    if c == 1:
-        return a
-    if isinstance(a, Constant):
-        return Constant(c * a.value)
-    terms = tuple((c * k, e) for k, e in _terms(a))
-    return terms[0][1] if len(terms) == 1 and terms[0][0] == 1 else Linear(terms)
+    return f_combine([(c, a)])
 
 
 def f_product(a: FieldExpr, b: FieldExpr) -> FieldExpr:
@@ -723,12 +798,8 @@ def f_reverse(a: FieldExpr) -> FieldExpr:
     if isinstance(a, Product):
         return f_product(f_reverse(a.right), f_reverse(a.left))
     if isinstance(a, Linear):
-        return sum((f_scale(c, f_reverse(e)) for c, e in a.terms), _ZERO)
+        return f_combine([(c, f_reverse(e)) for c, e in a.terms])
     return Reverse(a)
-
-
-def f_commutator_half(w: FieldExpr, a: FieldExpr) -> FieldExpr:
-    return f_scale(0.5, f_sum(f_product(w, a), f_scale(-1.0, f_product(a, w))))
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +846,7 @@ class Field:
     def __sub__(self, other: "Field") -> "Field":
         if not isinstance(other, Field) or other.kind is not self.kind:
             raise KindMismatch("can only subtract fields of the same kind")
-        return Field(self.kind, f_sum(self.expr, f_scale(-1.0, other.expr)))
+        return Field(self.kind, f_combine([(1.0, self.expr), (-1.0, other.expr)]))
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):

@@ -42,7 +42,7 @@ from .fields import (
     LeftSpinorField,
     RightSpinorField,
     evaluate,
-    f_commutator_half,
+    f_combine,
     f_product,
     f_reverse,
     f_scale,
@@ -164,19 +164,12 @@ class ConnectionField:
     def omega(self, a: int) -> FieldExpr:
         """Spin-connection bivector omega_a = -1/2 Gamma_abc e^b ^ e^c."""
         if self._omega is None:
-            self._omega = []
-            for aa in range(4):
-                acc: FieldExpr = Constant(Multivector.zero())
-                for b in range(4):
-                    for c in range(b + 1, 4):
-                        g = self.entries.get((aa, b, c))
-                        if g is None:
-                            continue
-                        acc = f_sum(
-                            acc,
-                            f_scale(-1.0, f_product(g, Constant(E(b) * E(c)))),
-                        )
-                self._omega.append(acc)
+            self._omega = [
+                f_combine([(-1.0, f_product(self.entries[aa, b, c], Constant(E(b) * E(c))))
+                           for b in range(4) for c in range(b + 1, 4)
+                           if (aa, b, c) in self.entries])
+                for aa in range(4)
+            ]
         return self._omega[a]
 
 
@@ -210,7 +203,7 @@ class Tetrad:
     def compose(self, lam) -> "Tetrad":
         """Tetrad of the frame e'_a = lam_a^b e_b (entries L' = lam . L)."""
         return Tetrad([
-            [sum((f_product(lam[a][b], self.entry(b, mu)) for b in range(4)), Constant(0.0))
+            [f_sum(*(f_product(lam[a][b], self.entry(b, mu)) for b in range(4)))
              for mu in range(4)]
             for a in range(4)
         ])
@@ -231,6 +224,7 @@ class SpacetimeSetup:
         self.chart = chart
         self.connection = connection if connection is not None else ConnectionField.zero()
         self.tetrad = tetrad if tetrad is not None else Tetrad()
+        self._omega_for: dict = {}  # direction key -> omega_V, see omega_for
 
     def omega(self, a: int) -> FieldExpr:
         return self.connection.omega(a)
@@ -251,13 +245,21 @@ class SpacetimeSetup:
         v = self.frame_components(V)
         if self.tetrad.is_identity:
             return v
-        return [sum((_times(v[a], self.tetrad.entry(a, mu)) for a in range(4)), Constant(0.0))
-                for mu in range(4)]
+        return [_contract(v, [self.tetrad.entry(a, mu) for a in range(4)]) for mu in range(4)]
 
     def omega_for(self, V) -> FieldExpr:
-        """Connection bivector omega_V = v^a omega_a on a direction V."""
-        return sum((_times(va, self.omega(a)) for a, va in enumerate(self.frame_components(V))),
-                   Constant(0.0))
+        """Connection bivector omega_V = v^a omega_a on a direction V.
+
+        Built once per direction and setup: an array direction is keyed by
+        its float bytes, a grade-1 field direction by its node.
+        """
+        key = V.expr if isinstance(V, Field) else np.asarray(V, dtype=float).tobytes()
+        w = self._omega_for.get(key)
+        if w is None:
+            w = _contract(self.frame_components(V), [self.omega(a) for a in range(4)])
+            # setdefault: threads that build the same direction get one object
+            w = self._omega_for.setdefault(key, w)
+        return w
 
     def omega_coord_at(self, xdot: np.ndarray, x: np.ndarray) -> np.ndarray:
         """omega on coordinate velocities ``xdot`` (S, 4) at points x (S, 4).
@@ -282,13 +284,16 @@ class SpacetimeSetup:
         return acc
 
 
-def _times(c, e: FieldExpr) -> FieldExpr:
-    """c e for a direction component c: a float scales, a scalar field multiplies.
+def _contract(comps: list, exprs: list) -> FieldExpr:
+    """sum_i c_i e_i for direction components c_i: floats scale, scalar fields multiply.
 
-    A float is not wrapped in a ``Constant``: ``f_product`` would fold that
-    scalar ``Constant`` to the same ``f_scale`` after interning it.
+    The components of one direction are all floats or all fields.  A float
+    is not wrapped in a ``Constant``: ``f_product`` would fold that scalar
+    ``Constant`` to the same scaling after interning it.
     """
-    return f_scale(c, e) if isinstance(c, float) else f_product(c, e)
+    if isinstance(comps[0], float):
+        return f_combine(zip(comps, exprs))
+    return f_sum(*map(f_product, comps, exprs))
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +329,7 @@ def directional_derivative(F: Field, V, setup: SpacetimeSetup) -> Field:
     the setup's tetrad converts it to chart coordinate directions.
     """
     comps = setup.coord_components(V)
-    return Field(F.kind, sum((_times(c, F.expr.partial(mu)) for mu, c in enumerate(comps)),
-                             Constant(0.0)))
+    return Field(F.kind, _contract(comps, [F.expr.partial(mu) for mu in range(4)]))
 
 
 def cov_deriv_clifford(A: Field, V, setup: SpacetimeSetup) -> Field:
@@ -333,7 +337,8 @@ def cov_deriv_clifford(A: Field, V, setup: SpacetimeSetup) -> Field:
         raise KindMismatch("cov_deriv_clifford expects a Clifford field")
     dA = directional_derivative(A, V, setup).expr
     w = setup.omega_for(V)
-    return CliffordField(f_sum(dA, f_commutator_half(w, A.expr)))
+    comm = f_combine([(1.0, f_product(w, A.expr)), (-1.0, f_product(A.expr, w))])
+    return CliffordField(f_combine([(1.0, dA), (0.5, comm)]))
 
 
 def cov_deriv_left(P: Field, V, setup: SpacetimeSetup) -> Field:
@@ -341,7 +346,7 @@ def cov_deriv_left(P: Field, V, setup: SpacetimeSetup) -> Field:
         raise KindMismatch("cov_deriv_left expects a left spinor field")
     dP = directional_derivative(P, V, setup).expr
     w = setup.omega_for(V)
-    return LeftSpinorField(f_sum(dP, f_scale(0.5, f_product(w, P.expr))))
+    return LeftSpinorField(f_combine([(1.0, dP), (0.5, f_product(w, P.expr))]))
 
 
 def cov_deriv_right(F: Field, V, setup: SpacetimeSetup) -> Field:
@@ -349,7 +354,7 @@ def cov_deriv_right(F: Field, V, setup: SpacetimeSetup) -> Field:
         raise KindMismatch("cov_deriv_right expects a right spinor field")
     dF = directional_derivative(F, V, setup).expr
     w = setup.omega_for(V)
-    return RightSpinorField(f_sum(dF, f_scale(-0.5, f_product(F.expr, w))))
+    return RightSpinorField(f_combine([(1.0, dF), (-0.5, f_product(F.expr, w))]))
 
 
 def effective_deriv(psi: Field, a: int, setup: SpacetimeSetup) -> Field:
@@ -357,21 +362,18 @@ def effective_deriv(psi: Field, a: int, setup: SpacetimeSetup) -> Field:
     if psi.kind is not Kind.CLIFFORD:
         raise KindMismatch("effective_deriv expects a Clifford field")
     dpsi = directional_derivative(psi, np.eye(4)[a], setup).expr
-    return CliffordField(f_sum(dpsi, f_scale(0.5, f_product(setup.omega(a), psi.expr))))
+    return CliffordField(f_combine([(1.0, dpsi), (0.5, f_product(setup.omega(a), psi.expr))]))
 
 
 def effective_deriv_via_connection(psi: Field, a: int, setup: SpacetimeSetup) -> Field:
     """Same operator assembled as D_{e_a} psi + psi omega_a / 2 (cross-check)."""
     da = cov_deriv_clifford(psi, np.eye(4)[a], setup).expr
-    return CliffordField(f_sum(da, f_scale(0.5, f_product(psi.expr, setup.omega(a)))))
+    return CliffordField(f_combine([(1.0, da), (0.5, f_product(psi.expr, setup.omega(a)))]))
 
 
 def frame_sum(parts: list[FieldExpr]) -> FieldExpr:
     """The frame contraction e^a X_a of the four expressions X_a in ``parts``, summed in order."""
-    acc: FieldExpr = Constant(Multivector.zero())
-    for a, x in enumerate(parts):
-        acc = f_sum(acc, f_product(Constant(E(a)), x))
-    return acc
+    return f_sum(*(f_product(Constant(E(a)), x) for a, x in enumerate(parts)))
 
 
 def dirac_operator_left(P: Field, setup: SpacetimeSetup) -> Field:
@@ -433,11 +435,28 @@ def parallel_transport(a0, kind: Kind, curve: Curve, setup: SpacetimeSetup,
     for k in range(0, steps, _BLOCK_STEPS):
         a = (w[2 * k:2 * min(k + _BLOCK_STEPS, steps) + 1] @ op).reshape(-1, DIM, DIM)
         a_start, a_mid, a_end = a[:-1:2], a[1::2], a[2::2]
-        k2 = a_mid + (0.5 * h) * (a_start @ a_mid)
-        k3 = a_mid + (0.5 * h) * (k2 @ a_mid)
-        k4 = a_end + h * (k3 @ a_end)
-        for r in np.eye(DIM) + (h / 6.0) * (a_start + 2 * k2 + 2 * k3 + k4):
-            y = y @ r
+        # in place, in the order of a_mid + h/2 (a_start @ a_mid), ... and
+        # I + h/6 (((a_start + 2 K2) + 2 K3) + K4): IEEE sums and products
+        # commute, so each propagator is the same to the bit
+        k2 = a_start @ a_mid
+        k2 *= 0.5 * h
+        k2 += a_mid
+        k3 = k2 @ a_mid
+        k3 *= 0.5 * h
+        k3 += a_mid
+        k4 = k3 @ a_end
+        k4 *= h
+        k4 += a_end
+        r = k2  # the propagators, over k2's storage
+        r *= 2
+        r += a_start
+        k3 *= 2
+        r += k3
+        r += k4
+        r *= h / 6.0
+        r += np.eye(DIM)
+        for step in r:
+            y = y @ step
     return type(a0)(y)
 
 
@@ -459,9 +478,7 @@ def transformed_connection_form(u: FieldExpr, setup: SpacetimeSetup, V) -> Field
     w = setup.omega_for(V)
     du = cov_deriv_clifford(CliffordField(u), V, setup).expr
     ur = f_reverse(u)
-    return f_sum(
-        f_product(f_product(u, w), ur), f_scale(2.0, f_product(du, ur))
-    )
+    return f_combine([(1.0, f_product(f_product(u, w), ur)), (2.0, f_product(du, ur))])
 
 
 class FrameChange:

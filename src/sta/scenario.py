@@ -216,10 +216,7 @@ def parse_expr(obj, where: str = "expr") -> FieldExpr:
         parts = _list(obj.get("terms", []), f"{where}.terms")
         if not parts:
             _fail(f"{where}: sum needs at least one term")
-        acc = parse_expr(parts[0], f"{where}.terms[0]")
-        for i, p in enumerate(parts[1:], 1):
-            acc = f_sum(acc, parse_expr(p, f"{where}.terms[{i}]"))
-        return acc
+        return f_sum(*[parse_expr(p, f"{where}.terms[{i}]") for i, p in enumerate(parts)])
     if kind == "product":
         parts = _list(obj.get("factors", []), f"{where}.factors")
         if not parts:

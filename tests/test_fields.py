@@ -1,5 +1,8 @@
 """Field expressions: exact derivatives against finite differences, kinds."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -705,3 +708,52 @@ def test_non_simple_bivector_exp_per_chunk_stays_within_its_bound():
     whole = evaluate(node, xs)
     got = np.concatenate(chunks)
     assert np.max(np.abs(got - whole)) <= 1e-13 * max(1.0, float(np.max(np.abs(whole))))
+
+
+def _chained_sums(source: str) -> list[int]:
+    """Lines of ``source`` that build a field sum as a chain of binary sums.
+
+    That is a ``sum(...)`` whose start value is a field (``Constant(...)``
+    or ``_ZERO``), or, in a loop, ``acc = f_sum(...)`` or
+    ``acc = f_combine(...)`` whose arguments read ``acc``.
+    """
+    def is_field_start(node):
+        return (isinstance(node, ast.Name) and node.id == "_ZERO"
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "Constant")
+
+    def called(node, *names):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in names)
+
+    tree, lines = ast.parse(source), []
+    for node in ast.walk(tree):
+        if called(node, "sum"):
+            starts = node.args[1:] + [k.value for k in node.keywords if k.arg == "start"]
+            if any(map(is_field_start, starts)):
+                lines.append(node.lineno)
+        if isinstance(node, (ast.For, ast.While)):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Assign) and called(sub.value, "f_sum", "f_combine"):
+                    targets = {t.id for t in sub.targets if isinstance(t, ast.Name)}
+                    if any(isinstance(n, ast.Name) and n.id in targets
+                           for n in ast.walk(sub.value)):
+                        lines.append(sub.lineno)
+    return sorted(set(lines))
+
+
+def test_chained_sums_are_found():
+    assert _chained_sums("x = sum((f(t) for t in ts), Constant(0.0))") == [1]
+    assert _chained_sums("x = sum(ts, start=_ZERO)") == [1]
+    assert _chained_sums("for t in ts:\n    acc = f_sum(acc, t)") == [2]
+    assert _chained_sums("while ts:\n    acc = f_combine([(1.0, acc), (2.0, ts.pop())])") == [2]
+    assert _chained_sums("n = sum(1 for c in checks)\nfor t in ts:\n    out = f_sum(t, u)") == []
+
+
+def test_src_builds_every_field_sum_with_the_n_ary_builder():
+    # a chain of binary sums interns a node per link that no plan evaluates;
+    # f_combine and f_sum build the same node and intern only it
+    src = Path(__file__).resolve().parent.parent / "src" / "sta"
+    found = {path.name: lines for path in sorted(src.glob("*.py"))
+             if (lines := _chained_sums(path.read_text()))}
+    assert found == {}

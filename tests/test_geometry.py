@@ -19,9 +19,11 @@ from sta.fields import (
     RightSpinorField,
     evaluate,
     evaluate_many,
+    f_combine,
     f_product,
     f_reverse,
     f_scale,
+    f_sum,
     fold_sups,
 )
 from sta.geometry import (
@@ -385,6 +387,38 @@ def test_array_directions_intern_no_scalar_constant_and_rebuild_to_the_same_node
         again = (directional_derivative(A, V, setup).expr, cov_deriv_clifford(A, V, setup).expr)
         assert again[0] is first[0] and again[1] is first[1]
         assert _NODES == built
+
+
+def test_omega_for_is_built_once_per_direction_and_setup(monkeypatch):
+    from sta.fields import _NODES, FieldExpr
+
+    built_nodes = []
+    node_type = type(FieldExpr)
+    build_node = node_type.__call__
+    monkeypatch.setattr(node_type, "__call__",
+                        lambda cls, *a, **k: built_nodes.append(cls) or build_node(cls, *a, **k))
+    vector = CliffordField(Polynomial([(1 << mu, 0.4 + 0.1 * mu, tuple(np.eye(4, dtype=int)[mu]))
+                                       for mu in range(4)]))
+    V = np.random.default_rng(73).normal(size=4)
+    setups = (rc_setup(74), change_spin_frame(random_rotor_expr(np.random.default_rng(75)),
+                                              rc_setup(76)).setup)
+    for setup in setups:
+        for direction in (V, vector):
+            first = setup.omega_for(direction)
+            built, calls = dict(_NODES), len(built_nodes)
+            assert setup.omega_for(direction) is first
+            assert _NODES == built
+            assert len(built_nodes) == calls  # no node even looked up
+        assert setup.omega_for(list(V)) is setup.omega_for(V)  # keyed by the float bytes
+
+    # each setup's entry is its own omega_V, whichever setup saw V first
+    for setup in setups:
+        v = setup.frame_components(V)
+        assert setup.omega_for(V) is f_combine([(v[a], setup.omega(a)) for a in range(4)])
+        v = setup.frame_components(vector)
+        assert setup.omega_for(vector) is f_sum(*(f_product(v[a], setup.omega(a))
+                                                  for a in range(4)))
+    assert setups[0].omega_for(V) is not setups[1].omega_for(V)
 
 
 def test_batched_omega_matches_row_by_row():

@@ -7,8 +7,12 @@ bit, the exact partial derivatives must agree with central differences, and
 building the recipe again must give the same node objects.  Every node's
 value must vanish outside its static ``support``, be complex exactly when
 its static ``is_complex`` is set, and a product over the factors' supports
-must agree with the full 16x16 kernel.
+must agree with the full 16x16 kernel.  The n-ary sum builders must return
+the node that a left fold of the binary sum and scaling rules returns, and
+intern no ``Linear`` node besides it.
 """
+
+from functools import reduce
 
 import numpy as np
 from hypothesis import given, settings
@@ -26,12 +30,14 @@ from sta.fields import (
     ScalarSine,
     evaluate,
     evaluate_many,
+    f_combine,
     f_product,
     f_reverse,
     f_scale,
     f_sum,
     fold_sups,
 )
+from sta.fields import _NODES
 from sta.geometry import Chart
 
 from finite_differences import fd_directional, interior_grid
@@ -231,3 +237,70 @@ def test_supports_edge_cases():
     poisoned = Polynomial([(1 << 2, float("nan"), (0, 0, 0, 0)), (1 << 1, 1.0, (1, 0, 0, 0))])
     worst = fold_sups({}, [("nan", (Product(poisoned, even), None))], XS)
     assert np.isnan(worst["nan"])
+
+
+# -- the n-ary sum builders against the binary chain ----------------------------
+
+_ZERO = Constant(Multivector.zero())
+
+
+def _binary_terms(e):
+    return e.terms if isinstance(e, Linear) else ((1.0, e),)
+
+
+def _is_zero(e):
+    return isinstance(e, Constant) and not e.support
+
+
+def binary_sum(a, b):
+    """a + b by the binary rules: every step of a chain is interned."""
+    if _is_zero(a):
+        return b
+    if _is_zero(b):
+        return a
+    if isinstance(a, Constant) and isinstance(b, Constant):
+        return Constant(a.value + b.value)
+    return Linear(_binary_terms(a) + _binary_terms(b))
+
+
+def binary_scale(c, a):
+    if c == 0 or _is_zero(a):
+        return _ZERO
+    if c == 1:
+        return a
+    if isinstance(a, Constant):
+        return Constant(c * a.value)
+    terms = tuple((c * k, e) for k, e in _binary_terms(a))
+    return terms[0][1] if len(terms) == 1 and terms[0][0] == 1 else Linear(terms)
+
+
+def _linears_interned_by(build):
+    """The node ``build()`` returns, and the ``Linear`` nodes it added to the table."""
+    before = set(_NODES)
+    node = build()
+    return node, [n for k, n in _NODES.items() if k not in before and isinstance(n, Linear)]
+
+
+# 0 and 1 take the builders' own branches; a power of two scales a one-term
+# Linear of the recipe (scale by 2, say) back to a bare unit term
+_pair_coefs = st.one_of(_scales, st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, -0.5]))
+
+
+@settings(max_examples=80)
+@given(st.lists(_leaves, min_size=1, max_size=4), _ops,
+       st.lists(st.tuples(_pair_coefs, st.integers(0, 63)), min_size=1, max_size=6))
+def test_sum_builders_return_the_binary_chains_node_and_intern_only_it(leaves, ops, picks):
+    nodes = build(leaves, ops)
+    nodes += [f_scale(k, n) for n in nodes[-2:] for k in (0.5, -2.0)]  # one-term Linears
+    pairs = [(c, nodes[i % len(nodes)]) for c, i in picks]
+
+    combined, added = _linears_interned_by(lambda: f_combine(pairs))
+    assert added in ([], [combined])
+    summed, added = _linears_interned_by(lambda: f_sum(*(e for _, e in pairs)))
+    assert added in ([], [summed])
+
+    assert combined is reduce(lambda acc, ce: binary_sum(acc, binary_scale(*ce)), pairs, _ZERO)
+    assert summed is reduce(binary_sum, [e for _, e in pairs])
+    for c in {c for c, _ in picks} | {0.0, 1.0, 2.0, -0.5}:
+        for e in nodes:
+            assert f_scale(c, e) is binary_scale(c, e)
