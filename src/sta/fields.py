@@ -10,13 +10,13 @@ union DAG of its roots in post-order, without recursion, evaluates each node
 once by handing its ``_eval`` the values of its ``children`` (in order, with
 repeats), and drops every value after its last use.  A node never evaluates
 another node and no caller holds a memo.  Three entry points run a plan:
-``fold_sups(worst, residuals, xs)``, the one residual reducer, builds one
-plan and runs it over 512-row chunks of ``xs``, so its memory is bounded
-whatever the grid, and folds the sup of each named residual (a pair of
-nodes, or a row-local map from some nodes' values to an array) into
-``worst[name]`` with the NaN-keeping ``worst_of``; ``evaluate_many(roots,
-xs)`` keeps the roots' whole-grid values; ``evaluate(expr, xs)`` is its
-one-root case.
+``fold_sups(residuals, xs)``, the one residual reducer, builds one plan
+and runs it over 512-row chunks of ``xs``, so its memory is bounded
+whatever the grid, and returns a dict of the sup of each named residual (a
+pair of nodes, or a row-local map from some nodes' values to an array),
+folded over chunks and same-name residuals with the NaN-keeping
+``worst_of``; ``evaluate_many(roots, xs)`` keeps the roots' whole-grid
+values; ``evaluate(expr, xs)`` is its one-root case.
 
 The node set: leaves (``Constant``, ``Polynomial`` and the scalar
 ``ScalarLinear``, ``ScalarSine``, ``ScalarGaussian``), one linear node
@@ -185,8 +185,8 @@ class _Plan:
 _CHUNK_ROWS = 512  # rows of xs per run of a fold_sups plan
 
 
-def fold_sups(worst: dict, residuals, xs: np.ndarray) -> dict:
-    """Fold the sup over the points ``xs`` of each residual into ``worst[name]``.
+def fold_sups(residuals, xs: np.ndarray) -> dict:
+    """The sup over the points ``xs`` of each named residual, by name.
 
     A residual is a check name and either a pair ``(name, (lhs, rhs))`` of
     nodes, reduced to max|lhs - rhs| (max|lhs| when rhs is None), or a value
@@ -195,9 +195,9 @@ def fold_sups(worst: dict, residuals, xs: np.ndarray) -> dict:
     512 rows of ``xs`` (the last one partial), so each node is evaluated
     once per chunk and no value holds more than 512 rows.  In a chunk a
     residual is reduced as soon as its last node exists, and then releases
-    its nodes; the use counts are restored before the next chunk.  Each
-    chunk's sup enters ``worst[name]`` (0.0 when absent) through
-    ``worst_of``, so a NaN in any chunk stays.  Returns ``worst``.
+    its nodes; the use counts are restored before the next chunk.  The sups
+    of every chunk and of every residual of one name fold, from 0.0,
+    through ``worst_of``, so a NaN in any of them stays.
 
     A value map gets one chunk's values, so it must be row-local.  Every
     node value is row-local too, so a sup equals the whole-grid one bit for
@@ -216,7 +216,7 @@ def fold_sups(worst: dict, residuals, xs: np.ndarray) -> dict:
     due: dict = {}  # node -> the residuals whose last node it is
     for m in maps:
         due.setdefault(max(m[1], key=step.__getitem__), []).append(m)
-    uses = plan.uses
+    uses, worst = plan.uses, {}
     for lo in range(0, len(xs), _CHUNK_ROWS):
         plan.uses = dict(uses)
         for node in plan.run(xs[lo:lo + _CHUNK_ROWS]):

@@ -342,7 +342,7 @@ class Scenario:
                 residuals.append(((i, "size"), (chk.expr, None)))
         # a field that overflows fails through its NaN defect, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            worst = fold_sups({}, residuals, xs)
+            worst = fold_sups(residuals, xs)
         for i, chk in enumerate(self._checks):
             defect = worst[i, "defect"]
             bound = chk.tol * max(1.0, worst[i, "size"]) if chk.relative else chk.tol

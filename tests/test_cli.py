@@ -251,9 +251,9 @@ def test_scenario_checks_every_field_with_one_fold(monkeypatch):
 
     folds = []
 
-    def counted(worst, residuals, xs):
+    def counted(residuals, xs):
         folds.append([name for name, *_ in residuals])
-        return sta.fields.fold_sups(worst, residuals, xs)
+        return sta.fields.fold_sups(residuals, xs)
 
     def refused(*args):
         raise AssertionError("evaluate_many called while the scenario is built")

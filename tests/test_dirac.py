@@ -74,7 +74,7 @@ def test_rest_plane_wave_solves_every_form():
     assert sup(residual_left_form(Psi, params, FLAT)) < 1e-10
     Pc = LeftSpinorField(f_product(psi.expr, Constant(IDEMPOTENT_F)))
     assert sup(residual_complex_ideal(Pc, params, FLAT)) < 1e-10
-    column = fold_sups({}, [("column", *residual_covariant(Pc, REP, params, FLAT))], XS)
+    column = fold_sups([("column", *residual_covariant(Pc, REP, params, FLAT))], XS)
     assert column["column"] < 1e-9
 
 
@@ -304,7 +304,7 @@ def test_lorentz_identity_rotor():
     (after, expected), _ = lorentz_covariance_check(psi, params, setup,
                                                     Constant(Multivector.scalar(1.0)))
     assert expected is residual_representative(psi, params, setup).expr  # u~ R with u = 1 is R
-    assert fold_sups({}, [("defect", (after, expected))], XS)["defect"] < 1e-13
+    assert fold_sups([("defect", (after, expected))], XS)["defect"] < 1e-13
 
 
 def test_lorentz_constant_boost():
@@ -312,7 +312,7 @@ def test_lorentz_constant_boost():
     psi = CliffordField(random_field_expr(RNG, even=True))
     u = Constant(exp_bivector(0.35 * (E(1) * E(0))))
     law, _ = lorentz_covariance_check(psi, params, rc_setup(43), u)
-    assert fold_sups({}, [("defect", law)], XS)["defect"] < 1e-9
+    assert fold_sups([("defect", law)], XS)["defect"] < 1e-9
 
 
 def test_lorentz_local_rotor():
@@ -322,7 +322,7 @@ def test_lorentz_local_rotor():
     psi = CliffordField(random_field_expr(RNG, even=True))
     u = random_rotor_expr(np.random.default_rng(47))
     law, _ = lorentz_covariance_check(psi, params, rc_setup(47), u)
-    assert fold_sups({}, [("defect", law)], XS)["defect"] < 1e-8
+    assert fold_sups([("defect", law)], XS)["defect"] < 1e-8
 
 
 def test_lorentz_frame_rotor_is_checked_by_validate_rotor():

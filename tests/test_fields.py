@@ -502,7 +502,7 @@ def test_leibniz_iteration_multiplies_each_distinct_product_once(monkeypatch):
     monkeypatch.setattr(Product, "_eval", observed_eval)
     monkeypatch.setattr(fields, "gp_batch", observed_kernel)
 
-    sups = fold_sups({}, pairs, xs)
+    sups = fold_sups(pairs, xs)
     assert len(sups) == 4 and all(d < 1e-9 for d in sups.values()), sups
     assert len(general) >= 20
     repeated = {n: k for n, k in Counter(general).items() if k > 1}
@@ -546,9 +546,9 @@ def test_sup_diffs_equal_per_pair_evaluation_with_a_shared_memo():
     pairs, xs = _leibniz_pairs()
     want = {name: float(np.max(np.abs(evaluate(l, xs) - evaluate(r, xs))))
             for name, (l, r) in pairs}
-    got = fold_sups({}, pairs, xs)
+    got = fold_sups(pairs, xs)
     assert got == want  # bit for bit
-    assert fold_sups({}, [(name, (l, None)) for name, (l, _) in pairs], xs) == {
+    assert fold_sups([(name, (l, None)) for name, (l, _) in pairs], xs) == {
         name: float(np.max(np.abs(evaluate(l, xs)))) for name, (l, _) in pairs}
 
 
@@ -557,7 +557,7 @@ def test_sup_diffs_evaluates_each_node_once_and_drops_every_value(monkeypatch):
 
     pairs, xs = _leibniz_pairs()
     seen = _watch_evaluation(monkeypatch)
-    fold_sups({}, pairs, xs)
+    fold_sups(pairs, xs)
     counts = Counter(seen["nodes"])
     assert len(counts) > 50
     assert set(counts.values()) == {1}, "a node was evaluated more than once"
@@ -572,10 +572,10 @@ def test_sup_diffs_evaluates_each_node_once_and_drops_every_value(monkeypatch):
 def test_sup_diffs_order_is_reproducible(monkeypatch):
     pairs, xs = _leibniz_pairs()
     seen = _watch_evaluation(monkeypatch)
-    fold_sups({}, pairs, xs)
+    fold_sups(pairs, xs)
     first = list(seen["nodes"])
     seen["nodes"].clear()
-    fold_sups({}, pairs, xs)
+    fold_sups(pairs, xs)
     assert seen["nodes"] == first
 
 
@@ -586,7 +586,7 @@ def test_sup_diffs_keep_a_nan_pair_nan():
     shared = f_product(fine, Constant(E(1)))
     pairs = [("nan", (f_sum(shared, broken), shared)), ("fine", (shared, f_scale(2.0, shared))),
              ("nan-alone", (broken, None))]
-    sups = fold_sups({}, pairs, xs)
+    sups = fold_sups(pairs, xs)
     assert np.isnan(sups["nan"]) and np.isnan(sups["nan-alone"])
     assert sups["fine"] == float(np.max(np.abs(evaluate(shared, xs))))
     assert np.isnan(worst_of(0.0, sups["nan"], 1.0)) and np.isnan(worst_of(sups["nan"], 1.0))
@@ -613,7 +613,7 @@ def test_value_map_sharing_nodes_with_a_pair_evaluates_each_node_once(monkeypatc
     fn = lambda l, r, c: (l - r) * 2.0 - c
     want = float(np.max(np.abs(fn(*evaluate_many(nodes, xs)))))
     seen = _watch_evaluation(monkeypatch)
-    got = fold_sups({}, pairs + [("map", nodes, fn)], xs)
+    got = fold_sups(pairs + [("map", nodes, fn)], xs)
     assert got["map"] == want  # bit for bit
     assert set(got) == {"map"} | {name for name, _ in pairs}
     counts = Counter(seen["nodes"])
@@ -627,8 +627,8 @@ def test_value_map_fires_once_its_last_node_exists():
     early = ScalarSine(0.8, [1.0, 0.5, 0.0, 0.3], 0.2)
     late = f_product(f_product(early, Constant(E(1))), Constant(E(2)))  # planned after early
     vals = {e: evaluate(e, xs) for e in (early, late)}
-    got = fold_sups({}, [("late-first", (late, early), lambda a, b: a - b),
-                         ("early-first", (early, late), lambda a, b: a + b)], xs)
+    got = fold_sups([("late-first", (late, early), lambda a, b: a - b),
+                     ("early-first", (early, late), lambda a, b: a + b)], xs)
     assert got == {"late-first": float(np.max(np.abs(vals[late] - vals[early]))),
                    "early-first": float(np.max(np.abs(vals[early] + vals[late])))}
 
@@ -637,21 +637,21 @@ def test_value_map_keeps_a_nan_under_its_name():
     xs = CHART.grid(2)
     broken = Polynomial([(0, float("nan"), (1, 0, 0, 0))])
     fine = ScalarSine(0.8, [1.0, 0.5, 0.0, 0.3], 0.2)
-    worst = {"broken": 5.0}
-    fold_sups(worst, [("broken", (broken, fine), lambda b, f: f - b), ("broken", (fine, None)),
-                      ("fine", (fine,), lambda f: f)], xs)
+    # both "broken" residuals are reduced when fine exists: the NaN first, then a finite sup
+    worst = fold_sups([("broken", (broken, fine), lambda b, f: f - b), ("broken", (fine, None)),
+                       ("fine", (fine,), lambda f: f)], xs)
     assert np.isnan(worst["broken"])
     assert worst["fine"] == float(np.max(np.abs(evaluate(fine, xs))))
 
 
-def test_two_calls_into_one_dict_equal_the_worst_of_both():
+def test_one_fold_over_both_lists_equals_the_worst_of_two_folds():
     xs = CHART.grid(2)
     a = ScalarSine(0.8, [1.0, 0.5, 0.0, 0.3], 0.2)
     b = ScalarLinear([0.2, -0.1, 0.3, 0.05], 0.4)
     calls = ([("x", (a, None)), ("y", (b, None)), ("z", (a, b))],
              [("x", (b, None)), ("y", (a, None)), ("z", (f_scale(3.0, a), b))])
-    first, second = (fold_sups({}, residuals, xs) for residuals in calls)
-    both = fold_sups(fold_sups({}, calls[0], xs), calls[1], xs)
+    first, second = (fold_sups(residuals, xs) for residuals in calls)
+    both = fold_sups(calls[0] + calls[1], xs)
     assert both == {k: worst_of(first[k], second[k]) for k in first}
     assert first["x"] != second["x"] and first["z"] != second["z"]
 
@@ -669,7 +669,7 @@ def test_chunked_sups_equal_whole_grid_evaluation_bit_for_bit():
     xs = _chunked_points()
     want = {name: float(np.max(np.abs(evaluate(l, xs) - evaluate(r, xs))))
             for name, (l, r) in pairs}
-    assert fold_sups({}, pairs, xs) == want
+    assert fold_sups(pairs, xs) == want
 
 
 def test_chunks_reuse_one_plan_and_hold_at_most_512_rows(monkeypatch):
@@ -677,7 +677,7 @@ def test_chunks_reuse_one_plan_and_hold_at_most_512_rows(monkeypatch):
 
     pairs, _ = _leibniz_pairs()
     seen = _watch_evaluation(monkeypatch)
-    fold_sups({}, pairs, _chunked_points())
+    fold_sups(pairs, _chunked_points())
     assert len(seen["memos"]) == 1  # one plan, built once
     assert [run["rows"] for run in seen["runs"]] == [512, 512, 76]
     assert max(seen["rows"]) == 512  # no _eval receives more
@@ -692,8 +692,7 @@ def test_a_nan_only_in_the_last_partial_chunk_stays_nan_under_its_name():
     xs[1090, 0] = np.nan
     late = Polynomial([(0b0001, 0.5, (1, 0, 0, 0))])  # NaN only at the row whose x0 is NaN
     fine = Polynomial([(0b0010, 0.7, (0, 1, 0, 0)), (0, -0.3, (0, 0, 2, 0))])
-    sups = fold_sups({}, [("late", (fine, None)), ("late", (late, fine)), ("fine", (fine, None))],
-                     xs)
+    sups = fold_sups([("late", (fine, None)), ("late", (late, fine)), ("fine", (fine, None))], xs)
     assert np.isnan(sups["late"])
     assert sups["fine"] == float(np.max(np.abs(evaluate(fine, xs))))
 
@@ -704,7 +703,7 @@ def test_non_simple_bivector_exp_per_chunk_stays_within_its_bound():
     xs = xs[np.argsort(xs[:, 0])]  # |s| grows from chunk to chunk, and each sizes its series
     node = BivectorExp(B, ScalarLinear([6.0, 0.0, 0.0, 0.0]))
     chunks = []
-    fold_sups({}, [("exp", (node,), lambda v: chunks.append(v) or v)], xs)
+    fold_sups([("exp", (node,), lambda v: chunks.append(v) or v)], xs)
     whole = evaluate(node, xs)
     got = np.concatenate(chunks)
     assert np.max(np.abs(got - whole)) <= 1e-13 * max(1.0, float(np.max(np.abs(whole))))
@@ -756,4 +755,48 @@ def test_src_builds_every_field_sum_with_the_n_ary_builder():
     src = Path(__file__).resolve().parent.parent / "src" / "sta"
     found = {path.name: lines for path in sorted(src.glob("*.py"))
              if (lines := _chained_sums(path.read_text()))}
+    assert found == {}
+
+
+def _folds_in_loops(source: str) -> list[int]:
+    """Lines of ``source`` that call ``fold_sups`` once per iteration of a loop.
+
+    That is a call in the body or the condition of a ``for`` or ``while``
+    loop, or in a comprehension anywhere but its first iterable, which is
+    evaluated once.
+    """
+    def folds(parts):
+        return [sub.lineno for part in parts for sub in ast.walk(part)
+                if isinstance(sub, ast.Call) and "fold_sups" in (getattr(sub.func, "id", None),
+                                                                 getattr(sub.func, "attr", None))]
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            lines += folds(node.body)
+        elif isinstance(node, ast.While):
+            lines += folds([node.test, *node.body])
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            first, *rest = node.generators
+            parts = [getattr(node, k) for k in ("elt", "key", "value") if hasattr(node, k)]
+            lines += folds([*parts, *first.ifs, *rest])
+    return sorted(set(lines))
+
+
+def test_folds_in_loops_are_found():
+    assert _folds_in_loops("for rs in scopes:\n    fold_sups(rs, xs)") == [2]
+    assert _folds_in_loops("while todo:\n    w = fields.fold_sups(todo.pop(), xs)") == [2]
+    assert _folds_in_loops("ws = [fold_sups(rs, xs) for rs in scopes]") == [1]
+    assert _folds_in_loops("w = {k: v for rs in rss for k, v in fold_sups(rs, x).items()}") == [1]
+    assert _folds_in_loops("for k, v in fold_sups(rs, xs).items():\n    print(k, v)") == []
+    assert _folds_in_loops("w = fold_sups([r for rs in scopes for r in rs], xs)") == []
+    assert _folds_in_loops("w = {k: v for k, v in fold_sups(rs, xs).items()}") == []
+
+
+def test_src_folds_no_residuals_in_a_loop():
+    # one fold per grid: a plan over all of a suite's residuals evaluates the nodes its
+    # checks share once per chunk, where a fold per loop step evaluates them again
+    src = Path(__file__).resolve().parent.parent / "src" / "sta"
+    found = {path.name: lines for path in sorted(src.glob("*.py"))
+             if (lines := _folds_in_loops(path.read_text()))}
     assert found == {}

@@ -62,7 +62,7 @@ def rc_setup(seed=0, scale=0.3):
 
 
 def sup_diff(f1: Field, f2: Field, xs) -> float:
-    return fold_sups({}, [("d", (f1.expr, f2.expr))], xs)["d"]
+    return fold_sups([("d", (f1.expr, f2.expr))], xs)["d"]
 
 
 # -- connection ---------------------------------------------------------------
@@ -523,14 +523,14 @@ def test_frame_change_two_routes_and_orthonormality():
     entries = fc.setup.connection.entries
     assert sorted(entries) == [k for k in sorted(full) if k[1] < k[2]]
     assert all(full[k] is g for k, g in entries.items())
-    worst = fold_sups({}, [(k, (full[k], f_scale(-1.0, full[k[0], k[2], k[1]]))) for k in full],
+    worst = fold_sups([(k, (full[k], f_scale(-1.0, full[k[0], k[2], k[1]]))) for k in full],
                       CHART.grid(4))
     assert max(worst.values()) < 1e-10
     for a in range(4):
         lowered = Field(Kind.CLIFFORD, f_scale(float(ETA[a]), fc.legs[a].expr))
         wB = transformed_connection_form(u, setup, lowered)
         wA = f_product(f_product(u, fc.setup.omega(a)), f_reverse(u))
-        assert fold_sups({}, [("two-routes", (wA, wB))], xs)["two-routes"] < 1e-10
+        assert fold_sups([("two-routes", (wA, wB))], xs)["two-routes"] < 1e-10
 
 
 def test_frame_change_naturality_all_kinds():

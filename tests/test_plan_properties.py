@@ -9,17 +9,23 @@ value must vanish outside its static ``support``, be complex exactly when
 its static ``is_complex`` is set, and a product over the factors' supports
 must agree with the full 16x16 kernel.  The n-ary sum builders must return
 the node that a left fold of the binary sum and scaling rules returns, and
-intern no ``Linear`` node besides it.
+intern no ``Linear`` node besides it.  ``fold_sups`` over more points than
+one chunk must give the whole-grid sups bit for bit (a non-simple
+``BivectorExp`` within its stated bound) and drop every value in each
+chunk, and one fold over two residual lists must give what two folds give.
 """
 
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sta.algebra import DIM, FULL, GRADES, CMultivector, Multivector, gp_batch
+from sta import fields
+from sta.algebra import DIM, FULL, GRADES, CMultivector, E, Multivector, gp_batch
 from sta.fields import (
+    BivectorExp,
     Constant,
     GradeSelect,
     Linear,
@@ -36,6 +42,7 @@ from sta.fields import (
     f_scale,
     f_sum,
     fold_sups,
+    worst_of,
 )
 from sta.fields import _NODES
 from sta.geometry import Chart
@@ -235,7 +242,7 @@ def test_supports_edge_cases():
 
     # a NaN in a supported column reaches the reducer's worst as NaN
     poisoned = Polynomial([(1 << 2, float("nan"), (0, 0, 0, 0)), (1 << 1, 1.0, (1, 0, 0, 0))])
-    worst = fold_sups({}, [("nan", (Product(poisoned, even), None))], XS)
+    worst = fold_sups([("nan", (Product(poisoned, even), None))], XS)
     assert np.isnan(worst["nan"])
 
 
@@ -304,3 +311,58 @@ def test_sum_builders_return_the_binary_chains_node_and_intern_only_it(leaves, o
     for c in {c for c, _ in picks} | {0.0, 1.0, 2.0, -0.5}:
         for e in nodes:
             assert f_scale(c, e) is binary_scale(c, e)
+
+
+# -- fold_sups against the whole grid -------------------------------------------
+
+CHUNKED = np.random.default_rng(31).uniform(0.0, 1.0, size=(1100, 4))  # chunks of 512, 512, 76
+NON_SIMPLE = E(1) * E(2) + 0.7 * (E(0) * E(3)) + 0.3 * (E(0) * E(1))  # its square is no scalar
+
+
+def _residuals(nodes):
+    """Each node alone and each node against the one before it, under three shared names."""
+    pairs = [(node, None) for node in nodes] + list(zip(nodes[1:], nodes))
+    return [(f"r{i % 3}", pair) for i, pair in enumerate(pairs)]
+
+
+def _sup(lhs, rhs):
+    return float(np.max(np.abs(lhs if rhs is None else lhs - rhs)))
+
+
+@settings(max_examples=50)
+@given(st.lists(_leaves, min_size=1, max_size=4), _ops, _vec4, _coef)
+def test_chunked_fold_equals_the_whole_grid_sups(leaves, ops, slope, offset):
+    nodes = build(leaves, ops)
+    residuals = _residuals(nodes)
+    values = dict(zip(nodes, evaluate_many(nodes, CHUNKED)))
+    want: dict = {}
+    for name, (lhs, rhs) in residuals:
+        sup = _sup(values[lhs], None if rhs is None else values[rhs])
+        want[name] = worst_of(want.get(name, 0.0), sup)
+
+    chunks, left, run = [], [], fields._Plan.run
+
+    def watched(plan, xs):
+        chunks.append(xs)
+        yield from run(plan, xs)
+        left.append(len(plan.memo))
+
+    exp = BivectorExp(NON_SIMPLE, ScalarLinear(slope, offset))
+    with mock.patch.object(fields._Plan, "run", watched):
+        got = fold_sups(residuals + [("exp", (exp, None))], CHUNKED)
+    assert [len(c) for c in chunks] == [512, 512, 76]
+    assert np.array_equal(np.concatenate(chunks), CHUNKED)
+    assert left == [0, 0, 0]  # every chunk drops every value
+    whole = _sup(evaluate(exp, CHUNKED), None)
+    assert abs(got.pop("exp") - whole) <= 1e-13 * max(1.0, whole)
+    assert got == want  # bit for bit
+
+
+@settings(max_examples=50)
+@given(st.lists(_leaves, min_size=1, max_size=4), _ops, st.integers(0, 63))
+def test_one_fold_over_a_union_equals_two_folds(leaves, ops, cut):
+    residuals = _residuals(build(leaves, ops))
+    cut %= len(residuals) + 1
+    a, b = fold_sups(residuals[:cut], XS), fold_sups(residuals[cut:], XS)
+    assert fold_sups(residuals, XS) == {
+        k: worst_of(*(d[k] for d in (a, b) if k in d)) for k in a | b}

@@ -39,7 +39,7 @@ def test_expected_value_turns_a_residual_row_into_a_diagnostic():
             assert (c.value, c.law, c.diagnostic) == (plain[c.name].value, plain[c.name].law, False)
 
 
-def test_derivative_suite_folds_one_plan_per_setup(monkeypatch):
+def test_derivative_suite_folds_one_plan(monkeypatch):
     from sta import fields
 
     scn = Scenario(dict(load_config("torsion-toy"), grid=2))
@@ -58,7 +58,27 @@ def test_derivative_suite_folds_one_plan_per_setup(monkeypatch):
     monkeypatch.setattr(fields._Plan, "__init__", counted_build)
     monkeypatch.setattr(fields._Plan, "run", counted_run)
     assert all(c.passed for c in run_suite("derivatives", scn))
-    # the scenario's setup, two random setups and one changed spin frame
-    assert len(plans) <= 4
-    # measured; a plan per residual scope evaluates shared connection nodes again (7,564)
-    assert len(evaluated) == 3591
+    assert len(plans) == 1
+    # measured; a plan per setup evaluates the nodes shared across setups once per plan
+    # (3,591), and a plan per residual scope evaluates shared connection nodes again (7,564)
+    assert len(evaluated) == 3491
+
+
+FOLDS = {"algebra": 0, "derivatives": 1, "transport": 0, "dirac-triad": 1, "gauge": 1,
+         "lorentz": 1, "bilinears": 2}  # bilinears: one point, then the rest wave on grid 3
+
+
+@pytest.mark.parametrize("suite", list(SUITES))
+def test_each_field_suite_folds_once_per_grid(suite, monkeypatch):
+    import sta.fields
+    import sta.suites
+
+    grids = []
+
+    def counted(residuals, xs):
+        grids.append(len(xs))
+        return sta.fields.fold_sups(residuals, xs)
+
+    monkeypatch.setattr(sta.suites, "fold_sups", counted)
+    run_suite(suite, _grid2())
+    assert len(grids) == FOLDS[suite] and len(set(grids)) == len(grids), grids
