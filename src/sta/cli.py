@@ -8,8 +8,8 @@ whose frame, connection or expressions violate a precondition of the
 operations that build or check it, a report directory that cannot be
 created, a report file name longer than the report directory allows, or a
 report that cannot be written).  A standard output that its reader closes
-early leaves the status as it is: the report file is written before the
-summary.
+early leaves the status as it is, for ``run`` (the report file is written
+before the summary) and ``list-suites`` alike.
 
 The cyclic garbage collector: while a command runs, the heap that existed
 before it (numpy's and ``sta``'s import-time objects) is frozen, so the
@@ -55,11 +55,23 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _write_out(text: str) -> None:
+    """Write ``text`` to standard output; a reader that went away ends the write quietly."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the flush at exit
+        # cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def list_suites() -> int:
-    for name, (_, desc, _) in SUITES.items():
-        print(f"{name:12s} {desc}")
-    print(f"({len(SUITES)} suites; built-in scenarios: "
-          f"{', '.join(builtin_scenario_names())})")
+    _write_out("".join(f"{name:12s} {desc}\n" for name, (_, desc, _) in SUITES.items())
+               + f"({len(SUITES)} suites; built-in scenarios: "
+                 f"{', '.join(builtin_scenario_names())})\n")
     return 0
 
 
@@ -116,16 +128,8 @@ def run_command(args) -> int:
         print(f"configuration error: cannot write the report: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        sys.stdout.write(report.human_text())
-        sys.stdout.write(f"report: {out_path}\n")
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader went away after the report was written; what is still
-        # buffered goes to devnull, so the flush at exit cannot raise again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    # the report is written, so a reader that goes away changes no status
+    _write_out(f"{report.human_text()}report: {out_path}\n")
     return 0 if report.passed else 1
 
 

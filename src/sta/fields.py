@@ -15,7 +15,8 @@ and runs it over 512-row chunks of ``xs``, so its memory is bounded
 whatever the grid, and returns a dict of the sup of each named residual (a
 pair of nodes, or a row-local map from some nodes' values to an array),
 folded over chunks and same-name residuals with the NaN-keeping
-``worst_of``; ``evaluate_many(roots, xs)`` keeps the roots' whole-grid
+``worst_of`` (a residual of constants alone is reduced on one row, outside
+the plan); ``evaluate_many(roots, xs)`` keeps the roots' whole-grid
 values; ``evaluate(expr, xs)`` is its one-root case.
 
 The node set: leaves (``Constant``, ``Polynomial`` and the scalar
@@ -206,23 +207,36 @@ def fold_sups(residuals, xs: np.ndarray) -> dict:
     bit, but its arithmetic is its own: 2-D ``gp_batch`` in place of 1-D
     calls on one point, or ``a - (b + c)`` for ``(a - b) - c``, can change
     the last bits of a reported value.
+
+    A residual whose nodes are all ``Constant`` stays out of the plan: it
+    is reduced once, on the first point of ``xs``.  A constant's rows are
+    all equal and a value map is row-local, so that is its whole-grid sup.
     """
     # a pair is the value map lhs - rhs, or +lhs alone
     maps = [(name, nodes, fn[0]) if fn else (name, nodes[:1], operator.pos)
             if nodes[1] is None else (name, nodes, operator.sub)
             for name, nodes, *fn in residuals]
+    worst: dict = {}
+
+    def fold_in(name, fn, vals):
+        worst[name] = worst_of(worst.get(name, 0.0), float(np.max(np.abs(fn(*vals)))))
+
+    constant = [all(isinstance(n, Constant) for n in nodes) for _, nodes, _ in maps]
+    for (name, nodes, fn), c in zip(maps, constant):
+        if c and len(xs):
+            fold_in(name, fn, [n._eval(xs[:1]) for n in nodes])
+    maps = [m for m, c in zip(maps, constant) if not c]
     plan = _Plan([node for _, nodes, _ in maps for node in nodes])
     step = {node: i for i, node in enumerate(plan.nodes)}
     due: dict = {}  # node -> the residuals whose last node it is
     for m in maps:
         due.setdefault(max(m[1], key=step.__getitem__), []).append(m)
-    uses, worst = plan.uses, {}
+    uses = plan.uses
     for lo in range(0, len(xs), _CHUNK_ROWS):
         plan.uses = dict(uses)
         for node in plan.run(xs[lo:lo + _CHUNK_ROWS]):
             for name, nodes, fn in due.get(node, ()):
-                sup = float(np.max(np.abs(fn(*(plan.memo[n] for n in nodes)))))
-                worst[name] = worst_of(worst.get(name, 0.0), sup)
+                fold_in(name, fn, [plan.memo[n] for n in nodes])
                 for n in nodes:
                     plan.release(n)
     return worst

@@ -27,6 +27,8 @@ Covariant derivatives, with omega_V the connection bivector:
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .algebra import DIM, LEFT_OP, METRIC, RIGHT_OP, E, Multivector
@@ -399,22 +401,29 @@ _TRANSPORT_OPS = {
 # stay small whatever the step count; built for every step at once, they
 # raise a 4096-step transport's peak memory about sixfold.
 _BLOCK_STEPS = 32
+_IDENTITY = np.eye(DIM)
 
 
-def parallel_transport(a0, kind: Kind, curve: Curve, setup: SpacetimeSetup,
-                       steps: int = 256):
-    """Transport a fiber value along a curve by the classical 4-stage scheme.
+def parallel_transport(values, kind: Kind, curve: Curve, setup: SpacetimeSetup,
+                       steps: int = 256) -> list:
+    """Transport fiber values of one kind along a curve by the classical 4-stage scheme.
 
     The transport equations in components are dA/dt = -[omega, A]/2 for
     Clifford values, dP/dt = -omega P / 2 for left and dF/dt = +F omega / 2
     for right spinor values, with omega = omega_{sigma'(t)} at sigma(t).
 
-    omega is evaluated once per curve, at the 2*steps+1 stage points
-    t_j = j h / 2, which must all lie in the chart.  The law is linear, so
-    a step is one 16x16 propagator: with stage matrices A_s, A_m, A_e,
-    K2 = A_m + h/2 A_s A_m, K3 = A_m + h/2 K2 A_m, K4 = A_e + h K3 A_e and
+    ``values`` is a sequence of fiber values; the result is a list of the
+    transported values, in order, each of its input's type and dtype (real
+    and complex values can share a call).  omega is evaluated once per call,
+    at the 2*steps+1 stage points t_j = j h / 2, which must all lie in the
+    chart; an empty ``values`` evaluates nothing.  The law is linear, so a
+    step is one 16x16 propagator that does not depend on the value: with
+    stage matrices A_s, A_m, A_e, K2 = A_m + h/2 A_s A_m,
+    K3 = A_m + h/2 K2 A_m, K4 = A_e + h K3 A_e and
     y <- y (I + h/6 (A_s + 2 K2 + 2 K3 + K4)).  The propagators are built
-    for a block of steps at a time and applied in step order.
+    once per call, a block of steps at a time, and each value goes through
+    each block in step order by one-row products, so a value's result is
+    the same to the bit whatever else shares its call.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -427,9 +436,9 @@ def parallel_transport(a0, kind: Kind, curve: Curve, setup: SpacetimeSetup,
         raise CurveOutOfChart("curve leaves the chart box")
     op = _TRANSPORT_OPS[kind]
 
-    y = np.array(a0.coeffs, dtype=a0.coeffs.dtype)
-    if setup.connection.is_zero:
-        return type(a0)(y)
+    ys = [np.array(v.coeffs, dtype=v.coeffs.dtype) for v in values]
+    if not ys or setup.connection.is_zero:
+        return [type(v)(y) for v, y in zip(values, ys)]
 
     w = setup.omega_coord_at(curve.velocity(ts), pts)
     for k in range(0, steps, _BLOCK_STEPS):
@@ -454,10 +463,12 @@ def parallel_transport(a0, kind: Kind, curve: Curve, setup: SpacetimeSetup,
         r += k3
         r += k4
         r *= h / 6.0
-        r += np.eye(DIM)
-        for step in r:
-            y = y @ step
-    return type(a0)(y)
+        r += _IDENTITY
+        # y.dot(step) for each value and step in order: one-row products
+        # (gemv); a (K, 16) @ (16, 16) product of all values at once is
+        # a gemm, which can differ in the last bits
+        ys = [reduce(np.ndarray.dot, r, y) for y in ys]
+    return [type(v)(y) for v, y in zip(values, ys)]
 
 
 # ---------------------------------------------------------------------------

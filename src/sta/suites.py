@@ -297,6 +297,13 @@ def suite_derivatives(scn) -> dict:
 
 
 def suite_transport(scn) -> dict:
+    """Transport checks along a straight line and a bent curve in the scenario's chart.
+
+    Every random value is drawn first.  Then the values of one kind along
+    ``bent`` share one ``parallel_transport`` call (the graded values and
+    p0 f0, p0 and q0, f0), which evaluates omega and builds each propagator
+    once for all of them.
+    """
     rng = _rng(scn, "transport")
     flat = SpacetimeSetup(scn.chart)
     lo, hi = scn.chart.lo, scn.chart.hi
@@ -308,39 +315,35 @@ def suite_transport(scn) -> dict:
                            -4 * (mid - inner0) + 2 * (inner1 - inner0)]))
 
     a0 = random_multivector(rng)
-    out = parallel_transport(a0, Kind.CLIFFORD, line, flat, steps=scn.transport_steps)
+    [out] = parallel_transport([a0], Kind.CLIFFORD, line, flat, steps=scn.transport_steps)
     values = {"flat-identity": (out - a0).norm_sup()}
 
     setup = scn.setup if not scn.setup.connection.is_zero else random_setup(scn, rng, scale=0.6)
-
-    worst = 0.0
-    for k in (1, 2, 3):
-        h0 = random_multivector(rng, grade=k)
-        outk = parallel_transport(h0, Kind.CLIFFORD, bent, setup, steps=scn.transport_steps)
-        worst = worst_of(worst, (outk - outk.grade(k)).norm_sup())
-    values["grade-preservation"] = worst
+    graded = [random_multivector(rng, grade=k) for k in (1, 2, 3)]
 
     strong = SpacetimeSetup(scn.chart, random_connection(rng, scale=2.5))
     b0 = random_multivector(rng, scale=1.0)
     s_ref = (reverse(b0) * b0).scalar_part
 
     def cons_err(steps):
-        outs = parallel_transport(b0, Kind.CLIFFORD, bent, strong, steps=steps)
+        [outs] = parallel_transport([b0], Kind.CLIFFORD, bent, strong, steps=steps)
         return abs((reverse(outs) * outs).scalar_part - s_ref)
 
     n0 = max(16, scn.transport_steps // 8)
     e1, e2 = cons_err(n0), cons_err(2 * n0)
-    values["conservation-order"] = e1 / max(e2, 1e-300)
 
     p0 = random_multivector(rng)
     f0 = random_multivector(rng)
-    pt = parallel_transport(p0, Kind.LEFT, bent, setup, steps=scn.transport_steps)
-    ft = parallel_transport(f0, Kind.RIGHT, bent, setup, steps=scn.transport_steps)
-    ct = parallel_transport(p0 * f0, Kind.CLIFFORD, bent, setup, steps=scn.transport_steps)
-    values["pairing-transport"] = (pt * ft - ct).norm_sup()
-
     q0 = random_multivector(rng) * IDEMPOTENT_E
-    qt = parallel_transport(q0, Kind.LEFT, bent, setup, steps=scn.transport_steps)
+    *graded_t, ct = parallel_transport([*graded, p0 * f0], Kind.CLIFFORD, bent, setup,
+                                       steps=scn.transport_steps)
+    pt, qt = parallel_transport([p0, q0], Kind.LEFT, bent, setup, steps=scn.transport_steps)
+    [ft] = parallel_transport([f0], Kind.RIGHT, bent, setup, steps=scn.transport_steps)
+
+    values["grade-preservation"] = worst_of(0.0, *((gt - gt.grade(k)).norm_sup()
+                                                   for k, gt in enumerate(graded_t, 1)))
+    values["conservation-order"] = e1 / max(e2, 1e-300)
+    values["pairing-transport"] = (pt * ft - ct).norm_sup()
     values["ideal-stability"] = (qt * IDEMPOTENT_E - qt).norm_sup()
     return values
 

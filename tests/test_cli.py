@@ -36,6 +36,17 @@ def run_cli(*args, cwd, env=None):
     )
 
 
+def run_cli_to_closed_stdout(*args, cwd):
+    """Run the CLI with a standard output whose reader is gone before it writes a byte."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "sta.cli", *args], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, cwd=cwd, timeout=120)
+    finally:
+        os.close(write_end)
+
+
 def small(cfg, grid=3):
     cfg = dict(cfg)
     cfg["grid"] = grid
@@ -121,19 +132,17 @@ def test_exit_code_one_on_failing_check(tmp_path):
     (str(FIXTURES / "failing-mass-term.json"), 1),
 ])
 def test_closed_stdout_keeps_the_run_status(tmp_path, config, status):
-    read_end, write_end = os.pipe()
-    os.close(read_end)  # the reader is gone before the run writes a byte
-    try:
-        r = subprocess.run(
-            [sys.executable, "-m", "sta.cli", "run", config, "--grid", "2",
-             "--report-dir", str(tmp_path)],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path, timeout=120,
-        )
-    finally:
-        os.close(write_end)
+    r = run_cli_to_closed_stdout("run", config, "--grid", "2", "--report-dir", str(tmp_path),
+                                 cwd=tmp_path)
     assert r.returncode == status, r.stderr
     assert r.stderr == ""
     assert list(tmp_path.glob("*.report.json"))
+
+
+def test_closed_stdout_keeps_the_list_suites_status(tmp_path):
+    r = run_cli_to_closed_stdout("list-suites", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
 
 
 def test_exit_code_two_on_config_error(tmp_path):
@@ -265,6 +274,20 @@ def test_scenario_checks_every_field_with_one_fold(monkeypatch):
     Scenario(small(cfg))
     # four entries, the frame, the potential, and the unknown with its size
     assert len(folds) == 1 and len(folds[0]) == 8
+
+
+def test_scenario_hands_no_constant_more_than_one_row(monkeypatch):
+    import sta.fields
+
+    rows = []
+    constant_eval = sta.fields.Constant._eval
+    monkeypatch.setattr(sta.fields.Constant, "_eval",
+                        lambda node, xs: rows.append(len(xs)) or constant_eval(node, xs))
+    cfg = load_config("torsion-toy")
+    assert cfg["grid"] == 9  # 6,561 points
+    Scenario(cfg)
+    # four constant entries and the zero potential, each checked on one row
+    assert len(rows) == 5 and max(rows) == 1
 
 
 def test_tolerance_for_a_check_of_an_unselected_suite_runs(tmp_path):

@@ -6,7 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sta.algebra import E, E21, GRADES, REVERSE_SIGNS, Multivector, exp_bivector, gp_batch
+from sta.algebra import (
+    E,
+    E21,
+    GRADES,
+    REVERSE_SIGNS,
+    CMultivector,
+    Multivector,
+    exp_bivector,
+    gp_batch,
+)
 from sta.errors import KindMismatch
 from sta.fields import (
     BivectorExp,
@@ -709,6 +718,27 @@ def test_non_simple_bivector_exp_per_chunk_stays_within_its_bound():
     assert np.max(np.abs(got - whole)) <= 1e-13 * max(1.0, float(np.max(np.abs(whole))))
 
 
+def test_a_constant_only_residual_is_reduced_on_one_row(monkeypatch):
+    xs = _chunked_points()
+    real = Constant(Multivector(np.linspace(-0.9, 0.8, 16)))
+    cplx = Constant(CMultivector(np.linspace(0.3, -0.6, 16) + 1j * np.linspace(-0.2, 0.7, 16)))
+    poly = Polynomial([(0b0110, 0.7, (1, 0, 2, 0))])
+    residuals = [("pair", (real, cplx)), ("size", (cplx, None)),
+                 ("map", (real, cplx), lambda a, b: 2.0 * a - b * b), ("poly", (poly, None))]
+    values = {node: evaluate(node, xs) for node in (real, cplx, poly)}
+    want = {"pair": float(np.max(np.abs(values[real] - values[cplx]))),
+            "size": float(np.max(np.abs(values[cplx]))),
+            "map": float(np.max(np.abs(2.0 * values[real] - values[cplx] * values[cplx]))),
+            "poly": float(np.max(np.abs(values[poly])))}
+    rows = []
+    constant_eval = Constant._eval
+    monkeypatch.setattr(Constant, "_eval",
+                        lambda node, xs: rows.append(len(xs)) or constant_eval(node, xs))
+    assert fold_sups(residuals, xs) == want  # bit for bit
+    assert rows and max(rows) == 1  # each constant's one row, out of the chunked plan
+    assert fold_sups(residuals, xs[:0]) == {}  # no points, no sups
+
+
 def _chained_sums(source: str) -> list[int]:
     """Lines of ``source`` that build a field sum as a chain of binary sums.
 
@@ -758,32 +788,42 @@ def test_src_builds_every_field_sum_with_the_n_ary_builder():
     assert found == {}
 
 
-def _folds_in_loops(source: str) -> list[int]:
-    """Lines of ``source`` that call ``fold_sups`` once per iteration of a loop.
+def _calls_in_loops(source: str, name: str) -> list[int]:
+    """Lines of ``source`` that call the function ``name`` once per iteration of a loop.
 
     That is a call in the body or the condition of a ``for`` or ``while``
     loop, or in a comprehension anywhere but its first iterable, which is
     evaluated once.
     """
-    def folds(parts):
+    def calls(parts):
         return [sub.lineno for part in parts for sub in ast.walk(part)
-                if isinstance(sub, ast.Call) and "fold_sups" in (getattr(sub.func, "id", None),
-                                                                 getattr(sub.func, "attr", None))]
+                if isinstance(sub, ast.Call) and name in (getattr(sub.func, "id", None),
+                                                          getattr(sub.func, "attr", None))]
 
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.For, ast.AsyncFor)):
-            lines += folds(node.body)
+            lines += calls(node.body)
         elif isinstance(node, ast.While):
-            lines += folds([node.test, *node.body])
+            lines += calls([node.test, *node.body])
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
             first, *rest = node.generators
             parts = [getattr(node, k) for k in ("elt", "key", "value") if hasattr(node, k)]
-            lines += folds([*parts, *first.ifs, *rest])
+            lines += calls([*parts, *first.ifs, *rest])
     return sorted(set(lines))
 
 
+def _src_calls_in_loops(name: str) -> dict:
+    """The files of ``src/sta`` that call ``name`` in a loop, with the lines."""
+    src = Path(__file__).resolve().parent.parent / "src" / "sta"
+    return {path.name: lines for path in sorted(src.glob("*.py"))
+            if (lines := _calls_in_loops(path.read_text(), name))}
+
+
 def test_folds_in_loops_are_found():
+    def _folds_in_loops(source):
+        return _calls_in_loops(source, "fold_sups")
+
     assert _folds_in_loops("for rs in scopes:\n    fold_sups(rs, xs)") == [2]
     assert _folds_in_loops("while todo:\n    w = fields.fold_sups(todo.pop(), xs)") == [2]
     assert _folds_in_loops("ws = [fold_sups(rs, xs) for rs in scopes]") == [1]
@@ -796,7 +836,24 @@ def test_folds_in_loops_are_found():
 def test_src_folds_no_residuals_in_a_loop():
     # one fold per grid: a plan over all of a suite's residuals evaluates the nodes its
     # checks share once per chunk, where a fold per loop step evaluates them again
-    src = Path(__file__).resolve().parent.parent / "src" / "sta"
-    found = {path.name: lines for path in sorted(src.glob("*.py"))
-             if (lines := _folds_in_loops(path.read_text()))}
-    assert found == {}
+    assert _src_calls_in_loops("fold_sups") == {}
+
+
+def test_transports_in_loops_are_found():
+    def _transports_in_loops(source):
+        return _calls_in_loops(source, "parallel_transport")
+
+    assert _transports_in_loops("for v in vs:\n    parallel_transport([v], k, c, s)") == [2]
+    assert _transports_in_loops("while vs:\n    geometry.parallel_transport([vs.pop()], k, c, s)"
+                                ) == [2]
+    assert _transports_in_loops("outs = [parallel_transport([v], k, c, s) for v in vs]") == [1]
+    assert _transports_in_loops("d = {v: parallel_transport([v], k, c, s)[0] for v in vs}") == [1]
+    assert _transports_in_loops("for out in parallel_transport(vs, k, c, s):\n    use(out)") == []
+    assert _transports_in_loops("outs = parallel_transport([v * f for v in vs], k, c, s)") == []
+    assert _transports_in_loops("n = [len(v) for v in parallel_transport(vs, k, c, s)]") == []
+
+
+def test_src_transports_no_value_in_a_loop():
+    # values of one kind along one curve in one setup share one call, which evaluates
+    # omega and builds each propagator once; a call per loop step builds them again
+    assert _src_calls_in_loops("parallel_transport") == {}

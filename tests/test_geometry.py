@@ -253,7 +253,7 @@ def test_dirac_operator_matches_finite_differences():
 def test_flat_transport_is_identity():
     setup = SpacetimeSetup(CHART)
     a0 = Multivector(RNG.normal(size=16))
-    out = parallel_transport(a0, Kind.CLIFFORD, Curve.line([0.1] * 4, [0.9] * 4), setup, 32)
+    [out] = parallel_transport([a0], Kind.CLIFFORD, Curve.line([0.1] * 4, [0.9] * 4), setup, 32)
     assert (out - a0).norm_sup() < 1e-15
 
 
@@ -261,11 +261,11 @@ def test_transport_grade_preservation_and_conservation():
     setup = rc_setup(29, scale=0.8)
     curve = Curve.line([0.1] * 4, [0.9] * 4)
     b0 = Multivector(RNG.normal(size=16)).grade(2)
-    out = parallel_transport(b0, Kind.CLIFFORD, curve, setup, 256)
+    [out] = parallel_transport([b0], Kind.CLIFFORD, curve, setup, 256)
     assert (out - out.grade(2)).norm_sup() < 1e-12
     a0 = Multivector(RNG.normal(size=16))
     s0 = (a0.reverse() * a0).scalar_part
-    out = parallel_transport(a0, Kind.CLIFFORD, curve, setup, 256)
+    [out] = parallel_transport([a0], Kind.CLIFFORD, curve, setup, 256)
     assert abs((out.reverse() * out).scalar_part - s0) < 1e-9
 
 
@@ -276,7 +276,7 @@ def test_transport_fourth_order():
     s0 = (a0.reverse() * a0).scalar_part
 
     def err(steps):
-        out = parallel_transport(a0, Kind.CLIFFORD, curve, setup, steps)
+        [out] = parallel_transport([a0], Kind.CLIFFORD, curve, setup, steps)
         return abs((out.reverse() * out).scalar_part - s0)
 
     e1, e2 = err(32), err(64)
@@ -289,12 +289,12 @@ def test_transport_pairing_and_ideal_stability():
     curve = Curve.line([0.15] * 4, [0.85] * 4)
     p0 = Multivector(RNG.normal(size=16))
     f0 = Multivector(RNG.normal(size=16))
-    pt = parallel_transport(p0, Kind.LEFT, curve, setup, 256)
-    ft = parallel_transport(f0, Kind.RIGHT, curve, setup, 256)
-    ct = parallel_transport(p0 * f0, Kind.CLIFFORD, curve, setup, 256)
+    [pt] = parallel_transport([p0], Kind.LEFT, curve, setup, 256)
+    [ft] = parallel_transport([f0], Kind.RIGHT, curve, setup, 256)
+    [ct] = parallel_transport([p0 * f0], Kind.CLIFFORD, curve, setup, 256)
     assert (pt * ft - ct).norm_sup() < 1e-7
     q0 = p0 * IDEMPOTENT_E
-    qt = parallel_transport(q0, Kind.LEFT, curve, setup, 256)
+    [qt] = parallel_transport([q0], Kind.LEFT, curve, setup, 256)
     assert (qt * IDEMPOTENT_E - qt).norm_sup() < 1e-10
 
 
@@ -341,11 +341,54 @@ def test_transport_matches_per_stage_reference(frame):
     # one step, a short block, exactly one block, and a short block after full ones
     for steps, kind, v0 in itertools.product((1, 8, _BLOCK_STEPS, 2 * _BLOCK_STEPS + 13),
                                              (Kind.CLIFFORD, Kind.LEFT, Kind.RIGHT), (a0, c0)):
-        out = parallel_transport(v0, kind, curve, setup, steps)
+        [out] = parallel_transport([v0], kind, curve, setup, steps)
         ref = rk4_reference(v0, kind, omega_at, steps)
         assert type(out) is type(v0) and out.coeffs.dtype == v0.coeffs.dtype
         assert np.max(np.abs(out.coeffs - v0.coeffs)) > 1e-3  # the connection acts
         assert out.coeffs == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("frame", ["fiducial", "rotated"])
+def test_transporting_values_together_matches_one_value_calls_bit_for_bit(frame):
+    setup = rc_setup(61, scale=0.8)
+    if frame == "rotated":
+        setup = change_spin_frame(random_rotor_expr(np.random.default_rng(62)), setup).setup
+    curve = Curve(np.array([[0.2, 0.3, 0.1, 0.2], [0.5, 0.2, 0.6, 0.4], [-0.2, 0.1, 0.1, 0.2]]))
+    rng = np.random.default_rng(63)
+    values = [Multivector(rng.normal(size=16)),
+              CMultivector(rng.normal(size=16) + 1j * rng.normal(size=16)),
+              Multivector(rng.normal(size=16)).grade(2)]
+    steps = 2 * _BLOCK_STEPS + 13  # full blocks and a short one
+    for kind in (Kind.CLIFFORD, Kind.LEFT, Kind.RIGHT):
+        together = parallel_transport(values, kind, curve, setup, steps)
+        assert len(together) == len(values)
+        for v0, out in zip(values, together):
+            [alone] = parallel_transport([v0], kind, curve, setup, steps)
+            assert type(out) is type(v0) and out.coeffs.dtype == v0.coeffs.dtype
+            assert np.max(np.abs(out.coeffs - v0.coeffs)) > 1e-3  # the connection acts
+            assert np.array_equal(out.coeffs, alone.coeffs)
+
+
+def test_transport_evaluates_omega_once_per_call(monkeypatch):
+    from sta import fields
+
+    setup = change_spin_frame(random_rotor_expr(np.random.default_rng(64)), rc_setup(65)).setup
+    curve = Curve.line([0.2] * 4, [0.8] * 4)
+    calls, runs = [], []
+    omega_coord_at, run = setup.omega_coord_at, fields._Plan.run
+    monkeypatch.setattr(setup, "omega_coord_at",
+                        lambda *args: calls.append(args) or omega_coord_at(*args))
+    monkeypatch.setattr(fields._Plan, "run", lambda plan, xs: runs.append(xs) or run(plan, xs))
+    rng = np.random.default_rng(66)
+    for count in (1, 2, 5):
+        values = [Multivector(rng.normal(size=16)) for _ in range(count)]
+        calls.clear()
+        assert len(parallel_transport(values, Kind.LEFT, curve, setup, 40)) == count
+        assert len(calls) == 1
+    calls.clear()
+    runs.clear()
+    assert parallel_transport([], Kind.RIGHT, curve, setup, 40) == []
+    assert calls == [] and runs == []  # nothing evaluated
 
 
 def test_transport_memory_stays_at_the_omega_evaluation():
@@ -357,7 +400,7 @@ def test_transport_memory_stays_at_the_omega_evaluation():
     a0 = Multivector(np.random.default_rng(55).normal(size=16))
     steps = 4096
     ts = np.arange(2 * steps + 1) * (0.5 / steps)
-    parallel_transport(a0, Kind.CLIFFORD, curve, setup, 8)  # node tables and caches built
+    parallel_transport([a0], Kind.CLIFFORD, curve, setup, 8)  # node tables and caches built
 
     def peak(run):
         tracemalloc.start()
@@ -368,7 +411,7 @@ def test_transport_memory_stays_at_the_omega_evaluation():
             tracemalloc.stop()
 
     omega_peak = peak(lambda: setup.omega_coord_at(curve.velocity(ts), curve.point(ts)))
-    transport_peak = peak(lambda: parallel_transport(a0, Kind.CLIFFORD, curve, setup, steps))
+    transport_peak = peak(lambda: parallel_transport([a0], Kind.CLIFFORD, curve, setup, steps))
     assert transport_peak <= 1.5 * omega_peak
 
 
@@ -453,7 +496,7 @@ def test_curve_accepts_parameter_arrays():
 def test_transport_rejects_out_of_chart():
     setup = SpacetimeSetup(CHART)
     with pytest.raises(CurveOutOfChart):
-        parallel_transport(Multivector.scalar(1.0), Kind.CLIFFORD,
+        parallel_transport([Multivector.scalar(1.0)], Kind.CLIFFORD,
                            Curve.line([0.5] * 4, [1.5] * 4), setup, 8)
 
 
@@ -465,7 +508,7 @@ def test_transport_rejects_stage_points_out_of_chart(connected):
     curve = Curve(np.array([[1 - 1e-5, 0.5, 0.5, 0.5], [1 / 63, 0, 0, 0], [-1.0, 0, 0, 0]]))
     assert CHART.contains(curve.point(np.linspace(0.0, 1.0, 64)))
     with pytest.raises(CurveOutOfChart):
-        parallel_transport(Multivector.scalar(1.0), Kind.CLIFFORD, curve, setup, 64)
+        parallel_transport([Multivector.scalar(1.0)], Kind.CLIFFORD, curve, setup, 64)
 
 
 # -- change of spin frame -------------------------------------------------------

@@ -9,7 +9,9 @@ value must vanish outside its static ``support``, be complex exactly when
 its static ``is_complex`` is set, and a product over the factors' supports
 must agree with the full 16x16 kernel.  The n-ary sum builders must return
 the node that a left fold of the binary sum and scaling rules returns, and
-intern no ``Linear`` node besides it.  ``fold_sups`` over more points than
+intern no ``Linear`` node besides it.  A node's value must not depend on
+the order of the roots, on the DAGs evaluated before it, or on the DAGs it
+shares a plan with: each root evaluated alone gives the value.  ``fold_sups`` over more points than
 one chunk must give the whole-grid sups bit for bit (a non-simple
 ``BivectorExp`` within its stated bound) and drop every value in each
 chunk, and one fold over two residual lists must give what two folds give.
@@ -165,6 +167,26 @@ def test_values_are_complex_exactly_when_the_node_says_so(leaves, ops):
     nodes = build(leaves, ops)
     for node, value in zip(nodes, evaluate_many(nodes, XS)):
         assert np.iscomplexobj(value) == node.is_complex, type(node).__name__
+
+
+@settings(max_examples=60)
+@given(st.lists(_leaves, min_size=1, max_size=4), _ops, st.lists(_leaves, min_size=1, max_size=4),
+       _ops, st.randoms(use_true_random=False))
+def test_values_do_not_depend_on_root_order_or_on_earlier_dags(leaves, ops, others, other_ops,
+                                                               random):
+    nodes = build(leaves, ops)
+    want = [evaluate(node, XS) for node in nodes]  # each root in a plan of its own
+    order = list(range(len(nodes)))
+    random.shuffle(order)
+    shuffled = evaluate_many([nodes[i] for i in order], XS)
+    unrelated = build(others, other_ops)
+    evaluate_many(unrelated, XS)
+    after = evaluate_many(nodes, XS)
+    together = evaluate_many(unrelated + nodes, XS)[len(unrelated):]
+    for i, value in enumerate(want):
+        for got in (shuffled[order.index(i)], after[i], together[i]):
+            assert got.dtype == value.dtype
+            assert np.array_equal(got, value, equal_nan=True), type(nodes[i]).__name__
 
 
 def _columns(mask):
