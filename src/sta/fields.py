@@ -6,18 +6,17 @@ direction, so differential identities can be checked without numerical
 differentiation (the tests cross-check them against central finite
 differences).  Evaluation is batched: points of shape (N, 4) give blade
 coefficients of shape (N, 16).  One plan is the only evaluator: it walks the
-union DAG of its roots in post-order, without recursion, evaluates each node
-once by handing its ``_eval`` the values of its ``children`` (in order, with
-repeats), and drops every value after its last use.  A node never evaluates
-another node and no caller holds a memo.  Three entry points run a plan:
-``fold_sups(residuals, xs)``, the one residual reducer, builds one plan
-and runs it over 512-row chunks of ``xs``, so its memory is bounded
-whatever the grid, and returns a dict of the sup of each named residual (a
-pair of nodes, or a row-local map from some nodes' values to an array),
-folded over chunks and same-name residuals with the NaN-keeping
-``worst_of`` (a residual of constants alone is reduced on one row, outside
-the plan); ``evaluate_many(roots, xs)`` keeps the roots' whole-grid
-values; ``evaluate(expr, xs)`` is its one-root case.
+union DAG of its groups (tuples of nodes read together) in post-order,
+without recursion, evaluates each node once by handing its ``_eval`` the
+values of its ``children`` (in order, with repeats), drops each value after
+its last reader on a schedule fixed when it is built, and runs over 512-row
+chunks of the points, so its memory is bounded whatever the grid.  A node
+never evaluates another node and no caller holds a memo.  ``fold_sups``,
+the one residual reducer, returns the sup of each named residual (a pair
+of nodes, or a row-local map of some nodes' values), folded over chunks
+and names with the NaN-keeping ``worst_of``; ``evaluate_many`` copies each
+chunk of its roots' values into whole-grid outputs, and ``evaluate`` is
+its one-root case.
 
 The node set: leaves (``Constant``, ``Polynomial`` and the scalar
 ``ScalarLinear``, ``ScalarSine``, ``ScalarGaussian``), one linear node
@@ -134,56 +133,66 @@ def evaluate(expr: "FieldExpr", xs: np.ndarray) -> np.ndarray:
 
 
 class _Plan:
-    """One evaluation plan over the union DAG of ``roots``: the only evaluator.
+    """One evaluation plan over the union DAG of ``groups``: the only evaluator.
 
-    The plan is a post-order walk, iterative, that visits each node's
-    ``children`` in order without repeats, so the evaluation order and the
-    peak number of live values are fixed by the roots.  ``run`` hands each
-    node the values of its ``children``, in order and with repeats.
-    ``uses`` counts a node's distinct parents plus its appearances as a
-    root; ``run`` drops a value from ``memo`` when its count reaches zero.
+    A group is a tuple of nodes that the caller reads together.  The plan is
+    a post-order walk, iterative, that visits each node's ``children`` in
+    order without repeats, so the evaluation order and the peak number of
+    live values are fixed by the groups.  The schedule is static: ``due``
+    maps a node to the groups whose last node it is, and ``frees`` maps a
+    node to the values whose last reader, a parent or a due group, it is.
     """
 
-    def __init__(self, roots):
-        self.kids: dict = {}  # node -> its distinct children, in order
+    def __init__(self, groups):
+        self.groups = [tuple(g) for g in groups]
         self.nodes: list = []
-        stack = [(None, iter(roots))]  # the roots are the children of a node outside the plan
+        kids: dict = {}  # node -> its children, read once
+        stack = [(None, iter([n for g in self.groups for n in g]))]  # a parent of every group
         while stack:
             node, todo = stack[-1]
             for kid in todo:
-                if kid not in self.kids:
-                    self.kids[kid] = tuple(dict.fromkeys(kid.children))
-                    stack.append((kid, iter(self.kids[kid])))
+                if kid not in kids:
+                    kids[kid] = kid.children
+                    stack.append((kid, iter(kids[kid])))
                     break
             else:
                 stack.pop()
                 if stack:
                     self.nodes.append(node)
-        self.uses = dict.fromkeys(self.nodes, 0)
+        step = {node: i for i, node in enumerate(self.nodes)}
+        self.due: dict = {}
+        for i, group in enumerate(self.groups):
+            self.due.setdefault(max(group, key=step.__getitem__), []).append(i)
+        last = {}  # value -> its last reader; readers come in plan order
         for node in self.nodes:
-            for kid in self.kids[node]:
-                self.uses[kid] += 1
-        for root in roots:
-            self.uses[root] += 1
+            for n in kids[node]:
+                last[n] = node
+            for i in self.due.get(node, ()):
+                for n in self.groups[i]:
+                    last[n] = node
+        self.frees: dict = {}
+        for n, node in last.items():
+            self.frees.setdefault(node, []).append(n)
         self.memo: dict = {}
 
     def run(self, xs: np.ndarray):
-        """Evaluate node by node; yield each node once its value is in ``memo``."""
+        """Yield each node once its value is in ``memo``; on resuming, drop what it frees."""
         memo = self.memo
         for node in self.nodes:
             memo[node] = node._eval(xs, *(memo[k] for k in node.children))
-            for kid in self.kids[node]:
-                self.release(kid)
             yield node
+            for n in self.frees.get(node, ()):
+                del memo[n]
 
-    def release(self, node) -> None:
-        """One use of ``node`` is done; its value leaves the memo after the last."""
-        self.uses[node] -= 1
-        if not self.uses[node]:
-            del self.memo[node]
+    def chunks(self, xs: np.ndarray):
+        """Run over 512-row chunks of ``xs``; yield (first row, group index, values) when due."""
+        for lo in range(0, len(xs), _CHUNK_ROWS):
+            for node in self.run(xs[lo:lo + _CHUNK_ROWS]):
+                for i in self.due.get(node, ()):
+                    yield lo, i, [self.memo[n] for n in self.groups[i]]
 
 
-_CHUNK_ROWS = 512  # rows of xs per run of a fold_sups plan
+_CHUNK_ROWS = 512  # rows of xs per run of a plan: bounds every value, fastest at grid 9
 
 
 def fold_sups(residuals, xs: np.ndarray) -> dict:
@@ -192,13 +201,10 @@ def fold_sups(residuals, xs: np.ndarray) -> dict:
     A residual is a check name and either a pair ``(name, (lhs, rhs))`` of
     nodes, reduced to max|lhs - rhs| (max|lhs| when rhs is None), or a value
     map ``(name, nodes, fn)``, reduced to max|fn(*values of nodes)|.  All
-    residuals share one plan, built once and run over consecutive chunks of
-    512 rows of ``xs`` (the last one partial), so each node is evaluated
-    once per chunk and no value holds more than 512 rows.  In a chunk a
-    residual is reduced as soon as its last node exists, and then releases
-    its nodes; the use counts are restored before the next chunk.  The sups
-    of every chunk and of every residual of one name fold, from 0.0,
-    through ``worst_of``, so a NaN in any of them stays.
+    residuals share one plan, each its nodes' group, run over 512-row
+    chunks of ``xs``; in a chunk a residual is reduced as soon as its last
+    node exists.  The sups of every chunk and of every residual of one name
+    fold, from 0.0, through ``worst_of``, so a NaN in any of them stays.
 
     A value map gets one chunk's values, so it must be row-local.  Every
     node value is row-local too, so a sup equals the whole-grid one bit for
@@ -226,33 +232,27 @@ def fold_sups(residuals, xs: np.ndarray) -> dict:
         if c and len(xs):
             fold_in(name, fn, [n._eval(xs[:1]) for n in nodes])
     maps = [m for m, c in zip(maps, constant) if not c]
-    plan = _Plan([node for _, nodes, _ in maps for node in nodes])
-    step = {node: i for i, node in enumerate(plan.nodes)}
-    due: dict = {}  # node -> the residuals whose last node it is
-    for m in maps:
-        due.setdefault(max(m[1], key=step.__getitem__), []).append(m)
-    uses = plan.uses
-    for lo in range(0, len(xs), _CHUNK_ROWS):
-        plan.uses = dict(uses)
-        for node in plan.run(xs[lo:lo + _CHUNK_ROWS]):
-            for name, nodes, fn in due.get(node, ()):
-                fold_in(name, fn, [plan.memo[n] for n in nodes])
-                for n in nodes:
-                    plan.release(n)
+    for _, i, vals in _Plan(nodes for _, nodes, _ in maps).chunks(xs):
+        fold_in(maps[i][0], maps[i][2], vals)
     return worst
 
 
 def evaluate_many(roots, xs: np.ndarray) -> list[np.ndarray]:
     """The values of ``roots`` on the points ``xs``, from one plan.
 
-    For comparisons that need values rather than a sup: shared subtrees are
-    evaluated once and every value but the roots' is dropped after its last
-    use.
+    Each distinct root gets one (N, 16) output, complex when the root
+    ``is_complex``, filled from a plan run over 512-row chunks, so nothing
+    but the outputs holds more than 512 rows.  Every node value is
+    row-local, so the outputs are the whole-grid values bit for bit, except
+    under a non-simple ``BivectorExp``, which sizes its series per chunk and
+    agrees within 1e-13 * max(1, |value|).
     """
-    plan = _Plan(roots)
-    for _ in plan.run(xs):
-        pass
-    return [plan.memo[root] for root in roots]
+    distinct = list(dict.fromkeys(roots))
+    out = {r: np.empty((len(xs), DIM), dtype=complex if r.is_complex else float)
+           for r in distinct}
+    for lo, i, (value,) in _Plan((r,) for r in distinct).chunks(xs):
+        out[distinct[i]][lo:lo + len(value)] = value
+    return [out[r] for r in roots]
 
 
 def worst_of(*values):
@@ -651,11 +651,10 @@ class BivectorExp(FieldExpr):
     :func:`sta.algebra.exp_bivector` uses too: simple B (B squared a
     scalar) takes the circular, hyperbolic or null closed form; otherwise a
     truncated power series in B is used with its convergence guard, sized
-    by max|s| over the points it is given.  On a chunk of those points
-    (``fold_sups`` evaluates 512 rows at a time) the series can stop
-    earlier; each of the at most 48 terms it leaves out is below 1e-15 at
-    the chunk's points, so a chunk's value agrees with the whole grid's
-    within 1e-13 * max(1, |value|).
+    by max|s| over the points it is given.  A plan evaluates 512 rows at a
+    time, and on such a chunk the series can stop earlier; each of the at
+    most 48 terms it leaves out is below 1e-15 at the chunk's points, so a
+    chunk's value agrees with the whole grid's within 1e-13 * max(1, |value|).
     """
 
     __slots__ = ("B", "s", "_kind", "_beta")

@@ -43,7 +43,7 @@ from .fields import (
     Kind,
     LeftSpinorField,
     RightSpinorField,
-    evaluate,
+    evaluate_many,
     f_combine,
     f_product,
     f_reverse,
@@ -266,23 +266,24 @@ class SpacetimeSetup:
     def omega_coord_at(self, xdot: np.ndarray, x: np.ndarray) -> np.ndarray:
         """omega on coordinate velocities ``xdot`` (S, 4) at points x (S, 4).
 
-        Each omega_a and each tetrad entry is evaluated once over all S
-        points, by one ``evaluate`` call each, so node values are held only
-        until that call returns.
+        The omega_a and, in a rotated frame, the 16 inverse tetrad entries
+        are evaluated by one ``evaluate_many`` over all S points, so one
+        plan runs and shares their nodes.
         """
         xdot = np.asarray(xdot, dtype=float)
         x = np.asarray(x, dtype=float)
-        if self.tetrad.is_identity:
-            v = xdot
-        else:
+        inverse = [] if self.tetrad.is_identity else [
+            self.tetrad.inverse_entry(mu, a) for a in range(4) for mu in range(4)]
+        vals = evaluate_many(inverse + [self.omega(a) for a in range(4)], x)
+        v = xdot
+        if inverse:
             v = np.zeros_like(xdot)
-            for a in range(4):
-                for mu in range(4):
-                    v[:, a] += xdot[:, mu] * evaluate(self.tetrad.inverse_entry(mu, a), x)[:, 0]
+            for (a, mu), entry in zip(np.ndindex(4, 4), vals):
+                v[:, a] += xdot[:, mu] * entry[:, 0]
         acc = np.zeros((len(x), DIM))
-        for a in range(4):
+        for a, omega in enumerate(vals[len(inverse):]):
             if np.any(v[:, a]):
-                acc = acc + v[:, a, None] * evaluate(self.omega(a), x)
+                acc = acc + v[:, a, None] * omega
         return acc
 
 

@@ -37,11 +37,11 @@ real rotor (no odd part, |reverse(u) u - 1| <= 1e-9), the potential finite
 and grade 1 (within 1e-10), and the unknown finite and even (within
 1e-10 max(1, sup|psi|)).  Once everything has parsed, one ``fold_sups``
 call measures every condition's defect at every point of the run grid,
-the points the field suites evaluate, under one numpy error state, so a
-field that overflows fails its check instead of warning.  The first field
-that fails raises one ``ConfigError`` naming its config path and the
-measured defect.  The transport suite evaluates the connection along
-curves between the grid points, which no check samples.
+the points the field suites evaluate.  The whole build runs under one
+numpy error state, so a value that overflows fails its check instead of
+warning.  The first field that fails raises one ``ConfigError`` naming its
+config path and the measured defect.  The transport suite evaluates the
+connection along curves between the grid points, which no check samples.
 
 Field expressions EXPR form a closed constructor set, each with an exact
 derivative: zero, constant, polynomial (degree <= 3), rotor-wave, sum,
@@ -256,6 +256,8 @@ def parse_expr(obj, where: str = "expr") -> FieldExpr:
 class Scenario:
     """Validated scenario with its constructed objects."""
 
+    # a value that overflows while it is parsed or checked fails its check, not a warning
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, cfg: dict):
         if not isinstance(cfg, dict):
             _fail("configuration root must be an object")
@@ -340,9 +342,7 @@ class Scenario:
             residuals.append(((i, "defect"), (chk.expr,), chk.defect))
             if chk.relative:
                 residuals.append(((i, "size"), (chk.expr, None)))
-        # a field that overflows fails through its NaN defect, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            worst = fold_sups(residuals, xs)
+        worst = fold_sups(residuals, xs)
         for i, chk in enumerate(self._checks):
             defect = worst[i, "defect"]
             bound = chk.tol * max(1.0, worst[i, "size"]) if chk.relative else chk.tol

@@ -223,6 +223,13 @@ BAD_CONFIGS = {
         "kind": "exp-bivector", "bivector": {"e01": 1}, "scalar": {
             "kind": "scalar-sine", "amplitude": 1000, "wave": [6.283185307179586, 0, 0, 0]}}),
     "unknown-odd": _unknown_expr({"kind": "constant", "blades": {"e1": 1}}),
+    # values that overflow while the scenario is parsed, before any field is checked
+    "boost-rotor-overflows": _set(None, unknown={"type": "plane-wave", "boost": {
+        "kind": "const-rotor", "bivector": {"e01": 800}}}),
+    "boost-constant-squares-to-inf": _set(None, unknown={"type": "plane-wave", "boost": {
+        "kind": "constant", "blades": {"1": 1e200}}}),
+    "frame-const-rotor-overflows": _set(None, frame={"type": "rotor", "expr": {
+        "kind": "const-rotor", "bivector": {"e12": 1e300}, "parameter": 10}}),
     # every configured field is checked by one fold over the run grid
     "connection-entry-not-scalar": _set(None, connection={"type": "table", "entries": [
         {"a": 0, "b": 1, "c": 2, "expr": {"kind": "constant", "blades": {"e1": 0.8}}}]}),

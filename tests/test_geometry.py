@@ -415,6 +415,64 @@ def test_transport_memory_stays_at_the_omega_evaluation():
     assert transport_peak <= 1.5 * omega_peak
 
 
+BENT = Curve(np.array([[0.2, 0.3, 0.1, 0.2], [0.5, 0.2, 0.6, 0.4], [-0.2, 0.1, 0.1, 0.2]]))
+
+
+def _transport_setup(frame):
+    setup = rc_setup(53, scale=0.8)
+    if frame == "rotated":
+        setup = change_spin_frame(random_rotor_expr(np.random.default_rng(54)), setup).setup
+        assert not setup.tetrad.is_identity
+    return setup
+
+
+@pytest.mark.parametrize("frame", ["fiducial", "rotated"])
+def test_omega_coord_at_runs_one_plan_and_matches_a_plan_per_field(frame, monkeypatch):
+    from sta import fields
+
+    setup = _transport_setup(frame)
+    ts = np.linspace(0.0, 1.0, 1100)  # more points than one chunk
+    xdot, x = BENT.velocity(ts), BENT.point(ts)
+    # the same sums in the same order, each field evaluated by a plan of its own
+    v = xdot
+    if not setup.tetrad.is_identity:
+        v = np.zeros_like(xdot)
+        for a in range(4):
+            for mu in range(4):
+                v[:, a] += xdot[:, mu] * evaluate(setup.tetrad.inverse_entry(mu, a), x)[:, 0]
+    want = np.zeros((len(x), 16))
+    for a in range(4):
+        if np.any(v[:, a]):
+            want = want + v[:, a, None] * evaluate(setup.omega(a), x)
+
+    plans, build = [], fields._Plan.__init__
+    monkeypatch.setattr(fields._Plan, "__init__",
+                        lambda plan, groups: plans.append(plan) or build(plan, groups))
+    got = setup.omega_coord_at(xdot, x)
+    assert len(plans) == 1
+    assert np.array_equal(got, want)
+
+
+def test_rotated_omega_roots_peak_below_half_again_their_outputs():
+    # the 4 omegas and 16 inverse tetrad entries of a rotated frame, as omega_coord_at
+    # evaluates them at a 4096-step transport's stage points: a chunked plan holds
+    # nothing but the outputs beyond 512 rows (a whole-grid plan peaks at 2.4x)
+    setup = _transport_setup("rotated")
+    roots = [setup.tetrad.inverse_entry(mu, a) for a in range(4) for mu in range(4)]
+    roots += [setup.omega(a) for a in range(4)]
+    xs = BENT.point(np.arange(8193) / 8192)
+    evaluate_many(roots, xs[:8])  # partial derivatives and kernel tables built
+    tracemalloc.start()
+    try:
+        values = evaluate_many(roots, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(v.nbytes for v in {id(v): v for v in values}.values())
+    assert outputs >= 16 * len(xs) * 16 * 8
+    assert peak < 1.5 * outputs, peak / outputs
+
+
 def test_array_directions_intern_no_scalar_constant_and_rebuild_to_the_same_nodes():
     from sta.fields import _NODES
 

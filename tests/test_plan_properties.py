@@ -14,7 +14,9 @@ the order of the roots, on the DAGs evaluated before it, or on the DAGs it
 shares a plan with: each root evaluated alone gives the value.  ``fold_sups`` over more points than
 one chunk must give the whole-grid sups bit for bit (a non-simple
 ``BivectorExp`` within its stated bound) and drop every value in each
-chunk, and one fold over two residual lists must give what two folds give.
+chunk, ``evaluate_many`` over more points than one chunk must give the
+reference's whole-grid values bit for bit, and one fold over two residual
+lists must give what two folds give.
 """
 
 from functools import reduce
@@ -356,7 +358,7 @@ def _sup(lhs, rhs):
 def test_chunked_fold_equals_the_whole_grid_sups(leaves, ops, slope, offset):
     nodes = build(leaves, ops)
     residuals = _residuals(nodes)
-    values = dict(zip(nodes, evaluate_many(nodes, CHUNKED)))
+    values = {node: reference(node, CHUNKED) for node in nodes}  # the whole grid at once
     want: dict = {}
     for name, (lhs, rhs) in residuals:
         sup = _sup(values[lhs], None if rhs is None else values[rhs])
@@ -375,9 +377,31 @@ def test_chunked_fold_equals_the_whole_grid_sups(leaves, ops, slope, offset):
     assert [len(c) for c in chunks] == [512, 512, 76]
     assert np.array_equal(np.concatenate(chunks), CHUNKED)
     assert left == [0, 0, 0]  # every chunk drops every value
-    whole = _sup(evaluate(exp, CHUNKED), None)
+    whole = _sup(exp._eval(CHUNKED, exp.s._eval(CHUNKED)), None)
     assert abs(got.pop("exp") - whole) <= 1e-13 * max(1.0, whole)
     assert got == want  # bit for bit
+
+
+@settings(max_examples=50)
+@given(st.lists(_leaves, min_size=1, max_size=4), _ops)
+def test_chunked_evaluate_many_equals_the_whole_grid_reference(leaves, ops):
+    nodes = build(leaves, ops)
+    chunks, left, run = [], [], fields._Plan.run
+
+    def watched(plan, xs):
+        chunks.append(len(xs))
+        yield from run(plan, xs)
+        left.append(len(plan.memo))
+
+    with mock.patch.object(fields._Plan, "run", watched):
+        got = evaluate_many(nodes + nodes[:1], CHUNKED)  # a repeated root too
+    assert chunks == [512, 512, 76]
+    assert left == [0, 0, 0]  # every chunk drops every value, the roots' too
+    assert got[-1] is got[0]
+    for node, value in zip(nodes, got):
+        want = reference(node, CHUNKED)
+        assert value.dtype == want.dtype and value.shape == want.shape
+        assert np.array_equal(value, want, equal_nan=True), type(node).__name__
 
 
 @settings(max_examples=50)
