@@ -152,34 +152,27 @@ def residual_covariant(ideal: Field, rep: GammaRep, params: DiracParams, setup: 
 
     The map takes the values of those nodes, in order, and returns the
     column residual c gamma^a (Dcol_a + c q A_a) |psi> - m |psi> on their
-    points, with |psi> the columns of ``ideal`` through ``rep``.  Everything
-    on this route is 4x4 matrix algebra: the spinor covariant derivative
-    acts on columns as the coordinate derivative plus half the matrix image
-    of the connection bivector, which is the column-side conjugate of the
-    left-spinor derivative.
+    points, with |psi> the columns of ``ideal`` through ``rep``.  The nodes
+    are psi, its four frame derivatives e_a(psi) (``directional_derivative``,
+    which reads the tetrad), the potential and omega_0..omega_3.  The rest
+    is 4x4 matrix algebra: the spinor covariant derivative acts on columns
+    as the frame derivative plus half the matrix image of the connection
+    bivector, which is the column-side conjugate of the left-spinor
+    derivative.
     """
     if ideal.kind is not Kind.LEFT:
         raise KindMismatch("residual_covariant expects a left spinor field")
     c = IDEAL_PHASE
-    psi = ideal.expr
-    nodes = ([psi, *(psi.partial(mu) for mu in range(4)), params.potential.expr]
-             + [setup.tetrad.entry(a, mu) for a in range(4) for mu in range(4)]
-             + [setup.omega(a) for a in range(4)])
+    nodes = [ideal.expr,
+             *(directional_derivative(ideal, np.eye(4)[a], setup).expr for a in range(4)),
+             params.potential.expr, *(setup.omega(a) for a in range(4))]
 
-    def residual(*vals) -> np.ndarray:
-        values = dict(zip(nodes, vals))
-        cols = columns_from_coeffs(values[psi], rep)
-        dcols_coord = [columns_from_coeffs(values[psi.partial(mu)], rep) for mu in range(4)]
-        pot = values[params.potential.expr]
-
+    def residual(psi, *vals) -> np.ndarray:
+        derivs, pot, omegas = vals[:4], vals[4], vals[5:]
+        cols = columns_from_coeffs(psi, rep)
         out = -params.mass * cols
-        for a in range(4):
-            # frame-direction derivative through the tetrad
-            dcol = np.zeros_like(cols)
-            for mu in range(4):
-                ev = values[setup.tetrad.entry(a, mu)][:, 0]
-                dcol = dcol + ev[:, None] * dcols_coord[mu]
-            w = values[setup.omega(a)]
+        for a, (deriv, w) in enumerate(zip(derivs, omegas)):
+            dcol = columns_from_coeffs(deriv, rep)
             if np.any(w):
                 wmat = rep.rho_batch(w)
                 dcol = dcol + 0.5 * np.einsum("nij,nj->ni", wmat, cols)

@@ -37,8 +37,10 @@ intermediate nodes.  A sum nested in another is built first, as its own
 node, and enters the outer sum as such: flattening across it could fold
 its constants in another order.
 
-Each node fixes its static facts once, when it is built: ``is_complex`` and
-``support``, the 16-bit mask of the blades its value can hold nonzero.  A
+Each node fixes its static facts once, when it is built: ``is_complex``,
+``children`` (the nodes whose values its ``_eval`` receives; a ``Product``'s
+``Constant`` factor is none of them) and ``support``, the 16-bit mask of
+the blades its value can hold nonzero.  A
 ``Constant`` is supported on its nonzero coefficients, a ``Polynomial`` on
 its terms' blades, the scalar leaves and ``BladeCoeff`` on blade 0, a
 ``Linear`` on the union of its terms' supports, a ``Product`` on every
@@ -146,14 +148,14 @@ class _Plan:
     def __init__(self, groups):
         self.groups = [tuple(g) for g in groups]
         self.nodes: list = []
-        kids: dict = {}  # node -> its children, read once
+        seen: set = set()
         stack = [(None, iter([n for g in self.groups for n in g]))]  # a parent of every group
         while stack:
             node, todo = stack[-1]
             for kid in todo:
-                if kid not in kids:
-                    kids[kid] = kid.children
-                    stack.append((kid, iter(kids[kid])))
+                if kid not in seen:
+                    seen.add(kid)
+                    stack.append((kid, iter(kid.children)))
                     break
             else:
                 stack.pop()
@@ -165,7 +167,7 @@ class _Plan:
             self.due.setdefault(max(group, key=step.__getitem__), []).append(i)
         last = {}  # value -> its last reader; readers come in plan order
         for node in self.nodes:
-            for n in kids[node]:
+            for n in node.children:
                 last[n] = node
             for i in self.due.get(node, ()):
                 for n in self.groups[i]:
@@ -299,17 +301,19 @@ class FieldExpr(metaclass=_Interned):
 
     Each node fixes its static facts when it is built: ``support``, the mask
     of the blades (bit ``i`` for blade ``i``) its value can hold nonzero,
-    every other column being exactly 0 wherever the inputs are finite, and
-    ``is_complex``, whether the value can be complex.
+    every other column being exactly 0 wherever the inputs are finite,
+    ``is_complex``, whether the value can be complex, and ``children``, the
+    nodes whose values ``_eval`` receives, in order and with repeats.
     """
 
-    __slots__ = ("_partials", "support", "is_complex")
+    __slots__ = ("_partials", "support", "is_complex", "children")
     _key = None  # staticmethod(constructor args) -> hashable structure, on interned nodes
 
-    def __init__(self, support: int, is_complex: bool = False):
+    def __init__(self, support: int, is_complex: bool = False, children: tuple = ()):
         self._partials: dict[int, FieldExpr] = {}
         self.support = support
         self.is_complex = is_complex
+        self.children = children
 
     def partial(self, mu: int) -> "FieldExpr":
         """Exact partial derivative along coordinate ``mu``; memoized."""
@@ -323,11 +327,6 @@ class FieldExpr(metaclass=_Interned):
     def _eval(self, xs: np.ndarray, *vals) -> np.ndarray:
         """The value on ``xs`` from ``vals``, the values of ``children`` in order."""
         raise NotImplementedError
-
-    @property
-    def children(self) -> tuple:
-        """The nodes whose values ``_eval`` receives, in order and with repeats."""
-        return ()
 
     @property
     def is_scalar(self) -> bool:
@@ -508,7 +507,7 @@ class Linear(FieldExpr):
         for _, e in terms:
             support |= e.support
         super().__init__(support, any(isinstance(c, complex) or e.is_complex
-                                      for c, e in terms))
+                                      for c, e in terms), tuple(e for _, e in terms))
         self.terms = terms
 
     def _eval(self, xs, *vals):
@@ -516,10 +515,6 @@ class Linear(FieldExpr):
         for (c, _), v in zip(self.terms, vals):
             out += v if c == 1 else c * v
         return out
-
-    @property
-    def children(self):
-        return tuple(e for _, e in self.terms)
 
     def _partial(self, mu):
         return f_combine([(c, e.partial(mu)) for c, e in self.terms])
@@ -544,7 +539,8 @@ class Product(FieldExpr):
 
     def __init__(self, left, right):
         super().__init__(product_support(left.support, right.support),
-                         left.is_complex or right.is_complex)
+                         left.is_complex or right.is_complex,
+                         tuple(e for e in (left, right) if not isinstance(e, Constant)))
         self.left = left
         self.right = right
 
@@ -557,10 +553,6 @@ class Product(FieldExpr):
         if self.right.is_scalar:
             return lv * rv[..., :1]
         return gp_batch(lv, rv, self.left.support, self.right.support)
-
-    @property
-    def children(self):
-        return tuple(e for e in (self.left, self.right) if not isinstance(e, Constant))
 
     def _partial(self, mu):
         return f_sum(
@@ -577,15 +569,11 @@ class Reverse(FieldExpr):
         return arg
 
     def __init__(self, arg):
-        super().__init__(arg.support, arg.is_complex)
+        super().__init__(arg.support, arg.is_complex, (arg,))
         self.arg = arg
 
     def _eval(self, xs, v):
         return v * REVERSE_SIGNS
-
-    @property
-    def children(self):
-        return (self.arg,)
 
     def _partial(self, mu):
         return f_reverse(self.arg.partial(mu))
@@ -601,17 +589,13 @@ class GradeSelect(FieldExpr):
     def __init__(self, arg, grades):
         grades = frozenset(grades)
         kept = np.isin(GRADES, list(grades))
-        super().__init__(arg.support & _mask(kept), arg.is_complex)
+        super().__init__(arg.support & _mask(kept), arg.is_complex, (arg,))
         self.arg = arg
         self.grades = grades
         self._mask = kept.astype(float)
 
     def _eval(self, xs, v):
         return v * self._mask
-
-    @property
-    def children(self):
-        return (self.arg,)
 
     def _partial(self, mu):
         return GradeSelect(self.arg.partial(mu), self.grades)
@@ -627,7 +611,7 @@ class BladeCoeff(FieldExpr):
         return arg, int(mask)
 
     def __init__(self, arg, mask):
-        super().__init__(1, arg.is_complex)
+        super().__init__(1, arg.is_complex, (arg,))
         self.arg = arg
         self.mask = int(mask)
 
@@ -635,10 +619,6 @@ class BladeCoeff(FieldExpr):
         out = np.zeros((len(xs), DIM), dtype=v.dtype)
         out[:, 0] = v[:, self.mask]
         return out
-
-    @property
-    def children(self):
-        return (self.arg,)
 
     def _partial(self, mu):
         return BladeCoeff(self.arg.partial(mu), self.mask)
@@ -675,7 +655,7 @@ class BivectorExp(FieldExpr):
         support = 1 | blades  # the closed forms are f(s) + g(s) B
         while kind == "general" and product_support(support, blades) & ~support:
             support |= product_support(support, blades)  # the series: every power of B
-        super().__init__(support, isinstance(B, CMultivector) or s.is_complex)
+        super().__init__(support, isinstance(B, CMultivector) or s.is_complex, (s,))
         self.B = B
         self.s = s
         self._kind = kind
@@ -683,10 +663,6 @@ class BivectorExp(FieldExpr):
 
     def _eval(self, xs, s):
         return _exp_rows(self.B, self._kind, self._beta, s[:, 0])
-
-    @property
-    def children(self):
-        return (self.s,)
 
     def _partial(self, mu):
         ds = self.s.partial(mu)

@@ -263,27 +263,31 @@ class SpacetimeSetup:
             w = self._omega_for.setdefault(key, w)
         return w
 
-    def omega_coord_at(self, xdot: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """omega on coordinate velocities ``xdot`` (S, 4) at points x (S, 4).
+    def omega_coord(self, mu: int) -> FieldExpr:
+        """Connection bivector along the coordinate direction d_mu = (L^-1)_mu^a e_a.
 
-        The omega_a and, in a rotated frame, the 16 inverse tetrad entries
-        are evaluated by one ``evaluate_many`` over all S points, so one
-        plan runs and shares their nodes.
+        In the fiducial frame the components are floats and this is omega(mu)
+        itself; in a rotated frame they are the inverse tetrad entries.
+        """
+        if self.tetrad.is_identity:
+            comps = [float(a == mu) for a in range(4)]
+        else:
+            comps = [self.tetrad.inverse_entry(mu, a) for a in range(4)]
+        return _contract(comps, [self.omega(a) for a in range(4)])
+
+    def omega_coord_at(self, xdot: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """omega on coordinate velocities ``xdot`` (S, 4) at points x (S, 4): xdot^mu omega_mu.
+
+        The four ``omega_coord(mu)`` are evaluated by one ``evaluate_many``
+        over all S points, so one plan runs and shares their nodes.
         """
         xdot = np.asarray(xdot, dtype=float)
-        x = np.asarray(x, dtype=float)
-        inverse = [] if self.tetrad.is_identity else [
-            self.tetrad.inverse_entry(mu, a) for a in range(4) for mu in range(4)]
-        vals = evaluate_many(inverse + [self.omega(a) for a in range(4)], x)
-        v = xdot
-        if inverse:
-            v = np.zeros_like(xdot)
-            for (a, mu), entry in zip(np.ndindex(4, 4), vals):
-                v[:, a] += xdot[:, mu] * entry[:, 0]
-        acc = np.zeros((len(x), DIM))
-        for a, omega in enumerate(vals[len(inverse):]):
-            if np.any(v[:, a]):
-                acc = acc + v[:, a, None] * omega
+        vals = evaluate_many([self.omega_coord(mu) for mu in range(4)],
+                             np.asarray(x, dtype=float))
+        acc = np.zeros((len(xdot), DIM))
+        for mu, omega in enumerate(vals):
+            if np.any(xdot[:, mu]):
+                acc = acc + xdot[:, mu, None] * omega
         return acc
 
 

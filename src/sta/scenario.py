@@ -414,7 +414,7 @@ class Scenario:
 
 
 def load_config(path_or_name: str) -> dict:
-    """Load a config from a file, falling back to the built-in scenarios."""
+    """Load a config object from a file, falling back to the built-in scenarios."""
     p = Path(path_or_name)
     if p.is_file():
         try:
@@ -429,9 +429,12 @@ def load_config(path_or_name: str) -> dict:
             )
         text = builtin.read_text(encoding="utf-8")
     try:
-        return json.loads(text)
+        cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config does not parse as JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        _fail("configuration root must be an object")
+    return cfg
 
 
 def builtin_scenario_names() -> list[str]:

@@ -261,6 +261,19 @@ def test_exit_code_two_on_malformed_numbers_and_sections(tmp_path, case):
     assert not list(tmp_path.glob("*.report.json"))
 
 
+@pytest.mark.parametrize("override", [("--grid", "3"), ("--seed", "1"), ("--suite", "algebra")],
+                         ids=["grid", "seed", "suite"])
+@pytest.mark.parametrize("root", [[], "x"], ids=["list", "string"])
+def test_exit_code_two_on_non_object_root_with_an_override(tmp_path, root, override):
+    # an override is written into the config, so the root is refused when it is loaded
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(root))
+    r = run_cli("run", str(path), *override, "--report-dir", str(tmp_path), cwd=tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr.splitlines() == ["configuration error: configuration root must be an object"]
+    assert not list(tmp_path.glob("*.report.json"))
+
+
 def test_scenario_checks_every_field_with_one_fold(monkeypatch):
     import sta.fields
     import sta.scenario

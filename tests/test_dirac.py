@@ -221,16 +221,37 @@ def test_idempotent_projection_maps_left_form_to_ideal_form():
         assert np.max(np.abs(projected - rci.eval(XS))) < 1e-12
 
 
-def test_column_bijection_intertwines_residuals():
+@pytest.mark.parametrize("frame", ["fiducial", "rotated"])
+def test_column_bijection_intertwines_residuals(frame):
     setup = rc_setup(29)
     params = rc_params(29)
+    rng = RNG
+    if frame == "rotated":
+        rng = np.random.default_rng(30)  # draws of its own: the module's stream is unchanged
+        setup = change_spin_frame(random_rotor_expr(rng), setup).setup
+        assert not setup.tetrad.is_identity
     for _ in range(3):
-        ex = random_field_expr(RNG, even=True)
+        ex = random_field_expr(rng, even=True)
         pc = LeftSpinorField(f_product(ex, Constant(IDEMPOTENT_F)))
         rci = residual_complex_ideal(pc, params, setup)
         cols = columns_from_coeffs(rci.eval(XS), REP)
         nodes, column = residual_covariant(pc, REP, params, setup)
         assert np.max(np.abs(cols - column(*evaluate_many(nodes, XS)))) < 1e-11
+
+
+def test_column_residual_reads_psi_its_frame_derivatives_the_potential_and_omegas():
+    params = rc_params(33)
+    fiducial = rc_setup(33)
+    rotated = change_spin_frame(random_rotor_expr(np.random.default_rng(34)), fiducial).setup
+    ex = random_field_expr(np.random.default_rng(35), even=True)
+    pc = LeftSpinorField(f_product(ex, Constant(IDEMPOTENT_F)))
+    for setup in (fiducial, rotated):
+        nodes, _ = residual_covariant(pc, REP, params, setup)
+        assert len(nodes) == 10
+        assert nodes[0] is pc.expr and nodes[5] is params.potential.expr
+        assert nodes[6:] == [setup.omega(a) for a in range(4)]
+    nodes, _ = residual_covariant(pc, REP, params, fiducial)
+    assert all(nodes[1 + a] is pc.expr.partial(a) for a in range(4))
 
 
 # -- gauge transformations --------------------------------------------------------

@@ -1,7 +1,9 @@
 """Connections, covariant derivatives, transport and changes of spin frame."""
 
+import ast
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,16 +436,10 @@ def test_omega_coord_at_runs_one_plan_and_matches_a_plan_per_field(frame, monkey
     ts = np.linspace(0.0, 1.0, 1100)  # more points than one chunk
     xdot, x = BENT.velocity(ts), BENT.point(ts)
     # the same sums in the same order, each field evaluated by a plan of its own
-    v = xdot
-    if not setup.tetrad.is_identity:
-        v = np.zeros_like(xdot)
-        for a in range(4):
-            for mu in range(4):
-                v[:, a] += xdot[:, mu] * evaluate(setup.tetrad.inverse_entry(mu, a), x)[:, 0]
     want = np.zeros((len(x), 16))
-    for a in range(4):
-        if np.any(v[:, a]):
-            want = want + v[:, a, None] * evaluate(setup.omega(a), x)
+    for mu in range(4):
+        if np.any(xdot[:, mu]):
+            want = want + xdot[:, mu, None] * evaluate(setup.omega_coord(mu), x)
 
     plans, build = [], fields._Plan.__init__
     monkeypatch.setattr(fields._Plan, "__init__",
@@ -454,9 +450,9 @@ def test_omega_coord_at_runs_one_plan_and_matches_a_plan_per_field(frame, monkey
 
 
 def test_rotated_omega_roots_peak_below_half_again_their_outputs():
-    # the 4 omegas and 16 inverse tetrad entries of a rotated frame, as omega_coord_at
-    # evaluates them at a 4096-step transport's stage points: a chunked plan holds
-    # nothing but the outputs beyond 512 rows (a whole-grid plan peaks at 2.4x)
+    # the 4 omegas and 16 inverse tetrad entries of a rotated frame, 20 roots, at a
+    # 4096-step transport's stage points: a chunked plan holds nothing but the
+    # outputs beyond 512 rows (a whole-grid plan peaks at 2.4x)
     setup = _transport_setup("rotated")
     roots = [setup.tetrad.inverse_entry(mu, a) for a in range(4) for mu in range(4)]
     roots += [setup.omega(a) for a in range(4)]
@@ -471,6 +467,67 @@ def test_rotated_omega_roots_peak_below_half_again_their_outputs():
     outputs = sum(v.nbytes for v in {id(v): v for v in values}.values())
     assert outputs >= 16 * len(xs) * 16 * 8
     assert peak < 1.5 * outputs, peak / outputs
+
+
+def test_rotated_omega_coord_at_peaks_below_two_and_a_half_times_its_outputs():
+    # four (N, 16) omega_mu outputs, the running sum and its update: no full-grid
+    # output for a scalar tetrad entry
+    setup = _transport_setup("rotated")
+    ts = np.arange(8193) / 8192
+    xdot, x = BENT.velocity(ts), BENT.point(ts)
+    setup.omega_coord_at(xdot[:8], x[:8])  # partial derivatives and kernel tables built
+    tracemalloc.start()
+    try:
+        setup.omega_coord_at(xdot, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = 4 * len(x) * 16 * 8
+    assert peak < 2.5 * outputs, peak / outputs
+
+
+@pytest.mark.parametrize("name", ["torsion-toy", "gauge-sine", "rc_setup"])
+def test_fiducial_omega_coord_is_omega(name):
+    if name == "rc_setup":
+        setup = rc_setup(77)
+    else:
+        setup = Scenario(dict(load_config(name), grid=2)).setup
+    assert setup.tetrad.is_identity
+    for mu in range(4):
+        assert setup.omega_coord(mu) is setup.omega(mu)
+
+
+def test_rotated_omega_coord_contracts_the_inverse_tetrad():
+    setup = _transport_setup("rotated")
+    xs = BENT.point(np.linspace(0.0, 1.0, 7))
+    for mu in range(4):
+        want = sum(evaluate(setup.tetrad.inverse_entry(mu, a), xs)[:, :1]
+                   * evaluate(setup.omega(a), xs) for a in range(4))
+        assert np.max(np.abs(evaluate(setup.omega_coord(mu), xs) - want)) < 1e-15
+
+
+def _tetrad_reads(source: str) -> list[int]:
+    """Lines of ``source`` that read an attribute named ``tetrad``."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr == "tetrad"
+                   and isinstance(node.ctx, ast.Load)})
+
+
+def test_tetrad_reads_are_found():
+    assert _tetrad_reads("e = setup.tetrad.entry(a, mu)") == [1]
+    assert _tetrad_reads("x = 1\nif s.tetrad.is_identity:\n    pass") == [2]
+    assert _tetrad_reads("[t for t in scn.setup.tetrad.entries]") == [1]
+    assert _tetrad_reads("self.tetrad = tetrad") == []
+    assert _tetrad_reads("tetrad = Tetrad()\nuse(tetrad)") == []
+
+
+def test_only_geometry_reads_the_tetrad():
+    # the frame legs are contracted in one place; elsewhere a frame direction
+    # is asked of sta.geometry (directional_derivative, omega_coord, ...)
+    src = Path(__file__).resolve().parent.parent / "src" / "sta"
+    reads = {path.name: lines for path in sorted(src.glob("*.py"))
+             if path.name != "geometry.py" and (lines := _tetrad_reads(path.read_text()))}
+    assert reads == {}
 
 
 def test_array_directions_intern_no_scalar_constant_and_rebuild_to_the_same_nodes():
