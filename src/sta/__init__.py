@@ -17,16 +17,8 @@ from .algebra import (
     CMultivector,
     Multivector,
     blade_mul,
-    commutator_half,
     complexify,
-    even_part,
     exp_bivector,
-    gp,
-    grade_proj,
-    imag_part,
-    odd_part,
-    real_part,
-    reverse,
 )
 from .dirac import (
     DiracParams,
@@ -82,7 +74,6 @@ from .geometry import (
     effective_deriv,
     pair_to_clifford,
     parallel_transport,
-    unit_left,
     unit_right,
 )
 from .spinors import (

@@ -46,16 +46,8 @@ __all__ = [
     "blade_mul",
     "FULL",
     "product_support",
-    "gp",
-    "grade_proj",
-    "even_part",
-    "odd_part",
-    "reverse",
-    "commutator_half",
     "exp_bivector",
     "complexify",
-    "real_part",
-    "imag_part",
 ]
 
 _EXP_SERIES_MAX_TERMS = 48
@@ -191,7 +183,14 @@ def gp_batch(a: np.ndarray, b: np.ndarray, sa: int = FULL, sb: int = FULL) -> np
 
 
 class _MVBase:
-    """Backing array plus algebra ops shared by the real and complex types."""
+    """Backing array plus algebra ops shared by the real and complex types.
+
+    Each operation has one spelling: ``*`` is the geometric product, and
+    ``grade(k)``, ``even()``, ``odd()`` and ``reverse()`` the projections
+    and reversion.  ``==`` compares values, across the two types and with
+    -0.0 equal to 0.0, which no hash of the coefficients can follow, so
+    multivectors are unhashable.
+    """
 
     __slots__ = ("coeffs",)
     _dtype: type = float
@@ -282,9 +281,6 @@ class _MVBase:
             return NotImplemented
         return bool(np.array_equal(self.coeffs, other.coeffs))
 
-    def __hash__(self):
-        return hash(self.coeffs.tobytes())
-
     def __repr__(self):
         terms = []
         for mask, c in enumerate(self.coeffs):
@@ -348,34 +344,6 @@ def blade_mul(i: int, j: int) -> tuple[float, int]:
     if not (0 <= i < DIM and 0 <= j < DIM):
         raise ValueError("blade index out of range")
     return float(CAYLEY[i, j, i ^ j]), i ^ j
-
-
-def gp(a, b):
-    """Geometric (Clifford) product, bilinear and associative."""
-    return _coerce(a) * _coerce(b)
-
-
-def grade_proj(a, k: int):
-    return _coerce(a).grade(k)
-
-
-def even_part(a):
-    return _coerce(a).even()
-
-
-def odd_part(a):
-    return _coerce(a).odd()
-
-
-def reverse(a):
-    return _coerce(a).reverse()
-
-
-def commutator_half(w, a):
-    """(w*a - a*w)/2; grade preserving when w is a bivector."""
-    w = _coerce(w)
-    a = _coerce(a)
-    return 0.5 * (w * a - a * w)
 
 
 def _exp_series(B, smax: float = 1.0):
@@ -457,11 +425,3 @@ def exp_bivector(B):
 
 def complexify(a: Multivector) -> CMultivector:
     return CMultivector(a.coeffs.astype(complex))
-
-
-def real_part(a: CMultivector) -> Multivector:
-    return Multivector(np.real(a.coeffs))
-
-
-def imag_part(a: CMultivector) -> Multivector:
-    return Multivector(np.imag(a.coeffs))

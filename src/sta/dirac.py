@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import E0, E21, E_lower, Multivector, reverse
+from .algebra import E0, E21, E_lower, Multivector
 from .errors import KindMismatch, NotRotor
 from .fields import (
     BivectorExp,
@@ -301,10 +301,10 @@ def make_plane_wave(mass: float, boost: Multivector | None = None) -> Field:
     """
     if boost is None:
         boost = Multivector.scalar(1.0)
-    if boost.odd().norm_sup() > 1e-12 or not (reverse(boost) * boost).approx_eq(
+    if boost.odd().norm_sup() > 1e-12 or not (boost.reverse() * boost).approx_eq(
         Multivector.scalar(1.0), 1e-10
     ):
         raise NotRotor("boost must be a constant rotor")
-    n = boost * E0 * reverse(boost)
+    n = boost * E0 * boost.reverse()
     wave = np.array([n.coeffs[1 << a] for a in range(4)], dtype=float)
     return CliffordField(rotor_wave(boost, -1.0 * E21, mass * wave))

@@ -22,7 +22,7 @@ class NotEven(StaError):
 
 
 class NotRotor(StaError):
-    """Field fails the rotor condition reverse(u)*u = 1."""
+    """Field fails the rotor condition u~ u = 1 (u~ the reverse of u)."""
 
 
 class CurveOutOfChart(StaError):

@@ -23,7 +23,9 @@ The node set: leaves (``Constant``, ``Polynomial`` and the scalar
 (``Linear``: a combination of terms with constant scalar coefficients), the
 geometric ``Product``, ``Reverse``, ``GradeSelect``, ``BladeCoeff`` and
 ``BivectorExp``.  Build them with the folding constructors ``f_combine``,
-``f_sum``, ``f_scale``, ``f_product`` and ``f_reverse``.
+``f_sum``, ``f_scale``, ``f_product`` and ``f_reverse``, the one way: a
+``FieldExpr`` has no arithmetic operators.  A ``Field`` has operators,
+checked against its kind's product table.
 
 Sums have one builder, ``f_combine([(c, e), ...])``, the n-ary sum of
 c e over its pairs; ``f_sum(*exprs)`` is its unit-coefficient form and
@@ -332,16 +334,6 @@ class FieldExpr(metaclass=_Interned):
     def is_scalar(self) -> bool:
         """True when the value is pointwise pure grade 0."""
         return self.support <= 1
-
-    # sugar used pervasively by the operator layer
-    def __add__(self, other):
-        return f_sum(self, other)
-
-    def __sub__(self, other):
-        return f_combine([(1.0, self), (-1.0, other)])
-
-    def __neg__(self):
-        return f_scale(-1.0, self)
 
 
 class Constant(FieldExpr):

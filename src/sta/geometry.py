@@ -56,7 +56,6 @@ __all__ = [
     "Curve",
     "ConnectionField",
     "SpacetimeSetup",
-    "unit_left",
     "unit_right",
     "pair_to_clifford",
     "directional_derivative",
@@ -155,10 +154,6 @@ class ConnectionField:
         self.entries = entries
         self._omega: list[FieldExpr] | None = None
 
-    @classmethod
-    def zero(cls) -> "ConnectionField":
-        return cls()
-
     @property
     def is_zero(self) -> bool:
         return not self.entries
@@ -224,7 +219,7 @@ class SpacetimeSetup:
     def __init__(self, chart: Chart, connection: ConnectionField | None = None,
                  tetrad: Tetrad | None = None):
         self.chart = chart
-        self.connection = connection if connection is not None else ConnectionField.zero()
+        self.connection = connection if connection is not None else ConnectionField()
         self.tetrad = tetrad if tetrad is not None else Tetrad()
         self._omega_for: dict = {}  # direction key -> omega_V, see omega_for
 
@@ -306,11 +301,6 @@ def _contract(comps: list, exprs: list) -> FieldExpr:
 # ---------------------------------------------------------------------------
 # Unit sections and pairings
 # ---------------------------------------------------------------------------
-
-
-def unit_left() -> Field:
-    """The left unit section of the working spin frame (components 1)."""
-    return LeftSpinorField(Constant(Multivector.scalar(1.0)))
 
 
 def unit_right() -> Field:

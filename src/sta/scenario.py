@@ -33,7 +33,7 @@ A table connection gives only its coefficients with b < c, so it is
 antisymmetric by construction.  While the configuration is parsed, each
 field it configures is recorded with its config path and its condition:
 every connection entry a finite real scalar, the frame expression a finite
-real rotor (no odd part, |reverse(u) u - 1| <= 1e-9), the potential finite
+real rotor (no odd part, |u~ u - 1| <= 1e-9), the potential finite
 and grade 1 (within 1e-10), and the unknown finite and even (within
 1e-10 max(1, sup|psi|)).  Once everything has parsed, one ``fold_sups``
 call measures every condition's defect at every point of the run grid,
@@ -55,6 +55,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -181,7 +182,13 @@ def _vec4(obj, where: str) -> np.ndarray:
 def parse_expr(obj, where: str = "expr") -> FieldExpr:
     if not isinstance(obj, dict) or "kind" not in obj:
         _fail(f"{where}: expected an object with a 'kind' field")
-    kind = obj["kind"]
+    try:
+        return _build_expr(obj["kind"], obj, where)
+    except ValueError as exc:  # a builder refused its arguments
+        _fail(f"{where}: {exc}")
+
+
+def _build_expr(kind, obj: dict, where: str) -> FieldExpr:
     if kind == "zero":
         return Constant(Multivector.zero())
     if kind == "constant":
@@ -200,18 +207,11 @@ def parse_expr(obj, where: str = "expr") -> FieldExpr:
                 _fail(f"{wt}: powers must be 4 integers")
             powers = [_number(p, f"{wt}.powers", integer=True) for p in powers]
             terms.append((_BLADE_BY_NAME[blade], _coef(t.get("coef", 0.0), wt), tuple(powers)))
-        try:
-            return Polynomial(terms)
-        except ValueError as exc:
-            _fail(f"{where}: {exc}")
+        return Polynomial(terms)
     if kind == "rotor-wave":
         front = parse_multivector(obj.get("front", {"1": 1.0}), f"{where}.front")
         biv = parse_multivector(obj.get("bivector", {}), f"{where}.bivector")
-        wave = _vec4(obj.get("wave"), f"{where}.wave")
-        try:
-            return rotor_wave(front, biv, wave)
-        except ValueError as exc:
-            _fail(f"{where}: {exc}")
+        return rotor_wave(front, biv, _vec4(obj.get("wave"), f"{where}.wave"))
     if kind == "sum":
         parts = _list(obj.get("terms", []), f"{where}.terms")
         if not parts:
@@ -221,10 +221,8 @@ def parse_expr(obj, where: str = "expr") -> FieldExpr:
         parts = _list(obj.get("factors", []), f"{where}.factors")
         if not parts:
             _fail(f"{where}: product needs at least one factor")
-        acc = parse_expr(parts[0], f"{where}.factors[0]")
-        for i, p in enumerate(parts[1:], 1):
-            acc = f_product(acc, parse_expr(p, f"{where}.factors[{i}]"))
-        return acc
+        return reduce(f_product, (parse_expr(p, f"{where}.factors[{i}]")
+                                  for i, p in enumerate(parts)))
     if kind == "scalar-linear":
         return ScalarLinear(_vec4(obj.get("slope"), f"{where}.slope"),
                             _number(obj.get("offset", 0.0), f"{where}.offset"))
@@ -239,17 +237,11 @@ def parse_expr(obj, where: str = "expr") -> FieldExpr:
     if kind == "exp-bivector":
         biv = parse_multivector(obj.get("bivector", {}), f"{where}.bivector")
         s = parse_expr(obj.get("scalar", {"kind": "zero"}), f"{where}.scalar")
-        try:
-            return BivectorExp(biv, s)
-        except ValueError as exc:
-            _fail(f"{where}: {exc}")
+        return BivectorExp(biv, s)
     if kind == "const-rotor":
         biv = parse_multivector(obj.get("bivector", {}), f"{where}.bivector")
         s = _number(obj.get("parameter", 1.0), f"{where}.parameter")
-        try:
-            return Constant(exp_bivector(s * biv))
-        except ValueError as exc:
-            _fail(f"{where}: {exc}")
+        return Constant(exp_bivector(s * biv))
     _fail(f"{where}: unknown expression kind {kind!r}")
 
 
@@ -320,7 +312,7 @@ class Scenario:
         self._checks: list[_FieldCheck] = []
         self.setup, self.frame_rotor = self._build_setup(cfg)
 
-        params_cfg = _object(cfg.get("params", {"mass": 1.0, "charge": 0.0}), "params")
+        params_cfg = _object(cfg.get("params", {}), "params")
         mass = _number(params_cfg.get("mass", 1.0), "params.mass")
         charge = _number(params_cfg.get("charge", 0.0), "params.charge")
         if mass < 0:
@@ -354,7 +346,7 @@ class Scenario:
         conn_cfg = _object(cfg.get("connection", {"type": "zero"}), "connection")
         ctype = conn_cfg.get("type")
         if ctype == "zero":
-            conn = ConnectionField.zero()
+            conn = ConnectionField()
         elif ctype == "table":
             gamma = {}
             for i, ent in enumerate(_list(conn_cfg.get("entries", []), "connection.entries")):

@@ -24,8 +24,6 @@ from .algebra import (
     E21,
     Multivector,
     complexify,
-    even_part,
-    odd_part,
 )
 from .errors import InconsistentParity, NotEven, NotInIdeal
 
@@ -83,7 +81,7 @@ def even_from_ideal(phi: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
     """
     if not (phi * IDEMPOTENT_E).approx_eq(phi, tol * _scale(phi)):
         raise NotInIdeal("phi*e != phi: argument is not in the left ideal")
-    psi = 2.0 * even_part(phi)
+    psi = 2.0 * phi.even()
     if not (psi * IDEMPOTENT_E).approx_eq(phi, tol * _scale(phi)):
         raise InconsistentParity("even extraction does not reproduce phi")
     return psi
@@ -91,7 +89,7 @@ def even_from_ideal(phi: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
 
 def complex_ideal_from_even(psi: Multivector, tol: float = DEFAULT_TOL) -> CMultivector:
     """Map an even multivector to the complex ideal: psi -> psi f."""
-    if odd_part(psi).norm_sup() > tol * _scale(psi):
+    if psi.odd().norm_sup() > tol * _scale(psi):
         raise NotEven("psi has a nonzero odd part")
     if isinstance(psi, CMultivector):
         return psi * IDEMPOTENT_F

@@ -235,7 +235,7 @@ BAD_CONFIGS = {
         {"a": 0, "b": 1, "c": 2, "expr": {"kind": "constant", "blades": {"e1": 0.8}}}]}),
     "connection-entry-complex": _set(None, connection={"type": "table", "entries": [
         {"a": 0, "b": 1, "c": 2, "expr": {"kind": "constant", "blades": {"1": [0.8, 0.3]}}}]}),
-    "frame-rotor-complex": _set(None, frame={"type": "rotor", "expr": {  # reverse(u) u = 1
+    "frame-rotor-complex": _set(None, frame={"type": "rotor", "expr": {  # u~ u = 1
         "kind": "constant", "blades": {"1": 1.25, "e12": [0, 0.75]}}}),
     "frame-rotor-not-unit": _set(None, frame={"type": "rotor", "expr": {
         "kind": "constant", "blades": {"1": 1.0, "e12": 0.5}}}),

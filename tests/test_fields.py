@@ -68,7 +68,7 @@ def sample_exprs():
         "reverse": Reverse(f_product(poly, wave)),
         "grade-select": GradeSelect(f_product(poly, wave), {0, 2}),
         "blade-coeff": BladeCoeff(wave, 0b0110),
-        "sum": poly + wave,
+        "sum": f_sum(poly, wave),
     }
 
 

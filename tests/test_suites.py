@@ -1,7 +1,10 @@
 """The check catalog: every suite emits its catalog rows, in order, from one emitter."""
 
+import collections
+
 import pytest
 
+import sta.suites
 from sta.scenario import Scenario, load_config
 from sta.suites import SUITES, run_suite
 
@@ -82,3 +85,30 @@ def test_each_field_suite_folds_once_per_grid(suite, monkeypatch):
     monkeypatch.setattr(sta.suites, "fold_sups", counted)
     run_suite(suite, _grid2())
     assert len(grids) == FOLDS[suite] and len(set(grids)) == len(grids), grids
+
+
+@pytest.mark.parametrize("scenario", ["torsion-toy", "minkowski-plane-wave"])
+def test_checks_that_compare_one_node_with_itself(monkeypatch, scenario):
+    """The checks that report 0.0 by construction: every pair is one node twice.
+
+    Hash-consing and the builders' rules make both sides of these pairs one
+    object, so no fault that leaves the builders alone can fail them.
+    """
+    fold_sups, residuals = sta.suites.fold_sups, []
+
+    def recorded(given, xs):
+        given = list(given)
+        residuals.extend(given)
+        return fold_sups(given, xs)
+
+    monkeypatch.setattr(sta.suites, "fold_sups", recorded)
+    scn = Scenario(dict(load_config(scenario), grid=2, suites=list(SUITES)))
+    for name in scn.suites:
+        run_suite(name, scn)
+    total = collections.Counter(name for name, *_ in residuals)
+    same = collections.Counter(r[0] for r in residuals if len(r) == 2 and r[1][0] is r[1][1])
+    assert {name: (same[name], n) for name, n in total.items() if same[name] == n} == {
+        "unit-section-law": (8, 8),
+        "sign-invariance": (400, 400),
+        "left-representative-componentwise": (1, 1),
+    }
