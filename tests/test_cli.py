@@ -1,5 +1,6 @@
 """Scenario validation, CLI exit codes, report determinism."""
 
+import ast
 import contextlib
 import functools
 import gc
@@ -7,6 +8,7 @@ import io
 import json
 import operator
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -244,6 +246,10 @@ BAD_CONFIGS = {
     "exp-bivector-scalar-not-scalar": _set(None, frame={"type": "rotor", "expr": {
         "kind": "exp-bivector", "bivector": {"e12": 1}, "scalar": {"kind": "polynomial", "terms": [
             {"blade": "e1", "coef": 0.5, "powers": [1, 0, 0, 0]}]}}}),
+    # a blade is one of the names "1", "e0" ... "e0123", and nothing else
+    "polynomial-blade-not-a-string": _unknown_expr(
+        {"kind": "polynomial", "terms": [{"blade": ["e0"], "coef": 1}]}),
+    "blade-alias-s": _unknown_expr({"kind": "constant", "blades": {"s": 1.0}}),
 }
 
 
@@ -327,6 +333,247 @@ def _main(*argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, err.getvalue().splitlines()
+
+
+def _run_config(tmp_path, cfg, *args, text=None):
+    """Run ``cfg`` (or the config file ``text``) in this process: (exit status, stderr lines)."""
+    run_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+    path = run_dir / "cfg.json"
+    path.write_text(json.dumps(cfg) if text is None else text)
+    out = run_dir / "out"
+    code, lines = _main("run", str(path), "--report-dir", str(out), *args)
+    if code == 2:
+        assert not list(out.rglob("*.report.json"))
+    return code, lines
+
+
+# One valid object of each expression kind; the tests below misspell one of its keys.
+EXPR_EXAMPLES = {
+    "zero": {"kind": "zero"},
+    "constant": {"kind": "constant", "blades": {"1": 1.0}},
+    "polynomial": {"kind": "polynomial", "terms": [{"blade": "1", "coef": 1.0}]},
+    "rotor-wave": {"kind": "rotor-wave", "bivector": {"e12": 0.5}, "wave": [1, 0, 0, 0]},
+    "sum": {"kind": "sum", "terms": [{"kind": "zero"}, {"kind": "constant", "blades": {"1": 1}}]},
+    "product": {"kind": "product", "factors": [{"kind": "constant", "blades": {"1": 2}}]},
+    "scalar-linear": {"kind": "scalar-linear", "slope": [0.1, 0, 0, 0], "offset": 1.0},
+    "scalar-sine": {"kind": "scalar-sine", "amplitude": 0.5, "wave": [1, 0, 0, 0]},
+    "scalar-gaussian": {"kind": "scalar-gaussian", "widths": [1, 1, 1, 1],
+                        "center": [0.5, 0.5, 0.5, 0.5]},
+    "exp-bivector": {"kind": "exp-bivector", "bivector": {"e12": 1}, "scalar": {"kind": "zero"}},
+    "const-rotor": {"kind": "const-rotor", "bivector": {"e12": 1}, "parameter": 0.3},
+}
+
+
+def _misspelled(obj, key, typo):
+    """``obj`` with ``key`` renamed to ``typo`` (or ``typo`` added, for key None)."""
+    obj = {typo if k == key else k: v for k, v in obj.items()}
+    return obj if key else {**obj, typo: 1}
+
+
+_ENTRY = {"a": 0, "b": 1, "c": 2, "expr": {"kind": "constant", "blades": {"1": 0.5}}}
+_ROTOR = {"type": "rotor", "expr": EXPR_EXAMPLES["const-rotor"]}
+# (the section replaced, its misspelled value, the path the message names, the typo)
+SCHEMA_TYPOS = {
+    "root": (None, {"gird": 2}, "configuration root", "gird"),
+    "chart": ("chart", {"lo": [0, 0, 0, 0], "hgih": [1, 1, 1, 1]}, "chart", "hgih"),
+    "frame-fiducial": ("frame", {"type": "fiducial", "exrp": {}}, "frame", "exrp"),
+    "frame-rotor": ("frame", {**_ROTOR, "expt": 1}, "frame", "expt"),
+    "connection-zero": ("connection", {"type": "zero", "entires": []}, "connection", "entires"),
+    "connection-table": ("connection", {"type": "table", "entires": [_ENTRY]}, "connection",
+                         "entires"),
+    "connection-entry": ("connection", {"type": "table", "entries": [
+        _misspelled(_ENTRY, "expr", "exp")]}, "connection.entries[0]", "exp"),
+    "params": ("params", {"mass": 1.0, "chrage": 0.5}, "params", "chrage"),
+    "unknown-plane-wave": ("unknown", {"type": "plane-wave", "bost": None}, "unknown", "bost"),
+    "unknown-constant-one": ("unknown", {"type": "constant-one", "boost": None}, "unknown",
+                             "boost"),
+    "unknown-expr": ("unknown", {"type": "expr", "expr": {"kind": "zero"}, "exr": 1}, "unknown",
+                     "exr"),
+    "polynomial-term": ("unknown", {"type": "expr", "expr": {"kind": "polynomial", "terms": [
+        {"blade": "1", "coef": 1.0, "power": [1, 0, 0, 0]}]}}, "unknown.expr.terms[0]", "power"),
+    **{f"expr-{kind}": ("unknown", {"type": "expr", "expr": _misspelled(
+        example, next((k for k in example if k != "kind"), None), "colour")}, "unknown.expr",
+        "colour") for kind, example in EXPR_EXAMPLES.items()},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXPR_EXAMPLES))
+def test_expression_examples_parse(kind):
+    # so that each misspelled example fails on its typo alone
+    assert parse_expr(EXPR_EXAMPLES[kind]) is not None
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_TYPOS))
+def test_exit_code_two_on_a_misspelled_key(tmp_path, case):
+    section, value, where, typo = SCHEMA_TYPOS[case]
+    cfg = load_config("minkowski-plane-wave")
+    cfg.update({section: value} if section else value)
+    code, lines = _run_config(tmp_path, cfg, "--suite", "algebra", "--grid", "2")
+    assert code == 2
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"configuration error: {where}: unknown key {typo!r} (expected "), \
+        lines
+
+
+def test_the_misspelled_config_of_the_roadmap_exits_two(tmp_path):
+    # it used to run at grid 9, charge 0 and amplitude 1, and pass
+    cfg = {"name": "typo-a", "gird": 2, "suites": ["gauge"], "params": {"mass": 1.0, "chrage": 0.5},
+           "unknown": {"type": "expr", "expr": {"kind": "scalar-sine", "ampltude": 3.0,
+                                                "wave": [1, 0, 0, 0]}}}
+    code, lines = _run_config(tmp_path, cfg)
+    assert code == 2
+    assert lines == ["configuration error: configuration root: unknown key 'gird' (expected "
+                     "name, chart, grid, transport_steps, seed, tolerances, expected, suites, "
+                     "connection, frame, params, unknown)"]
+    del cfg["gird"]
+    assert _run_config(tmp_path, cfg)[1] == [
+        "configuration error: params: unknown key 'chrage' (expected mass, charge, potential)"]
+    cfg["params"] = {"mass": 1.0, "charge": 0.5}
+    assert _run_config(tmp_path, cfg)[1] == [
+        "configuration error: unknown.expr: unknown key 'ampltude' (expected kind, amplitude, "
+        "wave, phase)"]
+
+
+@pytest.mark.parametrize("section, value, line", [
+    ("connection", {"type": "flat"}, "connection.type must be one of zero, table, got 'flat'"),
+    ("frame", {"expr": {"kind": "zero"}}, "frame.type must be one of fiducial, rotor, got None"),
+    ("unknown", {"type": ["expr"]},
+     "unknown.type must be one of plane-wave, constant-one, expr, got ['expr']"),
+    ("unknown", {"type": "expr", "expr": {"kind": "warp-field"}},
+     "unknown.expr.kind must be one of zero, constant, polynomial, rotor-wave, sum, product, "
+     "scalar-linear, scalar-sine, scalar-gaussian, exp-bivector, const-rotor, got 'warp-field'"),
+])
+def test_an_unknown_type_or_kind_is_one_uniform_line(tmp_path, section, value, line):
+    cfg = dict(load_config("minkowski-plane-wave"), **{section: value})
+    assert _run_config(tmp_path, cfg, "--suite", "algebra", "--grid", "2") == (
+        2, [f"configuration error: {line}"])
+
+
+def _readme_section(title):
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n{title}\n", 1)[1].split("\n#", 1)[0]
+
+
+def _readme_table(section, header):
+    """The rows of the README table whose header row starts with ``header``, as cell lists."""
+    rows = []
+    for line in section.split(f"\n{header}", 1)[1].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([c.strip() for c in line.strip("|").split(" | ")])
+    return rows
+
+
+def _defaults(cell):
+    """The defaults a README cell lists: None for "required", else the JSON in backquotes."""
+    return [None if d == "required" else json.loads(d.strip("`"))
+            for d in re.findall(r"`[^`]*`|required", cell)]
+
+
+def test_readme_expression_tables_match_the_kind_table():
+    from sta.scenario import _EXPR_KINDS, _TERM
+
+    section = _readme_section("### Field expressions")
+    rows = _readme_table(section, "| kind |")
+    documented = {kind.strip("`"): (re.findall(r"`([^`]*)`", fields), _defaults(defaults))
+                  for kind, fields, defaults, _ in rows}
+    assert documented == {kind: (list(spec), [d for _, d in spec.values()])
+                          for kind, (_, spec) in _EXPR_KINDS.items()}
+    rows = _readme_table(section, "| polynomial term field |")
+    assert {f.strip("`"): _defaults(d) for f, d, _ in rows} == {
+        k: [d] for k, (_, d) in _TERM.items()}
+
+
+def test_readme_schema_block_names_the_keys_the_tables_accept():
+    from sta.scenario import _CHART, _CONNECTIONS, _ENTRY, _FRAMES, _PARAMS, _ROOT, _UNKNOWNS
+    from sta.suites import SUITES
+
+    block = _readme_section("## Scenario schema").split("```jsonc\n", 1)[1].split("```", 1)[0]
+    check_names = {row.name for _, _, table in SUITES.values() for row in table}
+    variants = [_CONNECTIONS, _FRAMES, _UNKNOWNS]
+    accepted = {*_ROOT, *_CHART, *_PARAMS, *_ENTRY, "type", "kind",
+                *(key for table in variants for _, spec in table.values() for key in spec)}
+    assert set(re.findall(r'"([a-z_]+)":', block)) - check_names == accepted
+    assert set(re.findall(r'^  "([a-z_]+)":', block, re.M)) == set(_ROOT)
+    assert set(re.findall(r'"type": "([a-z-]+)"', block)) == {v for t in variants for v in t}
+
+
+def _get_calls(source: str) -> dict:
+    """The lines of ``source`` that call a ``get`` method, by enclosing function."""
+    found = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+                name = getattr(child, "name", "<lambda>")
+                visit(child, f"{scope}.{name}" if scope else name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "get"):
+                found.setdefault(scope, []).append(child.lineno)
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_get_calls_are_found():
+    source = textwrap.dedent("""\
+        def f(cfg):
+            return cfg.get("a", 1)
+        class S:
+            def m(self):
+                return lambda d: d.get(2)
+        x = {}.get(3, len({}.get(4, "")))
+        """)
+    assert _get_calls(source) == {"f": [2], "S.m.<lambda>": [5], "": [6, 6]}
+
+
+def test_only_the_readers_call_get_on_a_config_object():
+    # every config object is read by its declared table, so no code elsewhere
+    # looks a key up with a default of its own; Scenario.tol reads the parsed
+    # tolerances, not a config object
+    import sta.scenario
+
+    found = _get_calls(Path(sta.scenario.__file__).read_text(encoding="utf-8"))
+    assert set(found) <= {"_read", "_variant", "load_config", "Scenario.tol"}, found
+
+
+def _product_chain(levels):
+    """``levels`` expressions nested as products of scalar fields, 1 + O(0.01) each."""
+    expr = {"kind": "scalar-linear", "slope": [0.01, 0, 0, 0], "offset": 1.0}
+    for _ in range(levels - 1):
+        expr = {"kind": "product", "factors": [
+            {"kind": "scalar-linear", "slope": [0, 0.01, 0, 0], "offset": 1.0}, expr]}
+    return expr
+
+
+def test_expressions_nest_at_most_the_cap(tmp_path):
+    from sta.scenario import EXPR_DEPTH_MAX
+
+    cfg = load_config("minkowski-plane-wave")
+    cfg["unknown"] = {"type": "expr", "expr": _product_chain(EXPR_DEPTH_MAX)}
+    # not a solution, so residual checks fail, but every derivative of the chain is built
+    code, lines = _run_config(tmp_path, cfg, "--suite", "dirac-triad", "--grid", "2")
+    assert (code, lines) == (1, [])
+    cfg["unknown"]["expr"] = _product_chain(EXPR_DEPTH_MAX + 1)
+    assert _run_config(tmp_path, cfg, "--suite", "dirac-triad", "--grid", "2") == (2, [
+        f"configuration error: unknown.expr: expressions nest {EXPR_DEPTH_MAX + 1} deep, more "
+        f"than {EXPR_DEPTH_MAX}"])
+
+
+@pytest.mark.parametrize("levels", [600, 5000])
+def test_exit_code_two_on_a_deeply_nested_file(tmp_path, levels):
+    # 600 levels are 300 sums, each an object holding a list; 5000 levels are
+    # more than the JSON decoder's recursion allows
+    text = ('{"name": "deep", "unknown": {"type": "expr", "expr": '
+            + '{"kind": "sum", "terms": [' * (levels // 2) + '{"kind": "zero"}'
+            + "]}" * (levels // 2) + "}}")
+    code, lines = _run_config(tmp_path, None, "--suite", "algebra", "--grid", "2", text=text)
+    assert code == 2 and len(lines) == 1, lines
+    assert lines[0].startswith("configuration error: unknown.expr: expressions nest"
+                               if levels == 600 else
+                               "configuration error: config does not parse as JSON"), lines
 
 
 @pytest.mark.parametrize("name", ["sub/x", "../x", "a\\b", "nul\0x", ".", "..", "\ud800"])
