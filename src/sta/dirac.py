@@ -93,7 +93,7 @@ class DiracParams:
     """Mass, charge and electromagnetic potential (natural units)."""
 
     def __init__(self, mass: float, charge: float, potential: Field | None = None):
-        if mass < 0:
+        if not mass >= 0:
             raise ValueError("mass must be nonnegative")
         self.mass = float(mass)
         self.charge = float(charge)
@@ -251,10 +251,11 @@ def lorentz_covariance_check(psi: Field, params: DiracParams, setup: SpacetimeSe
     law holds when the pair agrees, which ``fields.fold_sups`` measures.
     """
     before = residual_representative(psi, params, setup).expr
-    fc = change_spin_frame(u, setup, clifford=[params.potential], representatives=[psi])
-    after = residual_representative(fc.representatives[0], params.with_potential(fc.clifford[0]),
+    fc = change_spin_frame(u, setup)
+    after = residual_representative(fc.carry(psi, like=Kind.LEFT),
+                                    params.with_potential(fc.carry(params.potential)),
                                     fc.setup).expr
-    return (after, f_product(f_reverse(u), before)), fc
+    return (after, fc.carry(CliffordField(before), like=Kind.LEFT).expr), fc
 
 
 # ---------------------------------------------------------------------------

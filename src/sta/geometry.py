@@ -6,23 +6,21 @@ constant generators E_a and the leg directions coincide with the chart's
 coordinate directions.  A change of spin frame therefore transforms *data*:
 it produces a new setup (with connection coefficients recomputed in the new
 frame) together with every field's components re-expressed relative to the
-new frame.  The transformation rules per kind are
+new frame.  ``_ACTION`` is the one rule for how: each bundle is the spin
+frame bundle under one action of Spin(1,3)e, a kind's (l, r) are the
+coefficients of omega_V F and F omega_V in its covariant derivative, and a
+frame change puts u~ on the left of its components where l is nonzero and u
+on the right where r is, with u the rotor field relating the frames.  The
+covariant derivatives, the transport operators and ``FrameChange.carry``
+all read it:
 
-    Clifford     a  ->  u~ a u
-    left spinor  a  ->  u~ a
-    right spinor a  ->  a u
-    representative of a spinor (an even Clifford field tied to the frame)
-                 a  ->  u~ a
+    Clifford     (1/2, -1/2)  D_V A  = V(A) + [omega_V, A]/2   a -> u~ a u
+    left spinor  (1/2, 0)     Ds_V P = V(P) + omega_V P / 2    a -> u~ a
+    right spinor (0, -1/2)    Ds_V F = V(F) - F omega_V / 2    a -> a u
 
-with u the rotor field relating the frames.
-
-Covariant derivatives, with omega_V the connection bivector:
-
-    Clifford   D_V A   = V(A) + [omega_V, A]/2
-    left       Ds_V P  = V(P) + omega_V P / 2
-    right      Ds_V F  = V(F) - F omega_V / 2
-    effective (on representatives)
-               Dse_a p = d_a p + omega_a p / 2   (equals D_a p + p omega_a / 2)
+A representative of a spinor (an even Clifford field tied to the frame) is
+acted on like the left spinor it represents: Dse_a p = d_a p + omega_a p / 2
+(equals D_a p + p omega_a / 2), and a frame change takes it to u~ p.
 """
 
 from __future__ import annotations
@@ -329,37 +327,41 @@ def directional_derivative(F: Field, V, setup: SpacetimeSetup) -> Field:
     return Field(F.kind, _contract(comps, [F.expr.partial(mu) for mu in range(4)]))
 
 
-def cov_deriv_clifford(A: Field, V, setup: SpacetimeSetup) -> Field:
-    if A.kind is not Kind.CLIFFORD:
-        raise KindMismatch("cov_deriv_clifford expects a Clifford field")
-    dA = directional_derivative(A, V, setup).expr
+# The action of Spin(1,3)e on each bundle kind: the coefficients (l, r) of
+# omega_V F and F omega_V in the covariant derivative of a field F.
+_ACTION = {Kind.CLIFFORD: (0.5, -0.5), Kind.LEFT: (0.5, 0.0), Kind.RIGHT: (0.0, -0.5)}
+
+
+def _cov_deriv(kind: Kind, F: Field, V, setup: SpacetimeSetup, like: Kind | None = None) -> Field:
+    """V(F) + l omega_V F + r F omega_V for a field of ``kind``, acted on like ``like``."""
+    if F.kind is not kind:
+        raise KindMismatch(f"a covariant derivative of {kind.value} fields got a "
+                           f"{F.kind.value} field")
+    l, r = _ACTION[like or kind]
+    terms = [(1.0, directional_derivative(F, V, setup).expr)]
     w = setup.omega_for(V)
-    comm = f_combine([(1.0, f_product(w, A.expr)), (-1.0, f_product(A.expr, w))])
-    return CliffordField(f_combine([(1.0, dA), (0.5, comm)]))
+    if l:
+        terms.append((l, f_product(w, F.expr)))
+    if r:
+        terms.append((r, f_product(F.expr, w)))
+    return Field(kind, f_combine(terms))
+
+
+def cov_deriv_clifford(A: Field, V, setup: SpacetimeSetup) -> Field:
+    return _cov_deriv(Kind.CLIFFORD, A, V, setup)
 
 
 def cov_deriv_left(P: Field, V, setup: SpacetimeSetup) -> Field:
-    if P.kind is not Kind.LEFT:
-        raise KindMismatch("cov_deriv_left expects a left spinor field")
-    dP = directional_derivative(P, V, setup).expr
-    w = setup.omega_for(V)
-    return LeftSpinorField(f_combine([(1.0, dP), (0.5, f_product(w, P.expr))]))
+    return _cov_deriv(Kind.LEFT, P, V, setup)
 
 
 def cov_deriv_right(F: Field, V, setup: SpacetimeSetup) -> Field:
-    if F.kind is not Kind.RIGHT:
-        raise KindMismatch("cov_deriv_right expects a right spinor field")
-    dF = directional_derivative(F, V, setup).expr
-    w = setup.omega_for(V)
-    return RightSpinorField(f_combine([(1.0, dF), (-0.5, f_product(F.expr, w))]))
+    return _cov_deriv(Kind.RIGHT, F, V, setup)
 
 
 def effective_deriv(psi: Field, a: int, setup: SpacetimeSetup) -> Field:
     """Effective derivative of a representative: d_{e_a} psi + omega_a psi / 2."""
-    if psi.kind is not Kind.CLIFFORD:
-        raise KindMismatch("effective_deriv expects a Clifford field")
-    dpsi = directional_derivative(psi, np.eye(4)[a], setup).expr
-    return CliffordField(f_combine([(1.0, dpsi), (0.5, f_product(setup.omega(a), psi.expr))]))
+    return _cov_deriv(Kind.CLIFFORD, psi, np.eye(4)[a], setup, like=Kind.LEFT)
 
 
 def effective_deriv_via_connection(psi: Field, a: int, setup: SpacetimeSetup) -> Field:
@@ -387,11 +389,10 @@ def dirac_operator_left(P: Field, setup: SpacetimeSetup) -> Field:
 # with A[j, k] = sum_i omega_i op[i, j*DIM + k] read off the Cayley tensor C
 # (e_i e_j = sum_k C[i, j, k] e_k):  omega y is C contracted on its first
 # index (the kernel's ``LEFT_OP``), y omega on its second (``RIGHT_OP``).
-_TRANSPORT_OPS = {
-    Kind.CLIFFORD: -0.5 * (LEFT_OP - RIGHT_OP),
-    Kind.LEFT: -0.5 * LEFT_OP,
-    Kind.RIGHT: 0.5 * RIGHT_OP,
-}
+# So op = -(l LEFT_OP + r RIGHT_OP) for the kind's sides (l, r); a zero side
+# is left out, since adding its signed zeros would flip some zero entries.
+_TRANSPORT_OPS = {kind: -reduce(np.add, [c * op for c, op in zip(lr, (LEFT_OP, RIGHT_OP)) if c])
+                  for kind, lr in _ACTION.items()}
 # Steps whose propagators are built together.  The (B, 16, 16) stacks then
 # stay small whatever the step count; built for every step at once, they
 # raise a 4096-step transport's peak memory about sixfold.
@@ -488,27 +489,34 @@ def transformed_connection_form(u: FieldExpr, setup: SpacetimeSetup, V) -> Field
 
 
 class FrameChange:
-    """Result of a change of spin frame: new setup plus re-expressed fields."""
+    """A change of spin frame by the rotor field u: the new setup and legs, and ``carry``."""
 
-    def __init__(self, setup, legs, clifford, left, right, representatives):
+    def __init__(self, u: FieldExpr, setup: SpacetimeSetup, legs: list[Field]):
+        self.u = u
         self.setup = setup
         self.legs = legs
-        self.clifford = clifford
-        self.left = left
-        self.right = right
-        self.representatives = representatives
+        self._ur = f_reverse(u)
+
+    def carry(self, F: Field, like: Kind | None = None) -> Field:
+        """F in the new frame: u~ on the left if its action's l is nonzero, u on the right if r is.
+
+        ``like`` names the kind whose action applies to a field tied to the frame as
+        another kind is (a representative is carried ``like=Kind.LEFT``); F keeps its kind.
+        """
+        kind = like or F.kind
+        if kind not in _ACTION:
+            raise KindMismatch(f"no frame-change rule for kind {kind.value}")
+        l, r = _ACTION[kind]
+        expr = f_product(self._ur, F.expr) if l else F.expr
+        return Field(F.kind, f_product(expr, self.u) if r else expr)
 
 
-def change_spin_frame(u: FieldExpr, setup: SpacetimeSetup, *, clifford=(), left=(),
-                      right=(), representatives=()) -> FrameChange:
+def change_spin_frame(u: FieldExpr, setup: SpacetimeSetup) -> FrameChange:
     """Move to the spin frame related to the current one by the rotor field u.
 
     Returns the new setup (connection coefficients recomputed against the
-    new frame) and all supplied fields re-expressed in the new frame's
-    trivialization:  Clifford components conjugate, left components pick up
-    u~ on the left, right components pick up u on the right, and a
-    representative of a spinor field transforms like the spinor itself.
-    The caller vouches that u is a real rotor field.
+    new frame) and legs; its ``carry`` re-expresses fields in the new
+    frame's trivialization.  The caller vouches that u is a real rotor field.
     """
     legs = transformed_frame_legs(u)
     lowered = [Field(Kind.CLIFFORD, f_scale(float(ETA[a]), legs[a].expr)) for a in range(4)]
@@ -537,16 +545,4 @@ def change_spin_frame(u: FieldExpr, setup: SpacetimeSetup, *, clifford=(), left=
         ConnectionField(gamma),
         tetrad=setup.tetrad.compose(lam),
     )
-
-    ur = f_reverse(u)
-    def conj(F):
-        return Field(F.kind, f_product(f_product(ur, F.expr), u))
-
-    return FrameChange(
-        setup=new_setup,
-        legs=legs,
-        clifford=[conj(F) for F in clifford],
-        left=[Field(F.kind, f_product(ur, F.expr)) for F in left],
-        right=[Field(F.kind, f_product(F.expr, u)) for F in right],
-        representatives=[Field(F.kind, f_product(ur, F.expr)) for F in representatives],
-    )
+    return FrameChange(u, new_setup, legs)

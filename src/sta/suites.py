@@ -465,10 +465,8 @@ def suite_lorentz(scn) -> dict:
     dA = cov_deriv_clifford(A, Vf, base)
     dP = cov_deriv_left(P, Vf, base)
     dR = cov_deriv_right(R, Vf, base)
-    fc = change_spin_frame(u_local, base, clifford=[A, Vf, dA], left=[P, dP], right=[R, dR])
-    A2, V2, dA2w = fc.clifford
-    P2, dP2w = fc.left
-    R2, dR2w = fc.right
+    fc = change_spin_frame(u_local, base)
+    A2, V2, dA2w, P2, dP2w, R2, dR2w = map(fc.carry, (A, Vf, dA, P, dP, R, dR))
     residuals += [
         ("naturality-clifford", (cov_deriv_clifford(A2, V2, fc.setup).expr, dA2w.expr)),
         ("naturality-left", (cov_deriv_left(P2, V2, fc.setup).expr, dP2w.expr)),

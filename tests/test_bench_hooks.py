@@ -1,19 +1,24 @@
 """The benchmark's hooks into the package still resolve.
 
 ``bench/tracer.py`` wraps package functions by name, counts transport steps
-by binding the arguments of ``parallel_transport``, and ``bench/run.py``
-gates each report on a fixed table of check names.  Both are loaded here
-read-only (no bytecode is written next to them), so a refactor that renames
-a traced function, a counted argument or a check fails Tier-1 instead of the
-benchmark.
+by binding the arguments of ``parallel_transport``, ``bench/child.py`` marks
+a step at each call the suites make through a plain function, and
+``bench/run.py`` gates each report on a fixed table of check names.  The
+bench modules are loaded here read-only (no bytecode is written next to
+them), so a refactor that renames a traced function, a counted argument or
+a check, or that turns a marked function into another kind of callable,
+fails Tier-1 instead of the benchmark.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
 import sys
 from pathlib import Path
+from types import FunctionType
 
+import sta.suites
 from sta.geometry import parallel_transport
 from sta.suites import SUITES
 
@@ -57,3 +62,19 @@ def test_transport_binds_the_arguments_the_tracer_counts_steps_by():
         bound.apply_defaults()
         assert bound.arguments["setup"] == "setup"
         assert bound.arguments["steps"] == steps
+
+
+def test_every_callable_the_suites_import_from_the_package_is_a_plain_function():
+    # the plain mode marks steps only at plain functions of ``sta.*`` modules
+    # bound in ``sta.suites``; a partial or other callable bound under one of
+    # these names would make its calls unmarked and change the step count
+    tree = ast.parse(Path(sta.suites.__file__).read_text(encoding="utf-8"))
+    names = [alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").split(".")[0] == "sta")
+             for alias in node.names]
+    assert "cov_deriv_left" in names and "lorentz_covariance_check" in names
+    for name in names:
+        obj = getattr(sta.suites, name)
+        if callable(obj) and not inspect.isclass(obj):
+            assert isinstance(obj, FunctionType) and obj.__module__.startswith("sta."), name

@@ -78,6 +78,11 @@ def test_rest_plane_wave_solves_every_form():
     assert column["column"] < 1e-9
 
 
+def test_params_refuse_a_nan_mass():
+    with pytest.raises(ValueError, match="^mass must be nonnegative$"):
+        DiracParams(float("nan"), 0.5)
+
+
 def test_each_residual_is_a_field_of_its_bundle():
     params = rc_params(3)
     setup = rc_setup(3)
@@ -111,7 +116,8 @@ def test_builders_evaluate_nothing(monkeypatch):
         bilinear_covariants(psi)
         effective_deriv(psi, 2, setup)
         lorentz_covariance_check(psi, params, setup, u)
-        change_spin_frame(u, setup, clifford=[psi], left=[pc], representatives=[psi])
+        fc = change_spin_frame(u, setup)
+        fc.carry(psi), fc.carry(pc), fc.carry(psi, like=Kind.LEFT)
 
 
 def test_boosted_plane_wave_solves_dhe():

@@ -213,6 +213,43 @@ def test_effective_one_sided_leibniz():
         assert sup_diff(lhs, rhs, xs) < 1e-12
 
 
+# each derivative entry point, the kind it accepts, and a call along e_1
+_DERIVATIVES = {
+    "cov_deriv_clifford": (Kind.CLIFFORD, lambda F, s: cov_deriv_clifford(F, np.eye(4)[1], s)),
+    "cov_deriv_left": (Kind.LEFT, lambda F, s: cov_deriv_left(F, np.eye(4)[1], s)),
+    "cov_deriv_right": (Kind.RIGHT, lambda F, s: cov_deriv_right(F, np.eye(4)[1], s)),
+    "effective_deriv": (Kind.CLIFFORD, lambda F, s: effective_deriv(F, 1, s)),
+}
+
+
+@pytest.mark.parametrize("name, other", [(name, other) for name, (kind, _) in _DERIVATIVES.items()
+                                         for other in Kind if other is not kind])
+def test_derivatives_refuse_a_field_of_another_kind(name, other):
+    kind, deriv = _DERIVATIVES[name]
+    setup = rc_setup(81)
+    expr = random_field_expr(np.random.default_rng(81))
+    assert deriv(Field(kind, expr), setup).kind is kind
+    with pytest.raises(KindMismatch, match=f"^a covariant derivative of {kind.value} fields "
+                                           f"got a {other.value} field$"):
+        deriv(Field(other, expr), setup)
+
+
+def test_each_derivative_is_one_combination_read_off_its_action():
+    setup = rc_setup(82)
+    V = np.array([0.3, -0.2, 0.5, 0.1])
+    F = random_field_expr(np.random.default_rng(82))
+    dF = directional_derivative(CliffordField(F), V, setup).expr
+    wF, Fw = f_product(setup.omega_for(V), F), f_product(F, setup.omega_for(V))
+    assert cov_deriv_clifford(CliffordField(F), V, setup).expr is f_combine(
+        [(1.0, dF), (0.5, wF), (-0.5, Fw)])
+    assert cov_deriv_left(LeftSpinorField(F), V, setup).expr is f_combine([(1.0, dF), (0.5, wF)])
+    assert cov_deriv_right(RightSpinorField(F), V, setup).expr is f_combine(
+        [(1.0, dF), (-0.5, Fw)])
+    d1 = directional_derivative(CliffordField(F), np.eye(4)[1], setup).expr
+    assert effective_deriv(CliffordField(F), 1, setup).expr is f_combine(
+        [(1.0, d1), (0.5, f_product(setup.omega(1), F))])
+
+
 def test_dirac_operator_flat_cases():
     setup = SpacetimeSetup(CHART)
     xs = CHART.grid(3)
@@ -631,8 +668,10 @@ def test_transport_rejects_stage_points_out_of_chart(connected):
 def test_identity_rotor_changes_nothing():
     setup = rc_setup(41)
     xs = CHART.grid(3)
-    fc = change_spin_frame(Constant(Multivector.scalar(1.0)), setup,
-                           clifford=[CliffordField(random_field_expr(RNG))])
+    A = CliffordField(random_field_expr(RNG))
+    fc = change_spin_frame(Constant(Multivector.scalar(1.0)), setup)
+    for kind in (Kind.CLIFFORD, Kind.LEFT, Kind.RIGHT):
+        assert fc.carry(Field(kind, A.expr)).expr is A.expr
     for a in range(4):
         assert np.allclose(evaluate(fc.legs[a].expr, xs), E(a).coeffs)
         d = np.max(np.abs(evaluate(fc.setup.omega(a), xs) - evaluate(setup.omega(a), xs)))
@@ -701,13 +740,35 @@ def test_frame_change_naturality_all_kinds():
     dA = cov_deriv_clifford(A, V, setup)
     dP = cov_deriv_left(P, V, setup)
     dF = cov_deriv_right(F, V, setup)
-    fc = change_spin_frame(u, setup, clifford=[A, V, dA], left=[P, dP], right=[F, dF])
-    A2, V2, dA2w = fc.clifford
-    P2, dP2w = fc.left
-    F2, dF2w = fc.right
+    fc = change_spin_frame(u, setup)
+    A2, V2, dA2w, P2, dP2w, F2, dF2w = map(fc.carry, (A, V, dA, P, dP, F, dF))
     assert sup_diff(cov_deriv_clifford(A2, V2, fc.setup), dA2w, xs) < 1e-10
     assert sup_diff(cov_deriv_left(P2, V2, fc.setup), dP2w, xs) < 1e-10
     assert sup_diff(cov_deriv_right(F2, V2, fc.setup), dF2w, xs) < 1e-10
+
+
+def test_carry_closed_forms():
+    u = random_rotor_expr(np.random.default_rng(83))
+    fc = change_spin_frame(u, rc_setup(83))
+    F = random_field_expr(np.random.default_rng(84))
+    ur = f_reverse(u)
+    for field, want in ((CliffordField(F), f_product(f_product(ur, F), u)),
+                        (LeftSpinorField(F), f_product(ur, F)),
+                        (RightSpinorField(F), f_product(F, u))):
+        carried = fc.carry(field)
+        assert carried.kind is field.kind and carried.expr is want
+    # a representative is carried like the left spinor it represents
+    rep = fc.carry(CliffordField(F), like=Kind.LEFT)
+    assert rep.kind is Kind.CLIFFORD and rep.expr is f_product(ur, F)
+
+
+def test_carry_refuses_a_kind_without_a_rule():
+    fc = change_spin_frame(random_rotor_expr(np.random.default_rng(85)), rc_setup(85))
+    F = random_field_expr(np.random.default_rng(86))
+    with pytest.raises(KindMismatch, match="^no frame-change rule for kind frame-scalar$"):
+        fc.carry(Field(Kind.FRAME_SCALAR, F))
+    with pytest.raises(KindMismatch, match="^no frame-change rule for kind frame-scalar$"):
+        fc.carry(CliffordField(F), like=Kind.FRAME_SCALAR)
 
 
 def test_rotor_validation():
