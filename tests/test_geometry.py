@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from sta.algebra import GRADES, CMultivector, E, Multivector, gp_batch
 from sta.errors import ConfigError, CurveOutOfChart, KindMismatch
 from sta.fields import (
+    BladeCoeff,
     CliffordField,
     Constant,
     Field,
@@ -293,6 +295,17 @@ def test_flat_transport_is_identity():
     a0 = Multivector(RNG.normal(size=16))
     [out] = parallel_transport([a0], Kind.CLIFFORD, Curve.line([0.1] * 4, [0.9] * 4), setup, 32)
     assert (out - a0).norm_sup() < 1e-15
+
+
+def test_transport_refuses_a_kind_without_a_rule():
+    curve = Curve.line([0.1] * 4, [0.9] * 4)
+    a0 = Multivector.scalar(1.0)
+    with pytest.raises(KindMismatch, match="^no transport rule for kind frame-scalar$"):
+        parallel_transport([a0], Kind.FRAME_SCALAR, curve, SpacetimeSetup(CHART))
+    for other in ("left", ["left"]):
+        msg = f"^no transport rule for kind {re.escape(repr(other))}$"
+        with pytest.raises(KindMismatch, match=msg):
+            parallel_transport([a0], other, curve, SpacetimeSetup(CHART))
 
 
 def test_transport_grade_preservation_and_conservation():
@@ -715,7 +728,7 @@ def test_frame_change_two_routes_and_orthonormality():
         for b in range(4):
             nab = cov_deriv_clifford(lowered[b], lowered[a], setup).expr
             for c in range(4):
-                full[a, b, c] = GradeSelect(f_product(nab, lowered[c].expr), {0})
+                full[a, b, c] = BladeCoeff(f_product(nab, lowered[c].expr), 0)
     entries = fc.setup.connection.entries
     assert sorted(entries) == [k for k in sorted(full) if k[1] < k[2]]
     assert all(full[k] is g for k, g in entries.items())
@@ -769,6 +782,9 @@ def test_carry_refuses_a_kind_without_a_rule():
         fc.carry(Field(Kind.FRAME_SCALAR, F))
     with pytest.raises(KindMismatch, match="^no frame-change rule for kind frame-scalar$"):
         fc.carry(CliffordField(F), like=Kind.FRAME_SCALAR)
+    # anything but a Kind is refused the same way, named by its repr
+    with pytest.raises(KindMismatch, match="^no frame-change rule for kind 'left'$"):
+        fc.carry(CliffordField(F), like="left")
 
 
 def test_rotor_validation():

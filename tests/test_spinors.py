@@ -6,15 +6,18 @@ import pytest
 from sta.algebra import CMultivector, E, E21, Multivector, complexify
 from sta.errors import InconsistentParity, NotEven, NotInIdeal
 from sta.spinors import (
+    COLUMN,
+    GAMMAS,
     IDEAL_PHASE,
     IDEMPOTENT_E,
     IDEMPOTENT_F,
-    build_gamma_rep,
     column_from_ideal,
     complex_ideal_from_even,
     even_from_ideal,
     ideal_from_column,
     project_ideal_left,
+    rho,
+    rho_inv,
 )
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0]).astype(complex)
@@ -89,29 +92,26 @@ def test_complex_ideal_from_even():
 
 
 def test_gamma_anticommutation():
-    rep = build_gamma_rep()
     for a in range(4):
         for b in range(4):
-            lhs = rep.gammas[a] @ rep.gammas[b] + rep.gammas[b] @ rep.gammas[a]
+            lhs = GAMMAS[a] @ GAMMAS[b] + GAMMAS[b] @ GAMMAS[a]
             assert np.allclose(lhs, 2 * ETA[a, b] * np.eye(4), atol=1e-14)
 
 
 def test_rho_is_an_algebra_isomorphism():
-    rep = build_gamma_rep()
-    assert np.allclose(rep.rho(Multivector.scalar(1.0)), np.eye(4))
+    assert np.allclose(rho(Multivector.scalar(1.0)), np.eye(4))
     rng = np.random.default_rng(3)
     for _ in range(100):
         a = Multivector(rng.normal(size=16))
         b = Multivector(rng.normal(size=16))
-        assert np.max(np.abs(rep.rho(a * b) - rep.rho(a) @ rep.rho(b))) <= 1e-10
+        assert np.max(np.abs(rho(a * b) - rho(a) @ rho(b))) <= 1e-10
     # faithful: rho_inv recovers coefficients
     c = CMultivector(rng.normal(size=16) + 1j * rng.normal(size=16))
-    assert rep.rho_inv(rep.rho(c)).approx_eq(c, 1e-12)
+    assert rho_inv(rho(c)).approx_eq(c, 1e-12)
 
 
 def test_rho_of_f_rank_one():
-    rep = build_gamma_rep()
-    fm = rep.rho(IDEMPOTENT_F)
+    fm = rho(IDEMPOTENT_F)
     assert np.allclose(fm @ fm, fm, atol=1e-13)
     assert np.linalg.matrix_rank(fm) == 1
     eigs = np.sort_complex(np.linalg.eigvals(fm))
@@ -119,40 +119,37 @@ def test_rho_of_f_rank_one():
 
 
 def test_ideal_images_live_in_one_column():
-    rep = build_gamma_rep()
     rng = np.random.default_rng(4)
     for _ in range(10):
         psi = Multivector(rng.normal(size=16)).even()
-        mat = rep.rho(complex_ideal_from_even(psi))
-        others = np.delete(mat, rep.column_index, axis=1)
+        mat = rho(complex_ideal_from_even(psi))
+        others = np.delete(mat, COLUMN, axis=1)
         assert np.max(np.abs(others)) < 1e-13
 
 
 def test_column_bijection():
-    rep = build_gamma_rep()
-    col = column_from_ideal(IDEMPOTENT_F, rep)
+    col = column_from_ideal(IDEMPOTENT_F)
     want = np.zeros(4, dtype=complex)
-    want[rep.column_index] = 1.0
+    want[COLUMN] = 1.0
     assert np.allclose(col, want, atol=1e-14)
-    assert np.allclose(column_from_ideal(CMultivector.zero(), rep), np.zeros(4))
+    assert np.allclose(column_from_ideal(CMultivector.zero()), np.zeros(4))
 
     rng = np.random.default_rng(5)
     for _ in range(20):
         psi = Multivector(rng.normal(size=16)).even()
         Psi = complex_ideal_from_even(psi)
-        back = ideal_from_column(column_from_ideal(Psi, rep), rep)
+        back = ideal_from_column(column_from_ideal(Psi))
         assert back.approx_eq(Psi, 1e-11)
 
     with pytest.raises(NotInIdeal):
-        column_from_ideal(complexify(E(1)), rep)
+        column_from_ideal(complexify(E(1)))
 
 
 def test_column_map_is_a_left_module_map():
-    rep = build_gamma_rep()
     rng = np.random.default_rng(6)
     a = Multivector(rng.normal(size=16))
     psi = Multivector(rng.normal(size=16)).even()
     Psi = complex_ideal_from_even(psi)
-    lhs = column_from_ideal(complexify(a) * Psi, rep)
-    rhs = rep.rho(a) @ column_from_ideal(Psi, rep)
+    lhs = column_from_ideal(complexify(a) * Psi)
+    rhs = rho(a) @ column_from_ideal(Psi)
     assert np.allclose(lhs, rhs, atol=1e-12)

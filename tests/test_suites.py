@@ -42,6 +42,20 @@ def test_expected_value_turns_a_residual_row_into_a_diagnostic():
             assert (c.value, c.law, c.diagnostic) == (plain[c.name].value, plain[c.name].law, False)
 
 
+def test_reversion_check_reads_the_library_reversion_table():
+    from sta.algebra import REVERSE_SIGNS
+
+    def check():
+        return {c.name: c for c in run_suite("algebra", _grid2())}["reversion-antiautomorphism"]
+
+    assert check().passed
+    REVERSE_SIGNS[0b0011] *= -1  # the sign of e0e1, a grade-2 blade, flipped in the shared table
+    try:
+        assert not check().passed
+    finally:
+        REVERSE_SIGNS[0b0011] *= -1
+
+
 def test_derivative_suite_folds_one_plan(monkeypatch):
     from sta import fields
 
