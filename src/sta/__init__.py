@@ -14,7 +14,6 @@ Layers, bottom up:
 """
 
 from .algebra import (
-    CMultivector,
     Multivector,
     blade_mul,
     complexify,

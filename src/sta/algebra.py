@@ -21,6 +21,10 @@ runs the whole 16x16 product, and otherwise it multiplies only the
 supported columns through the Cayley table restricted to the two supports
 and the blades their product reaches (``product_support``).
 
+``Multivector`` is the one element type of both algebras: its 16 blade
+coefficients are float, or complex when its input is, so an element of
+R_{1,3} and one of its complexification differ only in their dtype.
+
 ``_exp_rows`` is the one bivector exponential: ``exp_bivector`` is its
 value at s = 1, and ``fields.BivectorExp`` its value at every point.
 """
@@ -42,7 +46,6 @@ __all__ = [
     "LEFT_OP",
     "RIGHT_OP",
     "Multivector",
-    "CMultivector",
     "blade_mul",
     "FULL",
     "product_support",
@@ -182,83 +185,82 @@ def gp_batch(a: np.ndarray, b: np.ndarray, sa: int = FULL, sb: int = FULL) -> np
     return full
 
 
-class _MVBase:
-    """Backing array plus algebra ops shared by the real and complex types.
+class Multivector:
+    """Element of R_{1,3}, or of C (x) R_{1,3} when its coefficients are complex.
 
+    A result is complex when an operand is.  The constructor copies its
+    input, so no caller's array aliases a value.
     Each operation has one spelling: ``*`` is the geometric product, and
     ``grade(k)``, ``even()``, ``odd()`` and ``reverse()`` the projections
-    and reversion.  ``==`` compares values, across the two types and with
-    -0.0 equal to 0.0, which no hash of the coefficients can follow, so
-    multivectors are unhashable.
+    and reversion; ``complexify`` is the one cast to complex.  ``==``
+    compares values, across dtypes and with -0.0 equal to 0.0, which no
+    hash of the coefficients can follow, so multivectors are unhashable.
     """
 
     __slots__ = ("coeffs",)
-    _dtype: type = float
 
     def __init__(self, coeffs):
-        arr = np.asarray(coeffs, dtype=self._dtype)
+        arr = np.array(coeffs, dtype=complex if np.iscomplexobj(coeffs) else float)
         if arr.shape != (DIM,):
             raise ValueError(f"expected {DIM} blade coefficients, got {arr.shape}")
+        arr.flags.writeable = False
         self.coeffs = arr
-        self.coeffs.flags.writeable = False
 
     # -- construction helpers -------------------------------------------------
     @classmethod
     def zero(cls):
-        return cls(np.zeros(DIM, dtype=cls._dtype))
+        return cls(np.zeros(DIM))
 
     @classmethod
     def scalar(cls, s):
-        c = np.zeros(DIM, dtype=cls._dtype)
-        c[0] = s
-        return cls(c)
+        return cls.from_blade(0, s)
 
     @classmethod
     def from_blade(cls, mask: int, coef=1.0):
-        c = np.zeros(DIM, dtype=cls._dtype)
+        c = np.zeros(DIM, dtype=complex if np.iscomplexobj(coef) else float)
         c[mask] = coef
         return cls(c)
 
     # -- ring structure --------------------------------------------------------
     def __add__(self, other):
         other = _coerce(other)
-        return _wrap(self.coeffs + other.coeffs)
+        return Multivector(self.coeffs + other.coeffs)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _coerce(other)
-        return _wrap(self.coeffs - other.coeffs)
+        return Multivector(self.coeffs - other.coeffs)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __neg__(self):
-        return _wrap(-self.coeffs)
+        return Multivector(-self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)) and not isinstance(other, bool):
-            return _wrap(self.coeffs * other)
+            return Multivector(self.coeffs * other)
         other = _coerce(other)
-        return _wrap(gp_batch(self.coeffs, other.coeffs))
+        return Multivector(gp_batch(self.coeffs, other.coeffs))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)) and not isinstance(other, bool):
-            return _wrap(other * self.coeffs)
+            return Multivector(other * self.coeffs)
         return _coerce(other) * self
 
     # -- gradework --------------------------------------------------------------
     def grade(self, k: int):
-        return _wrap(np.where(GRADES == k, self.coeffs, 0))
+        return Multivector(np.where(GRADES == k, self.coeffs, 0))
 
     def even(self):
-        return _wrap(np.where(GRADES % 2 == 0, self.coeffs, 0))
+        return Multivector(np.where(GRADES % 2 == 0, self.coeffs, 0))
 
     def odd(self):
-        return _wrap(np.where(GRADES % 2 == 1, self.coeffs, 0))
+        return Multivector(np.where(GRADES % 2 == 1, self.coeffs, 0))
 
     def reverse(self):
-        return _wrap(REVERSE_SIGNS * self.coeffs)
+        return Multivector(REVERSE_SIGNS * self.coeffs)
 
     def grades_present(self, tol: float = 0.0) -> set[int]:
         return {int(g) for g, c in zip(GRADES, self.coeffs) if abs(c) > tol}
@@ -290,28 +292,11 @@ class _MVBase:
         return " + ".join(terms) if terms else "0"
 
 
-class Multivector(_MVBase):
-    """Element of R_{1,3}: 16 real blade coefficients."""
-
-    _dtype = float
-
-
-class CMultivector(_MVBase):
-    """Element of the complexified algebra C (x) R_{1,3}: 16 complex coefficients."""
-
-    _dtype = complex
-
-
-def _wrap(coeffs: np.ndarray):
-    cls = CMultivector if np.iscomplexobj(coeffs) else Multivector
-    return cls(coeffs)
-
-
 def _coerce(x):
-    if isinstance(x, _MVBase):
+    if isinstance(x, Multivector):
         return x
     if isinstance(x, complex) and x.imag != 0:
-        return CMultivector.scalar(x)
+        return Multivector.scalar(x)
     if isinstance(x, (int, float, complex)):
         return Multivector.scalar(float(np.real(x)))
     raise TypeError(f"cannot interpret {type(x)!r} as a multivector")
@@ -348,7 +333,7 @@ def blade_mul(i: int, j: int) -> tuple[float, int]:
 
 def _exp_series(B, smax: float = 1.0):
     """Taylor coefficients B^n / n! as long as they matter at |s| <= smax."""
-    terms = [Multivector.scalar(1.0) if isinstance(B, Multivector) else CMultivector.scalar(1.0)]
+    terms = [Multivector.scalar(1.0 + 0j if np.iscomplexobj(B.coeffs) else 1.0)]
     t = terms[0]
     for n in range(1, _EXP_SERIES_MAX_TERMS + 1):
         t = t * B * (1.0 / n)
@@ -365,7 +350,7 @@ def bivector_square_class(B) -> tuple[str, float]:
     B = _coerce(B)
     B2 = B * B
     s = B2.scalar_part
-    rest = B2 - type(B2).scalar(s)
+    rest = B2 - Multivector.scalar(s)
     scale = max(1.0, abs(s))
     if rest.norm_sup() > 1e-13 * scale:
         return "general", 0.0
@@ -385,7 +370,7 @@ def _exp_rows(B, kind: str, beta: float, sv: np.ndarray) -> np.ndarray:
     series, sized by max|s|, with its convergence guard.  The rows are
     complex when B or ``sv`` is.
     """
-    dtype = complex if isinstance(B, CMultivector) or np.iscomplexobj(sv) else float
+    dtype = complex if np.iscomplexobj(B.coeffs) or np.iscomplexobj(sv) else float
     out = np.zeros((len(sv), DIM), dtype=dtype)
     if kind == "elliptic":
         arg = beta * sv
@@ -420,8 +405,8 @@ def exp_bivector(B):
     if B.grades_present(tol=0.0) - {2}:
         raise ValueError("exp_bivector expects a pure grade-2 argument")
     kind, beta2 = bivector_square_class(B)
-    return _wrap(_exp_rows(B, kind, np.sqrt(beta2), np.ones(1))[0])
+    return Multivector(_exp_rows(B, kind, np.sqrt(beta2), np.ones(1))[0])
 
 
-def complexify(a: Multivector) -> CMultivector:
-    return CMultivector(a.coeffs.astype(complex))
+def complexify(a: Multivector) -> Multivector:
+    return Multivector(a.coeffs.astype(complex))

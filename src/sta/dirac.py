@@ -51,7 +51,6 @@ from .fields import (
     Constant,
     Field,
     FieldExpr,
-    FrameScalarField,
     Kind,
     f_combine,
     f_product,
@@ -209,6 +208,17 @@ def gauge_rotor_expr(charge: float, chi: FieldExpr) -> FieldExpr:
     return BivectorExp(E21, f_scale(-charge, chi))
 
 
+def _gauge_transform(psi: Field, params: DiracParams, chi: FieldExpr, setup: SpacetimeSetup,
+                     name: str, form: str, kind: Kind, rotor_kind: Kind):
+    """psi -> psi G and A -> A + grad(chi), with G the gauge rotor as a field of ``rotor_kind``."""
+    if psi.kind is not kind:
+        raise KindMismatch(f"{name} expects a {form} field")
+    G = Field(rotor_kind, gauge_rotor_expr(params.charge, chi))
+    psi2 = psi * G
+    A2 = params.potential + scalar_gradient(chi, setup)
+    return psi2, params.with_potential(A2), G
+
+
 def gauge_transform_left_form(Psi: Field, params: DiracParams, chi: FieldExpr,
                               setup: SpacetimeSetup) -> tuple[Field, DiracParams, Field]:
     """Gauge transform of the left form by the scalar chi: Psi -> Psi G, A -> A + grad(chi).
@@ -216,23 +226,15 @@ def gauge_transform_left_form(Psi: Field, params: DiracParams, chi: FieldExpr,
     Returns (Psi', params', G) with G the frame-scalar gauge rotor.  The
     connection bivectors are untouched.
     """
-    if Psi.kind is not Kind.LEFT:
-        raise KindMismatch("gauge_transform_left_form expects a left spinor field")
-    G = FrameScalarField(gauge_rotor_expr(params.charge, chi))
-    Psi2 = Psi * G
-    A2 = params.potential + scalar_gradient(chi, setup)
-    return Psi2, params.with_potential(A2), G
+    return _gauge_transform(Psi, params, chi, setup, "gauge_transform_left_form",
+                            "left spinor", Kind.LEFT, Kind.FRAME_SCALAR)
 
 
 def gauge_transform_representative(psi: Field, params: DiracParams, chi: FieldExpr,
                                    setup: SpacetimeSetup) -> tuple[Field, DiracParams, Field]:
     """Gauge transform of the representative form; the rotor is a Clifford field."""
-    if psi.kind is not Kind.CLIFFORD:
-        raise KindMismatch("gauge_transform_representative expects a Clifford field")
-    G = CliffordField(gauge_rotor_expr(params.charge, chi))
-    psi2 = psi * G
-    A2 = params.potential + scalar_gradient(chi, setup)
-    return psi2, params.with_potential(A2), G
+    return _gauge_transform(psi, params, chi, setup, "gauge_transform_representative",
+                            "Clifford", Kind.CLIFFORD, Kind.CLIFFORD)
 
 
 # ---------------------------------------------------------------------------

@@ -91,11 +91,9 @@ from .algebra import (
     DIM,
     GRADES,
     REVERSE_SIGNS,
-    CMultivector,
     Multivector,
     _coerce,
     _exp_rows,
-    _MVBase,
     bivector_square_class,
     gp_batch,
     product_support,
@@ -348,7 +346,7 @@ class Constant(FieldExpr):
 
     def __init__(self, value):
         value = _coerce(value)
-        super().__init__(_mask(value.coeffs), isinstance(value, CMultivector))
+        super().__init__(_mask(value.coeffs), np.iscomplexobj(value.coeffs))
         self.value = value
 
     def _eval(self, xs):
@@ -647,7 +645,7 @@ class BivectorExp(FieldExpr):
         support = 1 | blades  # the closed forms are f(s) + g(s) B
         while kind == "general" and product_support(support, blades) & ~support:
             support |= product_support(support, blades)  # the series: every power of B
-        super().__init__(support, isinstance(B, CMultivector) or s.is_complex, (s,))
+        super().__init__(support, np.iscomplexobj(B.coeffs) or s.is_complex, (s,))
         self.B = B
         self.s = s
         self._kind = kind
@@ -698,7 +696,7 @@ def _fold(parts) -> FieldExpr:
             acc.extend(_part_terms(part))
     if acc is None:
         return _ZERO
-    if isinstance(acc, _MVBase):
+    if isinstance(acc, Multivector):
         return Constant(acc)
     return acc if isinstance(acc, FieldExpr) else Linear(acc)
 
@@ -707,13 +705,13 @@ def _part_value(part):
     """The value of a part that is a constant, else None."""
     if isinstance(part, Constant):
         return part.value
-    return part if isinstance(part, _MVBase) else None
+    return part if isinstance(part, Multivector) else None
 
 
 def _zero_part(part) -> bool:
     if part is None:
         return True
-    if isinstance(part, _MVBase):
+    if isinstance(part, Multivector):
         return not part.coeffs.any()
     return isinstance(part, Constant) and not part.support
 
@@ -722,7 +720,7 @@ def _part_terms(part) -> tuple:
     """The ``Linear`` terms of a nonzero part of a sum."""
     if isinstance(part, tuple):
         return part
-    return ((1.0, Constant(part)),) if isinstance(part, _MVBase) else _terms(part)
+    return ((1.0, Constant(part)),) if isinstance(part, Multivector) else _terms(part)
 
 
 def _scaled(c, e: FieldExpr):
@@ -832,7 +830,7 @@ class Field:
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return Field(self.kind, f_scale(other, self.expr))
-        if isinstance(other, _MVBase):
+        if isinstance(other, Multivector):
             other = Field(Kind.FRAME_SCALAR, Constant(other))
         if not isinstance(other, Field):
             return NotImplemented
@@ -844,7 +842,7 @@ class Field:
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
             return Field(self.kind, f_scale(other, self.expr))
-        if isinstance(other, _MVBase):
+        if isinstance(other, Multivector):
             return Field(Kind.FRAME_SCALAR, Constant(other)) * self
         return NotImplemented
 

@@ -416,8 +416,8 @@ def parallel_transport(values, kind: Kind, curve: Curve, setup: SpacetimeSetup,
     for right spinor values, with omega = omega_{sigma'(t)} at sigma(t).
 
     ``values`` is a sequence of fiber values; the result is a list of the
-    transported values, in order, each of its input's type and dtype (real
-    and complex values can share a call).  omega is evaluated once per call,
+    transported values, in order, each of its input's dtype (real and
+    complex values can share a call).  omega is evaluated once per call,
     at the 2*steps+1 stage points t_j = j h / 2, which must all lie in the
     chart; an empty ``values`` evaluates nothing.  The law is linear, so a
     step is one 16x16 propagator that does not depend on the value: with
@@ -437,9 +437,9 @@ def parallel_transport(values, kind: Kind, curve: Curve, setup: SpacetimeSetup,
     if not setup.chart.contains(pts, slack=1e-9):
         raise CurveOutOfChart("curve leaves the chart box")
 
-    ys = [np.array(v.coeffs, dtype=v.coeffs.dtype) for v in values]
+    ys = [v.coeffs for v in values]
     if not ys or setup.connection.is_zero:
-        return [type(v)(y) for v, y in zip(values, ys)]
+        return [Multivector(y) for y in ys]
 
     w = setup.omega_coord_at(curve.velocity(ts), pts)
     for k in range(0, steps, _BLOCK_STEPS):
@@ -469,7 +469,7 @@ def parallel_transport(values, kind: Kind, curve: Curve, setup: SpacetimeSetup,
         # (gemv); a (K, 16) @ (16, 16) product of all values at once is
         # a gemm, which can differ in the last bits
         ys = [reduce(np.ndarray.dot, r, y) for y in ys]
-    return [type(v)(y) for v, y in zip(values, ys)]
+    return [Multivector(y) for y in ys]
 
 
 # ---------------------------------------------------------------------------

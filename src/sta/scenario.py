@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .algebra import (DIM, GRADES, REVERSE_SIGNS, CMultivector, Multivector, blade_name,
+from .algebra import (DIM, GRADES, REVERSE_SIGNS, Multivector, blade_name,
                       exp_bivector, gp_batch)
 from .errors import ConfigError, StaError, UnknownSuite
 from .fields import (BivectorExp, CliffordField, Constant, FieldExpr, Polynomial, ScalarGaussian,
@@ -147,7 +147,7 @@ def parse_multivector(obj, where: str):
     coeffs = np.zeros(16, dtype=complex)
     for k, v in obj.items():
         coeffs[_blade(k, where)] = _coef(v, where)
-    return CMultivector(coeffs) if np.any(coeffs.imag) else Multivector(coeffs.real)
+    return Multivector(coeffs if np.any(coeffs.imag) else coeffs.real)
 
 
 def _depth(obj) -> int:
@@ -250,7 +250,7 @@ def _entries(v, where: str) -> dict:
 
 def _boost(v, where: str):
     b = None if v is None else parse_expr(v, where)  # None: the rest-frame wave
-    if b is not None and (not isinstance(b, Constant) or isinstance(b.value, CMultivector)):
+    if b is not None and (not isinstance(b, Constant) or np.iscomplexobj(b.value.coeffs)):
         _fail(f"{where} must be a constant real rotor")
     return None if b is None else b.value
 

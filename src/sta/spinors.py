@@ -23,7 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-from .algebra import DIM, E0, E21, CMultivector, Multivector, complexify
+from .algebra import DIM, E0, E21, Multivector, complexify
 from .errors import InconsistentParity, NotEven, NotInIdeal
 
 __all__ = [
@@ -49,7 +49,7 @@ DEFAULT_TOL = 1e-10
 IDEMPOTENT_E: Multivector = 0.5 * (1 + E0)
 
 #: f = (1 + e0)/2 (1 + i e2e1)/2, primitive idempotent of the complexification.
-IDEMPOTENT_F: CMultivector = complexify(IDEMPOTENT_E) * (
+IDEMPOTENT_F: Multivector = complexify(IDEMPOTENT_E) * (
     0.5 * (1 + 1j * complexify(E21))
 )
 
@@ -90,13 +90,11 @@ def even_from_ideal(phi: Multivector) -> Multivector:
     return psi
 
 
-def complex_ideal_from_even(psi: Multivector) -> CMultivector:
+def complex_ideal_from_even(psi: Multivector) -> Multivector:
     """Map an even multivector to the complex ideal: psi -> psi f."""
     if psi.odd().norm_sup() > DEFAULT_TOL * _scale(psi):
         raise NotEven("psi has a nonzero odd part")
-    if isinstance(psi, CMultivector):
-        return psi * IDEMPOTENT_F
-    return complexify(psi) * IDEMPOTENT_F
+    return psi * IDEMPOTENT_F
 
 
 # ---------------------------------------------------------------------------
@@ -134,23 +132,23 @@ def rho_batch(coeffs: np.ndarray) -> np.ndarray:
     return np.tensordot(np.asarray(coeffs, dtype=complex), _BLADE_MATRICES, axes=1)
 
 
-def rho_inv(mat: np.ndarray) -> CMultivector:
+def rho_inv(mat: np.ndarray) -> Multivector:
     """The complex multivector whose matrix image is ``mat``."""
-    return CMultivector(_FROM_MATRIX @ np.asarray(mat, dtype=complex).reshape(16))
+    return Multivector(_FROM_MATRIX @ np.asarray(mat, dtype=complex).reshape(16))
 
 
 #: The column supporting the image of f, the one column an ideal element fills.
 COLUMN: int = int(np.argmax(np.abs(rho(IDEMPOTENT_F)).sum(axis=0)))
 
 
-def column_from_ideal(psi_c: CMultivector) -> np.ndarray:
+def column_from_ideal(psi_c: Multivector) -> np.ndarray:
     """Column spinor of an ideal element: the supporting column of rho(psi_c)."""
     if not (psi_c * IDEMPOTENT_F).approx_eq(psi_c, DEFAULT_TOL * _scale(psi_c)):
         raise NotInIdeal("psi_c*f != psi_c")
     return rho(psi_c)[:, COLUMN].copy()
 
 
-def ideal_from_column(col: np.ndarray) -> CMultivector:
+def ideal_from_column(col: np.ndarray) -> Multivector:
     """Inverse of :func:`column_from_ideal` on the ideal."""
     mat = np.zeros((4, 4), dtype=complex)
     mat[:, COLUMN] = np.asarray(col, dtype=complex)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sta.algebra import (
     CAYLEY,
-    CMultivector,
     Multivector,
     blade_mul,
     complexify,
@@ -17,7 +16,7 @@ from sta.algebra import (
     E21,
 )
 from sta.errors import SeriesNotConverged
-from sta.fields import BivectorExp, ScalarLinear, evaluate
+from sta.fields import BivectorExp, Constant, ScalarLinear, evaluate
 
 METRIC = (1, -1, -1, -1)
 
@@ -267,7 +266,7 @@ def test_exp_inverse_random_simple():
 
 
 def test_complexify_examples():
-    assert complexify(Multivector.scalar(1.0)).approx_eq(CMultivector.scalar(1.0))
+    assert complexify(Multivector.scalar(1.0)).approx_eq(Multivector.scalar(1.0 + 0j))
     rng = np.random.default_rng(4)
     for _ in range(20):
         a = Multivector(rng.normal(size=16))
@@ -281,13 +280,29 @@ def test_complexify_examples():
 
 
 def test_multivectors_are_unhashable():
-    # == compares values, across the real and complex types and with -0.0 == 0.0,
+    # == compares values, across real and complex coefficients and with -0.0 == 0.0,
     # which no hash of the coefficient bytes can follow
-    assert Multivector.zero() == CMultivector.zero()
+    assert Multivector.zero() == complexify(Multivector.zero())
     assert Multivector.scalar(-0.0) == Multivector.scalar(0.0)
-    for value in (Multivector.zero(), CMultivector.zero()):
+    for value in (Multivector.zero(), complexify(Multivector.zero())):
         with pytest.raises(TypeError):
             hash(value)
+
+
+def test_the_constructor_copies_its_input():
+    a = np.zeros(16)
+    m = Multivector(a)
+    a[0] = 1.0  # the caller's array stays writeable, and m keeps its value
+    assert m == Multivector.zero() and not m.coeffs.flags.writeable
+    # a row view: the interned constant keeps the value it is keyed by
+    rows = np.arange(32.0).reshape(2, 16) + 0.25
+    first = rows[0].copy()
+    c = Constant(Multivector(rows[0]))
+    rows[0, 3] = -7.0
+    assert c.value == Multivector(first)
+    assert Constant(Multivector(first)) is c
+    for x, dtype in ((np.ones(16, dtype=int), float), (1j * np.ones(16), complex)):
+        assert Multivector(x).coeffs.dtype == dtype
 
 
 def test_generator_relations_exact():

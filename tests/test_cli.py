@@ -156,15 +156,17 @@ def test_exit_code_two_on_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "2"])
-def test_verify_threads_is_no_longer_read(tmp_path, value):
+def test_verify_threads_is_no_longer_read(tmp_path, monkeypatch, value):
     # suites always run one after another; the variable, valid or not, changes nothing
-    unset = {k: v for k, v in os.environ.items() if k != "VERIFY_THREADS"}
+    monkeypatch.delenv("VERIFY_THREADS", raising=False)
     runs = {}
-    for label, env in (("unset", unset), ("set", dict(unset, VERIFY_THREADS=value))):
-        r = run_cli("run", "minkowski-plane-wave", "--grid", "3",
-                    "--report-dir", str(tmp_path / label), cwd=tmp_path, env=env)
-        assert r.returncode == 0, r.stdout + r.stderr
-        assert r.stderr == ""
+    for label in ("unset", "set"):
+        if label == "set":
+            monkeypatch.setenv("VERIFY_THREADS", value)
+        code, lines = _main("run", "minkowski-plane-wave", "--grid", "3",
+                            "--report-dir", str(tmp_path / label))
+        assert code == 0, lines
+        assert lines == []  # nothing on stderr
         runs[label] = (tmp_path / label / "minkowski-plane-wave.report.json").read_bytes()
     assert runs["set"] == runs["unset"]
 
@@ -675,6 +677,25 @@ def test_exit_code_two_on_chart_whose_span_overflows(tmp_path):
     assert not list(tmp_path.glob("*.report.json"))
     wide = Chart([-8e307] * 4, [8e307] * 4)  # a span of 1.6e308 still fits
     assert np.all(np.isfinite(wide.grid(3)))
+
+
+def test_a_transport_curve_that_overflows_exits_two_with_one_line(tmp_path):
+    # the bent curve's control points overflow, so the curve leaves the chart
+    cfg = load_config("torsion-toy")
+    cfg["chart"]["hi"] = [1, 1e308, 1, 1]
+    code, lines = _run_config(tmp_path, cfg, "--suite", "transport", "--grid", "2")
+    assert code == 2
+    assert lines == ["configuration error: CurveOutOfChart: curve leaves the chart box"]
+
+
+def test_a_transport_that_overflows_fails_its_checks_without_a_warning(tmp_path):
+    cfg = load_config("torsion-toy")
+    cfg["chart"]["hi"] = [1, 1e20, 1, 1]
+    code, lines = _run_config(tmp_path, cfg, "--grid", "2")
+    assert code == 1 and lines == []
+    [path] = tmp_path.rglob("*.report.json")
+    checks = json.loads(path.read_text())["checks"]
+    assert any(c["value"] is None and not c["passed"] for c in checks)
 
 
 def _freeze_cases(tmp_path):

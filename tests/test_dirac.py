@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sta.algebra import E, E0, E21, CMultivector, Multivector, exp_bivector, gp_batch, GRADES
+from sta.algebra import E, E0, E21, Multivector, exp_bivector, gp_batch, GRADES
 from sta.dirac import (
     DiracParams,
     bilinear_covariants,
@@ -176,7 +176,7 @@ def test_residual_parity_and_kind_guards():
     pc = evaluate(f_product(ex, Constant(IDEMPOTENT_F)), XS)
     assert np.max(np.abs(gp_batch(pc, IDEMPOTENT_F.coeffs) - pc)) < 1e-12
     with pytest.raises(NotInIdeal):
-        column_from_ideal(CMultivector.scalar(1.0))
+        column_from_ideal(Multivector.scalar(1.0 + 0j))
 
 
 def test_non_finite_fields_fail_the_guards():

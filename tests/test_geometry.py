@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sta.algebra import GRADES, CMultivector, E, Multivector, gp_batch
+from sta.algebra import GRADES, E, Multivector, gp_batch
 from sta.errors import ConfigError, CurveOutOfChart, KindMismatch
 from sta.fields import (
     BladeCoeff,
@@ -381,7 +381,7 @@ def test_transport_matches_per_stage_reference(frame):
     curve = Curve(np.array([[0.2, 0.3, 0.1, 0.2], [0.5, 0.2, 0.6, 0.4], [-0.2, 0.1, 0.1, 0.2]]))
     rng = np.random.default_rng(55)
     a0 = Multivector(rng.normal(size=16))
-    c0 = CMultivector(rng.normal(size=16) + 1j * rng.normal(size=16))
+    c0 = Multivector(rng.normal(size=16) + 1j * rng.normal(size=16))
     omegas = {}  # one-row omega per stage time, shared by every run below
 
     def omega_at(t):
@@ -407,7 +407,7 @@ def test_transporting_values_together_matches_one_value_calls_bit_for_bit(frame)
     curve = Curve(np.array([[0.2, 0.3, 0.1, 0.2], [0.5, 0.2, 0.6, 0.4], [-0.2, 0.1, 0.1, 0.2]]))
     rng = np.random.default_rng(63)
     values = [Multivector(rng.normal(size=16)),
-              CMultivector(rng.normal(size=16) + 1j * rng.normal(size=16)),
+              Multivector(rng.normal(size=16) + 1j * rng.normal(size=16)),
               Multivector(rng.normal(size=16)).grade(2)]
     steps = 2 * _BLOCK_STEPS + 13  # full blocks and a short one
     for kind in (Kind.CLIFFORD, Kind.LEFT, Kind.RIGHT):

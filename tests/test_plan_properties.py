@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sta import fields
-from sta.algebra import DIM, FULL, GRADES, CMultivector, E, Multivector, gp_batch
+from sta.algebra import DIM, FULL, GRADES, E, Multivector, gp_batch
 from sta.fields import (
     BivectorExp,
     Constant,
@@ -95,7 +95,7 @@ def _constant(blades, re, im=None):
     coeffs = np.bincount(blades, re[:len(blades)], DIM)
     if im is None:
         return Constant(Multivector(coeffs))
-    return Constant(CMultivector(coeffs + 1j * np.bincount(blades, im[:len(blades)], DIM)))
+    return Constant(Multivector(coeffs + 1j * np.bincount(blades, im[:len(blades)], DIM)))
 
 
 _leaves = st.one_of(
