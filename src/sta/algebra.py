@@ -31,6 +31,7 @@ value at s = 1, and ``fields.BivectorExp`` its value at every point.
 
 from __future__ import annotations
 
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -239,13 +240,13 @@ class Multivector:
         return Multivector(-self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)) and not isinstance(other, bool):
+        if isinstance(other, numbers.Number) and not isinstance(other, bool):
             return Multivector(self.coeffs * other)
         other = _coerce(other)
         return Multivector(gp_batch(self.coeffs, other.coeffs))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)) and not isinstance(other, bool):
+        if isinstance(other, numbers.Number) and not isinstance(other, bool):
             return Multivector(other * self.coeffs)
         return _coerce(other) * self
 
@@ -295,11 +296,11 @@ class Multivector:
 def _coerce(x):
     if isinstance(x, Multivector):
         return x
-    if isinstance(x, complex) and x.imag != 0:
+    if not isinstance(x, numbers.Number):  # Python's and numpy's scalars are Numbers
+        raise TypeError(f"cannot interpret {type(x)!r} as a multivector")
+    if np.iscomplexobj(x) and x.imag != 0:
         return Multivector.scalar(x)
-    if isinstance(x, (int, float, complex)):
-        return Multivector.scalar(float(np.real(x)))
-    raise TypeError(f"cannot interpret {type(x)!r} as a multivector")
+    return Multivector.scalar(float(np.real(x)))
 
 
 def blade_name(mask: int) -> str:

@@ -209,11 +209,12 @@ def gauge_rotor_expr(charge: float, chi: FieldExpr) -> FieldExpr:
 
 
 def _gauge_transform(psi: Field, params: DiracParams, chi: FieldExpr, setup: SpacetimeSetup,
-                     name: str, form: str, kind: Kind, rotor_kind: Kind):
-    """psi -> psi G and A -> A + grad(chi), with G the gauge rotor as a field of ``rotor_kind``."""
+                     name: str, form: str, kind: Kind):
+    """psi -> psi G and A -> A + grad(chi), G the gauge rotor of kind (-r, r) for psi's (l, r)."""
     if psi.kind is not kind:
         raise KindMismatch(f"{name} expects a {form} field")
-    G = Field(rotor_kind, gauge_rotor_expr(params.charge, chi))
+    r = kind.value[1]  # psi G keeps psi's kind: G is frame-scalar on a left spinor
+    G = Field(Kind((-r, r)), gauge_rotor_expr(params.charge, chi))
     psi2 = psi * G
     A2 = params.potential + scalar_gradient(chi, setup)
     return psi2, params.with_potential(A2), G
@@ -227,14 +228,14 @@ def gauge_transform_left_form(Psi: Field, params: DiracParams, chi: FieldExpr,
     connection bivectors are untouched.
     """
     return _gauge_transform(Psi, params, chi, setup, "gauge_transform_left_form",
-                            "left spinor", Kind.LEFT, Kind.FRAME_SCALAR)
+                            "left spinor", Kind.LEFT)
 
 
 def gauge_transform_representative(psi: Field, params: DiracParams, chi: FieldExpr,
                                    setup: SpacetimeSetup) -> tuple[Field, DiracParams, Field]:
     """Gauge transform of the representative form; the rotor is a Clifford field."""
     return _gauge_transform(psi, params, chi, setup, "gauge_transform_representative",
-                            "Clifford", Kind.CLIFFORD, Kind.CLIFFORD)
+                            "Clifford", Kind.CLIFFORD)
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,16 @@ geometric ``Product``, ``Reverse``, ``GradeSelect``, ``BladeCoeff`` and
 ``BivectorExp``.  Build them with the folding constructors ``f_combine``,
 ``f_sum``, ``f_scale``, ``f_product`` and ``f_reverse``, the one way: a
 ``FieldExpr`` has no arithmetic operators.  A ``Field`` has operators,
-checked against its kind's product table.
+checked against its kind's action.
 
 Sums have one builder, ``f_combine([(c, e), ...])``, the n-ary sum of
-c e over its pairs; ``f_sum(*exprs)`` is its unit-coefficient form and
-``f_scale(c, e)`` its one-pair case.  It folds left by the binary rules: a
-zero term is skipped, two constants fold while the running sum is one
-``Constant``, otherwise the term lists are concatenated (each inner
+c e over its pairs, with ``f_scale(c, e)`` its one-pair case.
+``f_sum(*exprs)`` folds the exprs themselves, so it is their
+unit-coefficient form except when every expr is a zero ``Constant``: it
+returns the last of them (a complex zero stays complex), where
+``f_combine`` returns the real zero.  The fold is left, by the binary
+rules: a zero term is skipped, two constants fold while the running sum is
+one ``Constant``, otherwise the term lists are concatenated (each inner
 coefficient k of a scaled ``Linear`` becomes c * k), and a lone term of
 coefficient 1 is returned bare.  It interns only the result, so a sum of n
 terms is the node a chain of n binary sums returns, without the chain's
@@ -68,16 +71,12 @@ table holds its nodes for the life of the process, with their structure and
 partial-derivative links but never an evaluated value.
 
 Field *kinds* distinguish values that share their coefficient storage but
-transform differently under a change of spin frame.  Multiplication is only
-defined for kind pairs with a well-defined result:
-
-    Clifford * Clifford -> Clifford        Clifford * Left  -> Left
-    Right * Clifford    -> Right           Left * Right     -> Clifford
-    Right * Left        -> frame-scalar    Left * frame-scalar  -> Left
-    frame-scalar * Right -> Right          frame-scalar * frame-scalar -> same
-
-The frame-scalar kind holds algebra-valued *functions* (not sections); it is
-how constant algebra elements act on spinor fields from the outside.
+transform differently under a change of spin frame.  A kind is its action of
+Spin(1,3)e, the pair (l, r) that ``Kind`` holds as its value (see ``Kind``),
+and that one pair fixes which products and reversals of fields are fields.
+The frame-scalar kind, (0, 0), holds algebra-valued *functions* (not
+sections); it is how constant algebra elements act on spinor fields from
+the outside.
 """
 
 from __future__ import annotations
@@ -787,22 +786,23 @@ def f_reverse(a: FieldExpr) -> FieldExpr:
 
 
 class Kind(Enum):
-    CLIFFORD = "clifford"
-    LEFT = "left"
-    RIGHT = "right"
-    FRAME_SCALAR = "frame-scalar"
+    """A field kind: its action (l, r) of Spin(1,3)e, with ``str`` its name.
 
+    l and r are the coefficients of omega_V F and F omega_V in the covariant
+    derivative of a field F of the kind, and a change of spin frame by the
+    rotor u puts u~ on F's left where l is nonzero and u on its right where
+    r is.  A product F G of fields is a field exactly when the actions meet
+    (r_F + l_G = 0), and then its kind is (l_F, r_G); the reversal of F has
+    kind (-r_F, -l_F), which swaps left and right and fixes the others.
+    """
 
-_PRODUCT_KINDS = {
-    (Kind.CLIFFORD, Kind.CLIFFORD): Kind.CLIFFORD,
-    (Kind.CLIFFORD, Kind.LEFT): Kind.LEFT,
-    (Kind.RIGHT, Kind.CLIFFORD): Kind.RIGHT,
-    (Kind.LEFT, Kind.RIGHT): Kind.CLIFFORD,
-    (Kind.RIGHT, Kind.LEFT): Kind.FRAME_SCALAR,
-    (Kind.LEFT, Kind.FRAME_SCALAR): Kind.LEFT,
-    (Kind.FRAME_SCALAR, Kind.RIGHT): Kind.RIGHT,
-    (Kind.FRAME_SCALAR, Kind.FRAME_SCALAR): Kind.FRAME_SCALAR,
-}
+    CLIFFORD = (0.5, -0.5)
+    LEFT = (0.5, 0.0)
+    RIGHT = (0.0, -0.5)
+    FRAME_SCALAR = (0.0, 0.0)
+
+    def __str__(self):
+        return self.name.lower().replace("_", "-")
 
 
 class Field:
@@ -834,10 +834,10 @@ class Field:
             other = Field(Kind.FRAME_SCALAR, Constant(other))
         if not isinstance(other, Field):
             return NotImplemented
-        kind = _PRODUCT_KINDS.get((self.kind, other.kind))
-        if kind is None:
-            raise KindMismatch(f"no product for {self.kind.value} * {other.kind.value}")
-        return Field(kind, f_product(self.expr, other.expr))
+        (l, r), (l2, r2) = self.kind.value, other.kind.value
+        if r + l2:
+            raise KindMismatch(f"no product for {self.kind} * {other.kind}")
+        return Field(Kind((l, r2)), f_product(self.expr, other.expr))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -851,16 +851,11 @@ class Field:
 
     def reverse(self) -> "Field":
         """Reversion; on spinor kinds it swaps the left/right bundles."""
-        swap = {
-            Kind.LEFT: Kind.RIGHT,
-            Kind.RIGHT: Kind.LEFT,
-            Kind.CLIFFORD: Kind.CLIFFORD,
-            Kind.FRAME_SCALAR: Kind.FRAME_SCALAR,
-        }
-        return Field(swap[self.kind], f_reverse(self.expr))
+        l, r = self.kind.value
+        return Field(Kind((-r, -l)), f_reverse(self.expr))
 
     def __repr__(self):
-        return f"Field({self.kind.value}, {type(self.expr).__name__})"
+        return f"Field({self.kind}, {type(self.expr).__name__})"
 
 
 def CliffordField(expr: FieldExpr) -> Field:

@@ -6,13 +6,13 @@ constant generators E_a and the leg directions coincide with the chart's
 coordinate directions.  A change of spin frame therefore transforms *data*:
 it produces a new setup (with connection coefficients recomputed in the new
 frame) together with every field's components re-expressed relative to the
-new frame.  ``_ACTION`` is the one rule for how: each bundle is the spin
-frame bundle under one action of Spin(1,3)e, a kind's (l, r) are the
-coefficients of omega_V F and F omega_V in its covariant derivative, and a
-frame change puts u~ on the left of its components where l is nonzero and u
-on the right where r is, with u the rotor field relating the frames.  The
-covariant derivatives, the transport operators and ``FrameChange.carry``
-all read it:
+new frame.  A field's ``Kind`` is the one rule for how: each bundle is the
+spin frame bundle under one action of Spin(1,3)e, the kind's value (l, r)
+holds the coefficients of omega_V F and F omega_V in its covariant
+derivative, and a frame change puts u~ on the left of its components where
+l is nonzero and u on the right where r is, with u the rotor field relating
+the frames.  The covariant derivatives, the transport operators and
+``FrameChange.carry`` all read it:
 
     Clifford     (1/2, -1/2)  D_V A  = V(A) + [omega_V, A]/2   a -> u~ a u
     left spinor  (1/2, 0)     Ds_V P = V(P) + omega_V P / 2    a -> u~ a
@@ -326,25 +326,19 @@ def directional_derivative(F: Field, V, setup: SpacetimeSetup) -> Field:
     return Field(F.kind, _contract(comps, [F.expr.partial(mu) for mu in range(4)]))
 
 
-# The action of Spin(1,3)e on each bundle kind: the coefficients (l, r) of
-# omega_V F and F omega_V in the covariant derivative of a field F.
-_ACTION = {Kind.CLIFFORD: (0.5, -0.5), Kind.LEFT: (0.5, 0.0), Kind.RIGHT: (0.0, -0.5)}
-
-
-def _rule(table: dict, kind, what: str):
-    """``table[kind]``; a KindMismatch for a kind without a rule, naming a non-Kind by repr."""
-    if not (isinstance(kind, Kind) and kind in table):
-        name = kind.value if isinstance(kind, Kind) else repr(kind)
+def _rule(kind, what: str) -> tuple[float, float]:
+    """``kind``'s (l, r); a KindMismatch for the frame-scalar kind, or a non-Kind by repr."""
+    if not isinstance(kind, Kind) or kind is Kind.FRAME_SCALAR:
+        name = kind if isinstance(kind, Kind) else repr(kind)
         raise KindMismatch(f"no {what} rule for kind {name}")
-    return table[kind]
+    return kind.value
 
 
 def _cov_deriv(kind: Kind, F: Field, V, setup: SpacetimeSetup, like: Kind | None = None) -> Field:
     """V(F) + l omega_V F + r F omega_V for a field of ``kind``, acted on like ``like``."""
     if F.kind is not kind:
-        raise KindMismatch(f"a covariant derivative of {kind.value} fields got a "
-                           f"{F.kind.value} field")
-    l, r = _ACTION[like or kind]
+        raise KindMismatch(f"a covariant derivative of {kind} fields got a {F.kind} field")
+    l, r = (like or kind).value
     terms = [(1.0, directional_derivative(F, V, setup).expr)]
     w = setup.omega_for(V)
     if l:
@@ -398,8 +392,9 @@ def dirac_operator_left(P: Field, setup: SpacetimeSetup) -> Field:
 # index (the kernel's ``LEFT_OP``), y omega on its second (``RIGHT_OP``).
 # So op = -(l LEFT_OP + r RIGHT_OP) for the kind's sides (l, r); a zero side
 # is left out, since adding its signed zeros would flip some zero entries.
-_TRANSPORT_OPS = {kind: -reduce(np.add, [c * op for c, op in zip(lr, (LEFT_OP, RIGHT_OP)) if c])
-                  for kind, lr in _ACTION.items()}
+_TRANSPORT_OPS = {
+    kind: -reduce(np.add, [c * op for c, op in zip(kind.value, (LEFT_OP, RIGHT_OP)) if c])
+    for kind in Kind if kind is not Kind.FRAME_SCALAR}
 # Steps whose propagators are built together.  The (B, 16, 16) stacks then
 # stay small whatever the step count; built for every step at once, they
 # raise a 4096-step transport's peak memory about sixfold.
@@ -430,7 +425,8 @@ def parallel_transport(values, kind: Kind, curve: Curve, setup: SpacetimeSetup,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    op = _rule(_TRANSPORT_OPS, kind, "transport")
+    _rule(kind, "transport")
+    op = _TRANSPORT_OPS[kind]
     h = 1.0 / steps
     ts = np.arange(2 * steps + 1) * (0.5 * h)
     pts = curve.point(ts)
@@ -508,7 +504,7 @@ class FrameChange:
         ``like`` names the kind whose action applies to a field tied to the frame as
         another kind is (a representative is carried ``like=Kind.LEFT``); F keeps its kind.
         """
-        l, r = _rule(_ACTION, like or F.kind, "frame-change")
+        l, r = _rule(like or F.kind, "frame-change")
         expr = f_product(self._ur, F.expr) if l else F.expr
         return Field(F.kind, f_product(expr, self.u) if r else expr)
 

@@ -305,6 +305,25 @@ def test_the_constructor_copies_its_input():
         assert Multivector(x).coeffs.dtype == dtype
 
 
+@pytest.mark.parametrize("scalar", [np.int64(-3), np.float32(0.1), np.float64(2.5),
+                                    np.complex64(0.1 + 0.2j), np.complex64(2), np.complex128(3j)],
+                         ids=["int64", "float32", "float64", "complex64", "complex64-real",
+                              "complex128"])
+def test_numpy_scalars_act_as_python_scalars_on_either_side(scalar):
+    # each result is the Python scalar's to the bit, whichever side the scalar is on
+    same = complex(scalar) if np.iscomplexobj(scalar) else float(scalar)
+    a = Multivector(np.random.default_rng(5).normal(size=16))
+    for op in (lambda x, y: x * y, lambda x, y: x + y, lambda x, y: x - y):
+        for got, want in ((op(a, scalar), op(a, same)), (op(scalar, a), op(same, a))):
+            assert isinstance(got, Multivector)
+            assert got.coeffs.dtype == want.coeffs.dtype
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    # a bool is a blade product, as before; anything else is still refused
+    assert (a * True).coeffs.tobytes() == (a * Multivector.scalar(1.0)).coeffs.tobytes()
+    with pytest.raises(TypeError, match="cannot interpret"):
+        _ = a * "2"
+
+
 def test_generator_relations_exact():
     for a in range(4):
         for b in range(4):

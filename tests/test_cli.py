@@ -255,13 +255,26 @@ BAD_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
-def test_exit_code_two_on_malformed_numbers_and_sections(tmp_path, case):
+def _bad_config(case):
     cfg = load_config("minkowski-plane-wave")
     cfg["suites"] = ["algebra"]
     BAD_CONFIGS[case](cfg)
+    return cfg
+
+
+# In process, a warning is an error: a child would print it as a second stderr line.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_exit_code_two_on_malformed_numbers_and_sections(tmp_path, case):
+    code, lines = _run_config(tmp_path, _bad_config(case))  # which checks that no report is written
+    assert code == 2, lines
+    assert len(lines) == 1 and lines[0].startswith("configuration error: "), lines
+
+
+def test_a_malformed_config_exits_two_from_a_child_without_a_traceback(tmp_path):
+    # one case of the test above as the command runs it: one stderr line, no traceback
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(_bad_config("connection-entry-overflows")))
     r = run_cli("run", str(path), "--report-dir", str(tmp_path), cwd=tmp_path)
     assert r.returncode == 2, r.stdout + r.stderr
     lines = r.stderr.splitlines()
@@ -269,17 +282,15 @@ def test_exit_code_two_on_malformed_numbers_and_sections(tmp_path, case):
     assert not list(tmp_path.glob("*.report.json"))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("override", [("--grid", "3"), ("--seed", "1"), ("--suite", "algebra")],
                          ids=["grid", "seed", "suite"])
 @pytest.mark.parametrize("root", [[], "x"], ids=["list", "string"])
 def test_exit_code_two_on_non_object_root_with_an_override(tmp_path, root, override):
     # an override is written into the config, so the root is refused when it is loaded
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(root))
-    r = run_cli("run", str(path), *override, "--report-dir", str(tmp_path), cwd=tmp_path)
-    assert r.returncode == 2, r.stdout + r.stderr
-    assert r.stderr.splitlines() == ["configuration error: configuration root must be an object"]
-    assert not list(tmp_path.glob("*.report.json"))
+    code, lines = _run_config(tmp_path, None, *override, text=json.dumps(root))
+    assert code == 2, lines
+    assert lines == ["configuration error: configuration root must be an object"]
 
 
 def test_scenario_checks_every_field_with_one_fold(monkeypatch):

@@ -22,6 +22,7 @@ from sta.fields import (
     BladeCoeff,
     CliffordField,
     Constant,
+    Field,
     FrameScalarField,
     GradeSelect,
     Kind,
@@ -36,6 +37,7 @@ from sta.fields import (
     ScalarSine,
     evaluate,
     evaluate_many,
+    f_combine,
     f_product,
     f_reverse,
     f_scale,
@@ -260,22 +262,34 @@ def test_product_fast_paths_agree_with_kernel():
         assert np.max(np.abs(right - gp_batch(gv, np.asarray(cv)))) < 1e-13
 
 
+# Every pair of kinds, written out by hand: the kind of F * G, or None where
+# the product is refused.  Kind's rule (r_F + l_G = 0, then (l_F, r_G)) must
+# reproduce it.
+C_, L_, R_, S_ = Kind.CLIFFORD, Kind.LEFT, Kind.RIGHT, Kind.FRAME_SCALAR
+PRODUCT_KINDS = {
+    (C_, C_): C_, (C_, L_): L_, (C_, R_): None, (C_, S_): None,
+    (L_, C_): None, (L_, L_): None, (L_, R_): C_, (L_, S_): L_,
+    (R_, C_): R_, (R_, L_): S_, (R_, R_): None, (R_, S_): None,
+    (S_, C_): None, (S_, L_): None, (S_, R_): R_, (S_, S_): S_,
+}
+
+
 def test_kind_product_table():
     expr = Constant(Multivector.scalar(1.0))
-    C = CliffordField(expr)
-    L = LeftSpinorField(expr)
-    R = RightSpinorField(expr)
-    S = FrameScalarField(expr)
-    assert (C * C).kind is Kind.CLIFFORD
-    assert (C * L).kind is Kind.LEFT
-    assert (R * C).kind is Kind.RIGHT
-    assert (L * R).kind is Kind.CLIFFORD
-    assert (R * L).kind is Kind.FRAME_SCALAR
-    assert (L * S).kind is Kind.LEFT
-    assert (S * R).kind is Kind.RIGHT
-    for bad in ((L, L), (L, C), (C, R), (R, R), (S, L), (C, S)):
-        with pytest.raises(KindMismatch):
-            _ = bad[0] * bad[1]
+    assert len(PRODUCT_KINDS) == 16
+    for (a, b), want in PRODUCT_KINDS.items():
+        if want is None:
+            with pytest.raises(KindMismatch, match=f"^no product for {a} \\* {b}$"):
+                _ = Field(a, expr) * Field(b, expr)
+        else:
+            assert (Field(a, expr) * Field(b, expr)).kind is want, (a, b)
+
+
+def test_kinds_are_their_actions_and_print_their_names():
+    assert [(k.value, str(k)) for k in Kind] == [
+        ((0.5, -0.5), "clifford"), ((0.5, 0.0), "left"), ((0.0, -0.5), "right"),
+        ((0.0, 0.0), "frame-scalar")]
+    assert repr(LeftSpinorField(Constant(E(1)))) == "Field(left, Constant)"
 
 
 def test_field_addition_requires_matching_kind():
@@ -299,6 +313,7 @@ def test_reversal_swaps_spinor_sides():
     assert LeftSpinorField(expr).reverse().kind is Kind.RIGHT
     assert RightSpinorField(expr).reverse().kind is Kind.LEFT
     assert CliffordField(expr).reverse().kind is Kind.CLIFFORD
+    assert FrameScalarField(expr).reverse().kind is Kind.FRAME_SCALAR
     x = CHART.grid(2)
     got = evaluate(f_reverse(f_product(expr, Constant(E(2)))), x)[0]
     want = (E(2).reverse() * (E(1) * E(0)).reverse()).coeffs
@@ -360,6 +375,10 @@ def test_complex_zero_constant_folds():
     assert f_sum(z, x) is x and f_sum(x, z) is x
     for folded in (f_product(z, x), f_product(x, z), f_scale(3.0, z), f_scale(0, x)):
         assert isinstance(folded, Constant) and not np.any(folded.value.coeffs)
+    # a sum of zero constants only is the last of them, where f_combine gives the real zero
+    real = Constant(Multivector.zero())
+    assert f_sum(z) is z and f_sum(real, z) is z and f_sum(z, real) is real
+    assert f_combine([(1.0, z)]) is real and f_combine([(1.0, real), (1.0, z)]) is real
 
 
 def _built_once_under_threads(workers, rounds, build_one):

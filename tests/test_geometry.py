@@ -224,15 +224,17 @@ _DERIVATIVES = {
 }
 
 
+# a case is named by the member, Kind.LEFT say, not by str(kind)
 @pytest.mark.parametrize("name, other", [(name, other) for name, (kind, _) in _DERIVATIVES.items()
-                                         for other in Kind if other is not kind])
+                                         for other in Kind if other is not kind],
+                         ids=lambda v: f"Kind.{v.name}" if isinstance(v, Kind) else v)
 def test_derivatives_refuse_a_field_of_another_kind(name, other):
     kind, deriv = _DERIVATIVES[name]
     setup = rc_setup(81)
     expr = random_field_expr(np.random.default_rng(81))
     assert deriv(Field(kind, expr), setup).kind is kind
-    with pytest.raises(KindMismatch, match=f"^a covariant derivative of {kind.value} fields "
-                                           f"got a {other.value} field$"):
+    with pytest.raises(KindMismatch, match=f"^a covariant derivative of {kind} fields "
+                                           f"got a {other} field$"):
         deriv(Field(other, expr), setup)
 
 

@@ -313,8 +313,9 @@ def _linears_interned_by(build):
 
 
 # 0 and 1 take the builders' own branches; a power of two scales a one-term
-# Linear of the recipe (scale by 2, say) back to a bare unit term
-_pair_coefs = st.one_of(_scales, st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, -0.5]))
+# Linear of the recipe (scale by 2, say) back to a bare unit term, as -1j does
+# one scaled by 1j; 1j and -1j also cancel constants to a complex zero
+_pair_coefs = st.one_of(_scales, st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, -0.5, 1j, -1j]))
 
 
 @settings(max_examples=80)
@@ -322,7 +323,7 @@ _pair_coefs = st.one_of(_scales, st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, -0.5
        st.lists(st.tuples(_pair_coefs, st.integers(0, 63)), min_size=1, max_size=6))
 def test_sum_builders_return_the_binary_chains_node_and_intern_only_it(leaves, ops, picks):
     nodes = build(leaves, ops)
-    nodes += [f_scale(k, n) for n in nodes[-2:] for k in (0.5, -2.0)]  # one-term Linears
+    nodes += [f_scale(k, n) for n in nodes[-2:] for k in (0.5, -2.0, 1j)]  # one-term Linears
     pairs = [(c, nodes[i % len(nodes)]) for c, i in picks]
 
     combined, added = _linears_interned_by(lambda: f_combine(pairs))
